@@ -13,13 +13,20 @@
                                 (--semantic adds the budgeted KPT1xx tier)
      kpt slice FILE [--wrt P]   cone-of-influence slice of a file's protocol
      kpt verify FILE …          check user-supplied properties of a file
-     kpt stats FILE             profile the engine on a file (--json for machines) *)
+     kpt stats FILE             profile the engine on a file (--json for machines)
+     kpt serve                  run the warm-engine verification daemon
+
+   check (file form), lint, stats, solve-file and slice run in-process
+   by default; --socket PATH sends them to a kpt serve daemon, and
+   --serve-auto uses a daemon when one answers, running locally
+   otherwise.  Either way the bytes and the exit code are the same. *)
 
 open Cmdliner
 open Kpt_predicate
 open Kpt_unity
 open Kpt_core
 open Kpt_protocols
+module Driver = Kpt_analysis.Driver
 
 let fmt = Format.std_formatter
 
@@ -63,7 +70,7 @@ let jobs_arg =
           "Worker domains for multi-file commands (0 = auto: $(b,KPT_JOBS) or the \
            core count).  Output is byte-identical at every setting.")
 
-let jobs_opt j = if j <= 0 then None else Some j
+let usage_error fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; 2) fmt
 
 (* ---- resource budgets and fault models ----------------------------------- *)
 
@@ -71,7 +78,6 @@ let jobs_opt j = if j <= 0 then None else Some j
      0   success          1   a property failed / findings
      2   usage error      3   resource exhaustion (budget, stack, memory)
      130 interrupted (Ctrl-C)                                              *)
-let exit_resource = 3
 let exit_interrupted = 130
 
 let pos_float_conv =
@@ -149,7 +155,7 @@ let budgeted limits f =
   | code -> code
   | exception Budget.Exhausted reason ->
       Format.printf "budget exhausted: %s@." (Budget.reason_to_string reason);
-      exit_resource
+      Driver.exit_resource
 
 let fault_conv =
   let parse s =
@@ -171,25 +177,32 @@ let fault_arg =
 
 let read_file path =
   let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Driver-backed commands (the batch form of check, lint, stats,
-   solve-file, slice) share their bodies with the serve daemon via
-   [Kpt_analysis.Driver]: the body renders to strings, we put them on
-   the real streams.  [--trace] events are streamed live to stderr via
-   an explicit sink instead of being buffered with the rest. *)
-let emit_outcome (o : Kpt_analysis.Driver.outcome) =
-  print_string o.Kpt_analysis.Driver.out;
-  flush stdout;
-  prerr_string o.Kpt_analysis.Driver.err;
-  flush stderr;
-  o.Kpt_analysis.Driver.code
+(* Every user-supplied input is read here: an unreadable path (a
+   directory, a permission error) is [error: PATH: msg] and exit 1.
+   Open errors already name the path; read errors do not. *)
+let read_source path =
+  try (path, read_file path)
+  with Sys_error msg ->
+    let prefix = path ^ ": " in
+    raise (Sys_error (if String.starts_with ~prefix msg then msg else prefix ^ msg))
 
-let live_trace_sink trace =
-  if trace then Some (Kpt_obs.trace_sink Format.err_formatter) else None
+let with_sources paths f =
+  match List.map read_source paths with
+  | sources -> f sources
+  | exception Sys_error msg ->
+      Format.eprintf "error: %s@." msg;
+      1
+
+(* Load a .unity file and run [f] on the result, through the same
+   syntax-error funnel as the Driver-backed commands. *)
+let with_loaded path f =
+  with_sources [ path ] @@ fun sources ->
+  let file, src = List.hd sources in
+  Driver.with_loaded ~file ~src Format.err_formatter f
 
 (* [--trace] installs the observability sink for the duration of [f];
    with the flag off the sink stays [None] and the instrumented layers
@@ -200,6 +213,160 @@ let with_trace trace f =
     Kpt_obs.set_sink (Some (Kpt_obs.trace_sink Format.err_formatter));
     Fun.protect ~finally:(fun () -> Kpt_obs.set_sink None) f
   end
+
+(* ---- the Driver-backed commands: one options term, one transport ---------
+
+   check (file form), lint, stats, solve-file and slice are one
+   [Driver] body each.  Every output-affecting flag is declared once,
+   as a setter on [Driver.options]; a command's options term folds the
+   setters it accepts over [Driver.default_options]. *)
+
+let json_arg =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:
+          "Emit the machine-readable JSON form: one report for the whole batch \
+           ($(b,check), $(b,lint)), or the engine profile ($(b,stats); add \
+           $(b,--timings) for wall-clock spans).")
+
+let warn_error_arg =
+  Arg.(value & flag & info [ "warn-error" ] ~doc:"Treat warnings as errors for the exit code.")
+
+let quiet_arg =
+  Arg.(
+    value & flag
+    & info [ "q"; "quiet" ]
+        ~doc:"Print nothing; communicate through the (unchanged) exit code only.")
+
+let slice_arg =
+  Arg.(
+    value & flag
+    & info [ "slice" ]
+        ~doc:
+          "Reduce the protocol to its cone of influence first (conservative for \
+           knowledge guards; the verdict is preserved).")
+
+let semantic_arg =
+  Arg.(
+    value & flag
+    & info [ "semantic" ]
+        ~doc:
+          "Add the semantic tier (KPT1xx): elaborate each file and run the \
+           reachability-aware passes — unreachable statements, dead guards, \
+           unsatisfiable init, deadlock-reachable states, locally implementable \
+           knowledge guards — under a small deterministic budget.  Override the \
+           default budget (fuel 10000, 1e6 nodes) with $(b,--fuel) / \
+           $(b,--max-nodes) / $(b,--timeout).")
+
+let timings_arg =
+  Arg.(
+    value & flag
+    & info [ "timings" ] ~doc:"Include the (nondeterministic) timings_ns section in --json.")
+
+let wrt_arg =
+  Arg.(
+    value & opt_all string []
+    & info [ "wrt" ] ~docv:"EXPR"
+        ~doc:
+          "Slice with respect to this property (repeatable; the cone is seeded \
+           with the union of the properties' variable supports).  Without it the \
+           conservative seed is used: everything the protocol can observe, so only \
+           write-only sinks are dropped.")
+
+let set arg f = Term.(const (fun v o -> f o v) $ arg)
+let reorder_opt = set reorder_arg (fun o reorder -> { o with Driver.reorder })
+let limits_opt = set limits_term (fun o limits -> { o with Driver.limits })
+let jobs_opt = set jobs_arg (fun o j -> { o with Driver.jobs = (if j > 0 then Some j else None) })
+let json_opt = set json_arg (fun o json -> { o with Driver.json })
+let warn_error_opt = set warn_error_arg (fun o warn_error -> { o with Driver.warn_error })
+let quiet_opt = set quiet_arg (fun o quiet -> { o with Driver.quiet })
+let slice_opt = set slice_arg (fun o slice -> { o with Driver.slice })
+let semantic_opt = set semantic_arg (fun o semantic -> { o with Driver.semantic })
+let timings_opt = set timings_arg (fun o timings -> { o with Driver.timings })
+let trace_opt = set trace_arg (fun o trace -> { o with Driver.trace })
+let wrt_opt = set wrt_arg (fun o wrt -> { o with Driver.wrt })
+
+let options_term setters =
+  List.fold_left
+    (fun opts set -> Term.(const (fun o set -> set o) $ opts $ set))
+    (Term.const Driver.default_options) setters
+
+let socket_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "socket" ] ~docv:"PATH"
+        ~doc:
+          "Unix-domain socket of the $(b,kpt serve) daemon; on a verification \
+           command, giving it sends the request there.  Default: \
+           $(b,KPT_SOCKET), or <tmpdir>/kpt-serve-<uid>.sock.")
+
+let resolve_socket = function
+  | Some s -> s
+  | None -> Kpt_serve.Server.default_socket ()
+
+let serve_auto_arg =
+  Arg.(
+    value & flag
+    & info [ "serve-auto" ]
+        ~doc:
+          "Send the request to the daemon at $(b,--socket) (or the default \
+           socket) when one answers; otherwise run it locally through the same \
+           driver — same bytes, same exit code, just cold.")
+
+let retries_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "retries" ] ~docv:"N"
+        ~doc:
+          "Send the request to the daemon and retry up to N additional times, \
+           with decorrelated-jitter backoff — but only on failures where the \
+           request demonstrably never ran: a failed connect, a connection closed \
+           with no reply, or the daemon's structured $(b,overloaded) shed.  Set \
+           $(b,KPT_RETRY_SEED) to replay a schedule deterministically.")
+
+let retry_backoff_arg =
+  Arg.(
+    value
+    & opt pos_float_conv Kpt_serve.Client.default_backoff
+    & info [ "retry-backoff" ] ~docv:"SEC"
+        ~doc:
+          "Base of the retry jitter schedule: each sleep is uniform over \
+           [SEC, 3*previous], capped at 5s.")
+
+(* [None] runs the request in-process; [Some send] ships it to a daemon.
+   Files are read client-side either way: the daemon sees spec bytes,
+   never paths, so its cache is content-addressed. *)
+let transport_term =
+  let make socket serve_auto retries backoff =
+    if socket = None && (not serve_auto) && retries = 0 then None
+    else
+      Some
+        (Kpt_serve.Client.run_cli ~socket:(resolve_socket socket) ~serve_auto ~retries
+           ~backoff)
+  in
+  Term.(const make $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg)
+
+(* The one run function of the Driver-backed commands. *)
+let run_driver cmd transport opts paths =
+  with_sources paths @@ fun files ->
+  let req = { Kpt_serve.Protocol.id = 1; cmd; files; opts } in
+  match transport with
+  | None -> Kpt_serve.Client.run_local req
+  | Some send -> send req
+
+let driver_cmd info cmd setters paths =
+  Cmd.v info
+    Term.(const (run_driver cmd) $ transport_term $ options_term setters $ paths)
+
+let files_arg =
+  Arg.(
+    non_empty & pos_all file []
+    & info [] ~docv:"FILE" ~doc:"One or more .unity source files.")
+
+let file_arg =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"A .unity source file.")
 
 (* ---- experiments --------------------------------------------------------- *)
 
@@ -277,7 +444,7 @@ let solve_cmd =
     | exception Budget.Exhausted reason ->
         Format.printf "Solution enumeration: budget exhausted (%s).@."
           (Budget.reason_to_string reason);
-        code := exit_resource);
+        code := Driver.exit_resource);
     (match Kbp.solve ~budget:limits kbp with
     | Kbp.Converged { si; steps } ->
         Format.printf "Chaotic iteration converged in %d step(s) to %a@." steps
@@ -290,7 +457,7 @@ let solve_cmd =
         Format.printf
           "Chaotic iteration: budget exhausted (%s) after %d step(s); candidate X = %a@."
           (Budget.reason_to_string reason) steps (Space.pp_pred sp) candidate;
-        code := exit_resource);
+        code := Driver.exit_resource);
     !code
   in
   Cmd.v
@@ -382,64 +549,20 @@ let check_cmd =
             "Either one built-in protocol (standard, kbp, abp, stenning, auy, window) \
              or any number of .unity files.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one machine-readable JSON report for the whole batch.")
-  in
-  let warn_error_arg =
-    Arg.(
-      value & flag
-      & info [ "warn-error" ] ~doc:"Treat warnings as errors for the exit code.")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ]
-          ~doc:"Print nothing; communicate through the exit code only.")
-  in
-  let slice_arg =
-    Arg.(
-      value & flag
-      & info [ "slice" ]
-          ~doc:
-            "Reduce each file's protocol to its cone of influence before solving \
-             (conservative for knowledge guards; the verdict is preserved).")
-  in
-  let run_batch paths reorder jobs json slice warn_error quiet limits =
-    match List.map (fun p -> (p, read_file p)) paths with
-    | sources ->
-        emit_outcome
-          (Kpt_analysis.Driver.check
-             {
-               Kpt_analysis.Driver.default_options with
-               jobs = jobs_opt jobs;
-               json;
-               warn_error;
-               quiet;
-               slice;
-               limits;
-               reorder;
-             }
-             sources)
-    | exception Sys_error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-  in
-  let run reorder targets n a lossy fault jobs json slice warn_error quiet limits =
+  let run targets n a lossy fault transport (opts : Driver.options) =
     match targets with
     | [ name ] when List.mem_assoc name protos ->
-        (* the built-in-protocol path still runs in-process: give it the
-           requested reorder policy the way [reorder_term] used to *)
-        Engine.set_default_reorder_mode reorder;
-        run_proto (List.assoc name protos) n a lossy fault limits
-    | paths ->
-        if fault <> None then begin
-          Format.eprintf "error: --fault applies to built-in protocols only@.";
-          2
+        if Option.is_some transport then
+          usage_error "error: --socket, --serve-auto and --retries apply to .unity files only"
+        else begin
+          (* the built-in-protocol path runs in-process under the
+             requested reorder policy *)
+          Engine.set_default_reorder_mode opts.reorder;
+          run_proto (List.assoc name protos) n a lossy fault opts.limits
         end
-        else run_batch paths reorder jobs json slice warn_error quiet limits
+    | paths ->
+        if fault <> None then usage_error "error: --fault applies to built-in protocols only"
+        else run_driver Kpt_serve.Protocol.Check transport opts paths
   in
   Cmd.v
     (Cmd.info "check"
@@ -447,10 +570,15 @@ let check_cmd =
          "Model-check a built-in protocol against the §6 specification (optionally \
           under a $(b,--fault) model and a resource budget), or batch-check .unity \
           files (lint + solve + stats, in parallel with $(b,-j); $(b,--timeout) is a \
-          per-file deadline).")
+          per-file deadline), in-process or through a daemon ($(b,--socket), \
+          $(b,--serve-auto)).")
     Term.(
-      const run $ reorder_arg $ targets_arg $ n_arg $ a_arg $ lossy_arg $ fault_arg
-      $ jobs_arg $ json_arg $ slice_arg $ warn_error_arg $ quiet_arg $ limits_term)
+      const run $ targets_arg $ n_arg $ a_arg $ lossy_arg $ fault_arg $ transport_term
+      $ options_term
+          [
+            reorder_opt; jobs_opt; json_opt; slice_opt; warn_error_opt; quiet_opt;
+            limits_opt;
+          ])
 
 (* ---- simulate -------------------------------------------------------------- *)
 
@@ -531,32 +659,6 @@ let proof_cmd =
 
 (* ---- parse / verify: the concrete syntax front end -------------------------- *)
 
-let load path =
-  let src = read_file path in
-  let ast = Kpt_syntax.Parser.program_of_string src in
-  Kpt_syntax.Elaborate.program ast
-
-(* Load a .unity file and run [f] on the result; lexical, syntax and
-   elaboration errors are rendered once, uniformly, as
-   [file:line:col: error[KPT00x]: …].  Every file-consuming command
-   funnels through here. *)
-let with_loaded path f =
-  match load path with
-  | loaded -> f loaded
-  | exception
-      ((Kpt_syntax.Token.Lex_error _ | Kpt_syntax.Parser.Parse_error _
-       | Kpt_syntax.Elaborate.Elab_error _) as exn) ->
-      (match Kpt_analysis.Diagnostic.of_syntax_exn ~file:path exn with
-      | Some d -> Format.eprintf "%a@." Kpt_analysis.Diagnostic.pp d
-      | None -> Format.eprintf "error: %s@." (Printexc.to_string exn));
-      1
-  | exception Failure msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-
-let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"A .unity source file.")
-
 let parse_cmd =
   let run path =
     with_loaded path @@ fun (sp, kbp) ->
@@ -578,127 +680,38 @@ let parse_cmd =
 (* ---- lint -------------------------------------------------------------------- *)
 
 let lint_cmd =
-  let warn_error =
-    Arg.(
-      value & flag
-      & info [ "warn-error" ] ~doc:"Treat warnings as errors for the exit code.")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ]
-          ~doc:
-            "Print nothing; communicate through the exit code only.  The exit-code \
-             policy is unchanged: 1 iff any error (or any warning with \
-             $(b,--warn-error)).")
-  in
-  let files_arg =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"A .unity source file.")
-  in
-  let semantic =
-    Arg.(
-      value & flag
-      & info [ "semantic" ]
-          ~doc:
-            "Add the semantic tier (KPT1xx): elaborate each file and run the \
-             reachability-aware passes — unreachable statements, dead guards, \
-             unsatisfiable init, deadlock-reachable states, locally implementable \
-             knowledge guards — under a small deterministic budget.  Override the \
-             default budget (fuel 10000, 1e6 nodes) with $(b,--fuel) / \
-             $(b,--max-nodes) / $(b,--timeout).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit one machine-readable JSON report for the whole batch (the \
-             $(b,kpt check --json) shape, minus the per-file stats).")
-  in
-  let run reorder paths warn_error quiet jobs semantic json limits =
-    let sources = List.map (fun path -> (path, read_file path)) paths in
-    emit_outcome
-      (Kpt_analysis.Driver.lint
-         {
-           Kpt_analysis.Driver.default_options with
-           jobs = jobs_opt jobs;
-           semantic;
-           json;
-           warn_error;
-           quiet;
-           limits;
-           reorder;
-         }
-         sources)
-  in
-  Cmd.v
+  driver_cmd
     (Cmd.info "lint"
        ~doc:
          "Run the static-analysis passes (locality, K-polarity, hygiene, \
           interference) on .unity source files; $(b,--semantic) adds the budgeted \
           reachability-aware KPT1xx tier.")
-    Term.(
-      const run $ reorder_arg $ files_arg $ warn_error $ quiet $ jobs_arg $ semantic
-      $ json $ limits_term)
+    Kpt_serve.Protocol.Lint
+    [ reorder_opt; warn_error_opt; quiet_opt; jobs_opt; semantic_opt; json_opt; limits_opt ]
+    files_arg
 
-let slice_flag =
-  Arg.(
-    value & flag
-    & info [ "slice" ]
-        ~doc:
-          "Reduce the protocol to its cone of influence first (conservative for \
-           knowledge guards; the verdict is preserved).")
+let one_file = Term.(const (fun path -> [ path ]) $ file_arg)
 
 let solve_file_cmd =
-  let run reorder path slice trace limits =
-    emit_outcome
-      (Kpt_analysis.Driver.solve
-         ?sink:(live_trace_sink trace)
-         {
-           Kpt_analysis.Driver.default_options with
-           slice;
-           trace;
-           limits;
-           reorder;
-         }
-         [ (path, read_file path) ])
-  in
-  Cmd.v
+  driver_cmd
     (Cmd.info "solve-file" ~doc:"Solve the knowledge-based protocol in a .unity file.")
-    Term.(const run $ reorder_arg $ file_arg $ slice_flag $ trace_arg $ limits_term)
+    Kpt_serve.Protocol.Solve
+    [ reorder_opt; slice_opt; trace_opt; limits_opt ]
+    one_file
 
 (* ---- slice: cone-of-influence reduction as a transformation ------------------ *)
 
 let slice_cmd =
-  let wrt_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "wrt" ] ~docv:"EXPR"
-          ~doc:
-            "Slice with respect to this property (repeatable; the cone is seeded \
-             with the union of the properties' variable supports).  Without it the \
-             conservative seed is used: everything the protocol can observe, so only \
-             write-only sinks are dropped.")
-  in
-  let run reorder path wrt limits =
-    emit_outcome
-      (Kpt_analysis.Driver.slice
-         {
-           Kpt_analysis.Driver.default_options with
-           wrt;
-           limits;
-           reorder;
-         }
-         [ (path, read_file path) ])
-  in
-  Cmd.v
+  driver_cmd
     (Cmd.info "slice"
        ~doc:
          "Compute the cone-of-influence slice of a .unity protocol: which statements \
           can influence the property given with $(b,--wrt) (or anything the protocol \
           observes, without it).  Prints the cone, the kept/dropped statement names \
           and — when the slice is not the identity — the sliced protocol.")
-    Term.(const run $ reorder_arg $ file_arg $ wrt_arg $ limits_term)
+    Kpt_serve.Protocol.Slice
+    [ reorder_opt; wrt_opt; limits_opt ]
+    one_file
 
 let verify_cmd =
   let invariants =
@@ -717,25 +730,10 @@ let verify_cmd =
     with_loaded path @@ fun (sp, kbp) ->
     budgeted limits @@ fun () ->
     try
-    let prog =
-      if Kbp.is_standard kbp then Kbp.to_standard_program kbp
-      else begin
+      if not (Kbp.is_standard kbp) then
         Format.printf "note: knowledge guards resolved at the strongest solution@.";
-        match Kbp.strongest_solution kbp with
-        | Some si -> Kbp.instantiate kbp ~si
-        | None -> failwith "the KBP has no (unique strongest) solution"
-      end
-    in
-    let compile s =
-      try
-        Kpt_unity.Expr.compile_bool sp
-          (Kpt_syntax.Elaborate.expr sp (Kpt_syntax.Parser.expr_of_string s))
-      with
-      | Kpt_syntax.Elaborate.Elab_error (_, msg)
-      | Kpt_syntax.Parser.Parse_error (_, msg)
-      | Kpt_syntax.Token.Lex_error (_, msg) ->
-          failwith (Printf.sprintf "in %S: %s" s msg)
-    in
+      let prog = Driver.resolved_program kbp in
+      let compile = Driver.compile_property sp in
       (* compile every property up front so [--slice] can seed the cone
          with the union of their supports *)
       let cinvs = List.map (fun s -> (s, compile s)) invs in
@@ -800,51 +798,21 @@ let verify_cmd =
           resource budget ($(b,--timeout), $(b,--fuel), $(b,--max-nodes)) and after a \
           property-directed cone-of-influence reduction ($(b,--slice)).")
     Term.(
-      const run $ reorder_term $ file_arg $ invariants $ stables $ leadstos $ slice_flag
+      const run $ reorder_term $ file_arg $ invariants $ stables $ leadstos $ slice_arg
       $ trace_arg $ limits_term)
 
 (* ---- stats: the engine profile of a single file ------------------------------ *)
 
 let stats_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit a machine-readable JSON profile instead of the human table.  Add \
-             $(b,--timings) for wall-clock spans (off by default so the output is \
-             deterministic).")
-  in
-  let timings =
-    Arg.(
-      value & flag
-      & info [ "timings" ] ~doc:"Include the (nondeterministic) timings_ns section in --json.")
-  in
-  let files_arg =
-    Arg.(
-      non_empty & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"One or more .unity source files.")
-  in
-  let run reorder paths json timings jobs =
-    let sources = List.map (fun path -> (path, read_file path)) paths in
-    emit_outcome
-      (Kpt_analysis.Driver.stats
-         {
-           Kpt_analysis.Driver.default_options with
-           jobs = jobs_opt jobs;
-           json;
-           timings;
-           reorder;
-         }
-         sources)
-  in
-  Cmd.v
+  driver_cmd
     (Cmd.info "stats"
        ~doc:
          "Profile the engine on .unity files: op-cache hit rate, node counts, fixpoint \
           iteration depths and exact state-space size.  Several files are profiled in \
           parallel with $(b,-j).")
-    Term.(const run $ reorder_arg $ files_arg $ json $ timings $ jobs_arg)
+    Kpt_serve.Protocol.Stats
+    [ reorder_opt; json_opt; timings_opt; jobs_opt ]
+    files_arg
 
 (* ---- matrix: protocols × fault models ---------------------------------------- *)
 
@@ -881,7 +849,7 @@ let matrix_cmd =
     then 1
     else if
       List.exists (function Kpt_fault.Matrix.Exhausted _ -> true | _ -> false) verdicts
-    then exit_resource
+    then Driver.exit_resource
     else 0
   in
   Cmd.v
@@ -911,47 +879,33 @@ let knowledge_cmd =
   let run path pname fact common =
     with_loaded path @@ fun (sp, kbp) ->
     try
-        let prog =
-          if Kbp.is_standard kbp then Kbp.to_standard_program kbp
-          else
-            match Kbp.strongest_solution kbp with
-            | Some si -> Kbp.instantiate kbp ~si
-            | None -> failwith "the KBP has no (unique strongest) solution"
-        in
-        let p =
-          Kpt_unity.Expr.compile_bool sp
-            (Kpt_syntax.Elaborate.expr sp (Kpt_syntax.Parser.expr_of_string fact))
-        in
-        let m = Space.manager sp in
-        let si = Program.si prog in
-        let k = Knowledge.knows_in prog pname p in
-        let show label pred =
-          let inside = Bdd.and_ m si pred in
-          let count = Space.count_states_of sp inside in
-          let total = Space.count_states_of sp si in
-          Format.printf "  %-28s %d of %d reachable states@." label count total;
-          if count > 0 && count <= 8 then
-            Format.printf "    %a@." (Space.pp_pred sp) inside
-        in
-        Format.printf "program %s, fact: %s@." (Program.name prog) fact;
-        show "fact holds at" p;
-        show (Printf.sprintf "K_%s(fact) holds at" pname) k;
-        (match common with
-        | None -> ()
-        | Some group ->
-            let names = String.split_on_char ',' group |> List.map String.trim in
-            let procs = List.map (Program.find_process prog) names in
-            let c = Knowledge.common_knowledge sp ~si procs p in
-            let e = Knowledge.everyone_knows sp ~si procs p in
-            show (Printf.sprintf "E_{%s}(fact) holds at" group) e;
-            show (Printf.sprintf "C_{%s}(fact) holds at" group) c);
-        0
+      let prog = Driver.resolved_program kbp in
+      let p = Driver.compile_property sp fact in
+      let m = Space.manager sp in
+      let si = Program.si prog in
+      let k = Knowledge.knows_in prog pname p in
+      let show label pred =
+        let inside = Bdd.and_ m si pred in
+        let count = Space.count_states_of sp inside in
+        let total = Space.count_states_of sp si in
+        Format.printf "  %-28s %d of %d reachable states@." label count total;
+        if count > 0 && count <= 8 then
+          Format.printf "    %a@." (Space.pp_pred sp) inside
+      in
+      Format.printf "program %s, fact: %s@." (Program.name prog) fact;
+      show "fact holds at" p;
+      show (Printf.sprintf "K_%s(fact) holds at" pname) k;
+      (match common with
+      | None -> ()
+      | Some group ->
+          let names = String.split_on_char ',' group |> List.map String.trim in
+          let procs = List.map (Program.find_process prog) names in
+          let c = Knowledge.common_knowledge sp ~si procs p in
+          let e = Knowledge.everyone_knows sp ~si procs p in
+          show (Printf.sprintf "E_{%s}(fact) holds at" group) e;
+          show (Printf.sprintf "C_{%s}(fact) holds at" group) c);
+      0
     with
-    | Kpt_syntax.Token.Lex_error (_, msg)
-    | Kpt_syntax.Parser.Parse_error (_, msg)
-    | Kpt_syntax.Elaborate.Elab_error (_, msg) ->
-        Format.eprintf "error: in %S: %s@." fact msg;
-        1
     | Failure msg ->
         Format.eprintf "error: %s@." msg;
         1
@@ -964,19 +918,6 @@ let knowledge_cmd =
     Term.(const run $ file_arg $ process_arg $ fact_arg $ common_arg)
 
 (* ---- serve / client: the warm-engine daemon ---------------------------------- *)
-
-let socket_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:
-          "Unix-domain socket path.  Default: $(b,KPT_SOCKET), or \
-           <tmpdir>/kpt-serve-<uid>.sock.")
-
-let resolve_socket = function
-  | Some s -> s
-  | None -> Kpt_serve.Server.default_socket ()
 
 let serve_cmd =
   let cache_size_arg =
@@ -1027,7 +968,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the verification daemon: a Unix-domain-socket server that answers \
-          check/lint/stats/solve/slice requests from $(b,kpt client) against the \
+          check/lint/stats/solve-file/slice requests (sent with $(b,--socket) or \
+          $(b,--serve-auto)) against the \
           warm in-process engine pool, with a content-addressed LRU result cache \
           shared by $(b,--serve-jobs) worker domains behind a bounded queue.  \
           Responses are byte-identical to the direct commands.  SIGINT/SIGTERM \
@@ -1039,230 +981,28 @@ let serve_cmd =
       $ request_timeout_arg)
 
 let client_cmd =
-  let serve_auto_arg =
-    Arg.(
-      value & flag
-      & info [ "serve-auto" ]
-          ~doc:
-            "If no daemon is reachable, run the command locally through the same \
-             driver instead of failing — same bytes, same exit code, just cold.")
+  let control cmd socket =
+    Kpt_serve.Client.run_cli ~socket:(resolve_socket socket) ~serve_auto:false
+      { Kpt_serve.Protocol.id = 1; cmd; files = []; opts = Driver.default_options }
   in
-  let files_pos =
-    Arg.(
-      non_empty & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"One or more .unity source files.")
-  in
-  let file_pos =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"A .unity source file.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the machine-readable JSON form.")
-  in
-  let warn_error_arg =
-    Arg.(
-      value & flag
-      & info [ "warn-error" ] ~doc:"Treat warnings as errors for the exit code.")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ]
-          ~doc:"Print nothing; communicate through the exit code only.")
-  in
-  let slice_arg =
-    Arg.(
-      value & flag
-      & info [ "slice" ]
-          ~doc:"Reduce each protocol to its cone of influence before solving.")
-  in
-  let semantic_arg =
-    Arg.(
-      value & flag
-      & info [ "semantic" ] ~doc:"Add the semantic lint tier (KPT1xx).")
-  in
-  let timings_arg =
-    Arg.(
-      value & flag
-      & info [ "timings" ]
-          ~doc:"Include the (nondeterministic) timings_ns section in --json.")
-  in
-  let wrt_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "wrt" ] ~docv:"EXPR"
-          ~doc:"Slice with respect to this property (repeatable).")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry up to N additional times, with decorrelated-jitter backoff — \
-             but only on failures where the request demonstrably never ran: a \
-             failed connect, a connection closed with no reply, or the daemon's \
-             structured $(b,overloaded) shed.  Set $(b,KPT_RETRY_SEED) to replay \
-             a schedule deterministically.")
-  in
-  let retry_backoff_arg =
-    Arg.(
-      value
-      & opt pos_float_conv Kpt_serve.Client.default_backoff
-      & info [ "retry-backoff" ] ~docv:"SEC"
-          ~doc:
-            "Base of the retry jitter schedule: each sleep is uniform over \
-             [SEC, 3*previous], capped at 5s.")
-  in
-  (* files are read client-side: the daemon sees spec bytes, never paths,
-     so the cache key is content-addressed and the daemon needs no access
-     to the client's filesystem *)
-  let roundtrip socket serve_auto retries backoff cmd opts paths =
-    match List.map (fun p -> (p, read_file p)) paths with
-    | files ->
-        Kpt_serve.Client.run_cli ~socket:(resolve_socket socket) ~serve_auto
-          ~retries ~backoff
-          { Kpt_serve.Protocol.id = 1; cmd; files; opts }
-    | exception Sys_error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-  in
-  let check_sub =
-    let run socket serve_auto retries backoff paths reorder jobs json slice
-        warn_error quiet limits =
-      roundtrip socket serve_auto retries backoff Kpt_serve.Protocol.Check
-        {
-          Kpt_analysis.Driver.default_options with
-          jobs = jobs_opt jobs;
-          json;
-          slice;
-          warn_error;
-          quiet;
-          limits;
-          reorder;
-        }
-        paths
-    in
-    Cmd.v
-      (Cmd.info "check" ~doc:"Batch-check .unity files through the daemon.")
-      Term.(
-        const run $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg
-        $ files_pos $ reorder_arg $ jobs_arg $ json_arg $ slice_arg
-        $ warn_error_arg $ quiet_arg $ limits_term)
-  in
-  let lint_sub =
-    let run socket serve_auto retries backoff paths reorder jobs semantic json
-        warn_error quiet limits =
-      roundtrip socket serve_auto retries backoff Kpt_serve.Protocol.Lint
-        {
-          Kpt_analysis.Driver.default_options with
-          jobs = jobs_opt jobs;
-          semantic;
-          json;
-          warn_error;
-          quiet;
-          limits;
-          reorder;
-        }
-        paths
-    in
-    Cmd.v
-      (Cmd.info "lint" ~doc:"Lint .unity files through the daemon.")
-      Term.(
-        const run $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg
-        $ files_pos $ reorder_arg $ jobs_arg $ semantic_arg $ json_arg
-        $ warn_error_arg $ quiet_arg $ limits_term)
-  in
-  let stats_sub =
-    let run socket serve_auto retries backoff paths reorder jobs json timings =
-      roundtrip socket serve_auto retries backoff Kpt_serve.Protocol.Stats
-        {
-          Kpt_analysis.Driver.default_options with
-          jobs = jobs_opt jobs;
-          json;
-          timings;
-          reorder;
-        }
-        paths
-    in
-    Cmd.v
-      (Cmd.info "stats" ~doc:"Profile .unity files through the daemon.")
-      Term.(
-        const run $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg
-        $ files_pos $ reorder_arg $ jobs_arg $ json_arg $ timings_arg)
-  in
-  let solve_sub =
-    let run socket serve_auto retries backoff path reorder slice trace limits =
-      roundtrip socket serve_auto retries backoff Kpt_serve.Protocol.Solve
-        {
-          Kpt_analysis.Driver.default_options with
-          slice;
-          trace;
-          limits;
-          reorder;
-        }
-        [ path ]
-    in
-    Cmd.v
-      (Cmd.info "solve"
-         ~doc:
-           "Solve a knowledge-based protocol through the daemon.  With $(b,--trace) \
-            the fixpoint events stream back live over the wire.")
-      Term.(
-        const run $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg
-        $ file_pos $ reorder_arg $ slice_flag $ trace_arg $ limits_term)
-  in
-  let slice_sub =
-    let run socket serve_auto retries backoff path reorder wrt limits =
-      roundtrip socket serve_auto retries backoff Kpt_serve.Protocol.Slice
-        {
-          Kpt_analysis.Driver.default_options with
-          wrt;
-          limits;
-          reorder;
-        }
-        [ path ]
-    in
-    Cmd.v
-      (Cmd.info "slice" ~doc:"Cone-of-influence slice through the daemon.")
-      Term.(
-        const run $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg
-        $ file_pos $ reorder_arg $ wrt_arg $ limits_term)
-  in
-  let control cmd =
-    fun socket ->
-      Kpt_serve.Client.run_cli ~socket:(resolve_socket socket) ~serve_auto:false
-        {
-          Kpt_serve.Protocol.id = 1;
-          cmd;
-          files = [];
-          opts = Kpt_analysis.Driver.default_options;
-        }
-  in
-  let ping_sub =
-    Cmd.v
-      (Cmd.info "ping"
-         ~doc:
-           "Check the daemon is alive and print its counters (requests served, \
-            cache entries/hits/misses/evictions, pool size).")
-      Term.(const (control Kpt_serve.Protocol.Ping) $ socket_arg)
-  in
-  let shutdown_sub =
-    Cmd.v
-      (Cmd.info "shutdown" ~doc:"Ask the daemon to exit cleanly (it removes its socket).")
-      Term.(const (control Kpt_serve.Protocol.Shutdown) $ socket_arg)
-  in
+  let sub name ~doc cmd = Cmd.v (Cmd.info name ~doc) Term.(const (control cmd) $ socket_arg) in
   Cmd.group
     (Cmd.info "client"
        ~doc:
-         "Send a command to a running $(b,kpt serve) daemon over its Unix socket.  \
-          Output and exit codes are byte-identical to the direct commands; repeated \
-          identical requests are answered from the daemon's result cache.")
-    [ check_sub; lint_sub; stats_sub; solve_sub; slice_sub; ping_sub; shutdown_sub ]
+         "Control a running $(b,kpt serve) daemon over its Unix socket.  (The \
+          verification commands reach a daemon themselves: $(b,kpt check --socket \
+          PATH FILE...), likewise lint, stats, solve-file and slice.)")
+    [
+      sub "ping" Kpt_serve.Protocol.Ping
+        ~doc:
+          "Check the daemon is alive and print its counters (requests served, \
+           cache entries/hits/misses/evictions, pool size).";
+      sub "shutdown" Kpt_serve.Protocol.Shutdown
+        ~doc:"Ask the daemon to exit cleanly (it removes its socket).";
+    ]
 
 (* ---- gen: the seeded corpus generator ------------------------------------- *)
 
-let usage_error fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; 2) fmt
 
 (* parse a comma-separated axis with a per-element parser, reporting the
    first offender by name *)
@@ -1451,7 +1191,7 @@ let difftest_cmd =
               files = [ (file, source) ];
               opts =
                 {
-                  Kpt_analysis.Driver.default_options with
+                  Driver.default_options with
                   jobs = Some 1;
                   limits;
                   reorder = Engine.Reorder_off;
@@ -1726,15 +1466,15 @@ let () =
         resource_diag
           "the solver overflowed the OCaml stack (fixpoint or BDD recursion too deep \
            for this spec)";
-        exit_resource
+        Driver.exit_resource
     | Out_of_memory ->
         resource_diag "the solver exhausted memory (the BDD outgrew this machine)";
-        exit_resource
+        Driver.exit_resource
     | Budget.Exhausted reason ->
         (* belt and braces: every budgeted command catches this itself *)
         Format.eprintf "error[KPT041]: resource budget exhausted: %s@."
           (Budget.reason_to_string reason);
-        exit_resource
+        Driver.exit_resource
     | e ->
         let bt = Printexc.get_raw_backtrace () in
         Format.eprintf "kpt: internal error, uncaught exception:@.%s@.%s@."

@@ -77,9 +77,16 @@ let scoped ?sink opts body =
   Format.pp_print_flush epf ();
   { code; out = Buffer.contents bout; err = Buffer.contents berr }
 
+let emit_outcome o =
+  print_string o.out;
+  flush stdout;
+  prerr_string o.err;
+  flush stderr;
+  o.code
+
 (* Parse and elaborate one source; syntax-family errors render once,
-   uniformly, as [file:line:col: error[KPT00x]: …] — the same funnel as
-   the CLI's [with_loaded], against the in-memory source. *)
+   uniformly, as [file:line:col: error[KPT00x]: …].  Every
+   file-consuming command, direct or served, funnels through here. *)
 let with_loaded ~file ~src epf f =
   match Kpt_syntax.Elaborate.program (Kpt_syntax.Parser.program_of_string src) with
   | loaded -> f loaded
@@ -93,6 +100,23 @@ let with_loaded ~file ~src epf f =
   | exception Failure msg ->
       Format.fprintf epf "error: %s@." msg;
       1
+
+let compile_property sp s =
+  try
+    Kpt_unity.Expr.compile_bool sp
+      (Kpt_syntax.Elaborate.expr sp (Kpt_syntax.Parser.expr_of_string s))
+  with
+  | Kpt_syntax.Elaborate.Elab_error (_, msg)
+  | Kpt_syntax.Parser.Parse_error (_, msg)
+  | Kpt_syntax.Token.Lex_error (_, msg) ->
+      failwith (Printf.sprintf "in %S: %s" s msg)
+
+let resolved_program kbp =
+  if Kbp.is_standard kbp then Kbp.to_standard_program kbp
+  else
+    match Kbp.strongest_solution kbp with
+    | Some si -> Kbp.instantiate kbp ~si
+    | None -> failwith "the KBP has no (unique strongest) solution"
 
 (* ---- check (batch) -------------------------------------------------------- *)
 
@@ -224,17 +248,7 @@ let slice ?sink opts sources =
       match
         Engine.with_budget opts.limits @@ fun () ->
         try
-          let compile s =
-            try
-              Kpt_unity.Expr.compile_bool sp
-                (Kpt_syntax.Elaborate.expr sp (Kpt_syntax.Parser.expr_of_string s))
-            with
-            | Kpt_syntax.Elaborate.Elab_error (_, msg)
-            | Kpt_syntax.Parser.Parse_error (_, msg)
-            | Kpt_syntax.Token.Lex_error (_, msg) ->
-                failwith (Printf.sprintf "in %S: %s" s msg)
-          in
-          let wrt = List.map compile opts.wrt in
+          let wrt = List.map (compile_property sp) opts.wrt in
           let sliced, info = Slice.kbp ~wrt kbp in
           Format.fprintf ppf "%s: @[<v>%a@]@." (Kbp.name kbp) (Slice.pp_info sp) info;
           if not (Slice.is_identity info) then Format.fprintf ppf "@.%a@." Kbp.pp sliced;

@@ -49,6 +49,35 @@ type sink = string -> (string * int) list -> unit
     [trace] rendering (events into [err]) — the daemon streams events
     over the socket this way. *)
 
+val exit_resource : int
+(** 3: the exit code of an exhausted budget (README exit-code contract). *)
+
+val emit_outcome : outcome -> int
+(** Write [out] to stdout and [err] to stderr (each flushed) and return
+    [code] — how the CLI, direct or served, finishes a command. *)
+
+val with_loaded :
+  file:string ->
+  src:string ->
+  Format.formatter ->
+  (Space.t * Kpt_core.Kbp.t -> int) ->
+  int
+(** [with_loaded ~file ~src epf f] parses and elaborates [src] and runs
+    [f] on the result.  Lexical, syntax and elaboration errors are
+    rendered once to [epf] as [file:line:col: error[KPT00x]: …] (a
+    [Failure] as [error: msg]) and give exit code 1. *)
+
+val compile_property : Space.t -> string -> Bdd.t
+(** Parse, elaborate and compile a property string (a [--wrt],
+    [--invariant] or [--fact] argument) to a predicate.
+    @raise Failure ["in \"S\": msg"] on a lexical, syntax or
+    elaboration error. *)
+
+val resolved_program : Kpt_core.Kbp.t -> Kpt_unity.Program.t
+(** The standard program of a standard [Kbp.t]; otherwise the KBP
+    instantiated at its strongest solution.
+    @raise Failure when it has no unique strongest solution. *)
+
 val check : ?sink:sink -> options -> (string * string) list -> outcome
 (** The batch form of [kpt check]: [(file, source)] pairs through
     {!Check.run_sources}.  (The built-in-protocol form stays in the

@@ -123,9 +123,7 @@ let fresh_subtable dummy =
     s_spill = Hashtbl.create 8;
   }
 
-let create ?(unique_size = 1 lsl 11) ?(cache_size = 1 lsl 14) ?(reorder = false) () =
-  ignore unique_size;
-  (* kept for API compatibility: subtables size themselves *)
+let create ?(cache_size = 1 lsl 14) ?(reorder = false) () =
   let t_false = make_leaf 0 in
   let cap = pow2_at_least (max 1 cache_size) 1 in
   let slots = min initial_slots cap in

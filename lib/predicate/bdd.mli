@@ -31,9 +31,9 @@ type t
 (** A BDD node.  Canonical: two nodes of the same manager denote the same
     Boolean function iff they are physically equal. *)
 
-val create : ?unique_size:int -> ?cache_size:int -> ?reorder:bool -> unit -> manager
-(** Fresh manager.  [unique_size] is the initial capacity of the unique
-    table (it grows as needed); [cache_size] is the {e maximum} slot count
+val create : ?cache_size:int -> ?reorder:bool -> unit -> manager
+(** Fresh manager.  The unique table sizes itself (per-level subtables
+    grow as needed); [cache_size] is the {e maximum} slot count
     of the direct-mapped operation cache, rounded up to a power of two.
     The cache starts small and grows on demand, so creating a manager is
     cheap even with a large [cache_size].  [reorder] (default [false])

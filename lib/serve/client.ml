@@ -101,17 +101,15 @@ let retry_seed () =
 
 (* ---- the CLI body ----------------------------------------------------------- *)
 
-let emit_outcome (o : Driver.outcome) =
-  print_string o.Driver.out;
-  flush stdout;
-  prerr_string o.Driver.err;
-  flush stderr;
-  o.Driver.code
-
-(* events render exactly as the local --trace sink would, to stderr,
-   live as they arrive *)
+(* events render to stderr live as they arrive, whether they stream
+   over the wire or from a local run *)
 let render_event name fields =
   Kpt_obs.trace_sink Format.err_formatter name fields
+
+let run_local (req : Protocol.request) =
+  let sink = if req.Protocol.opts.Driver.trace then Some render_event else None in
+  Driver.emit_outcome
+    (Handler.dispatch ?sink req.Protocol.cmd req.Protocol.opts req.Protocol.files)
 
 let error_hint = function
   | Protocol.Version_mismatch ->
@@ -130,8 +128,7 @@ let run_cli ~socket ~serve_auto ?(retries = 0) ?(backoff = default_backoff)
     | Protocol.Slice
       when serve_auto ->
         (* same driver the daemon would run: same bytes, same code *)
-        emit_outcome
-          (Handler.dispatch req.Protocol.cmd req.Protocol.opts req.Protocol.files)
+        run_local req
     | _ ->
         Format.eprintf
           "error: cannot reach a kpt daemon at %s (%s); start one with `kpt serve`%s@."
@@ -170,7 +167,7 @@ let run_cli ~socket ~serve_auto ?(retries = 0) ?(backoff = default_backoff)
         in
         match reply with
         | Ok (Protocol.Result { exit_code; out; err; daemon; _ }) ->
-            let code = emit_outcome { Driver.code = exit_code; out; err } in
+            let code = Driver.emit_outcome { Driver.code = exit_code; out; err } in
             if daemon <> [] then begin
               List.iter (fun (k, v) -> Format.printf "  %-16s %d@." k v) daemon;
               Format.pp_print_flush Format.std_formatter ()

@@ -1,7 +1,9 @@
 (** The client side of the wire protocol: connect, send one request,
     stream events, read the final frame.
 
-    {!run_cli} is the [kpt client] command body: it prints the
+    {!run_cli} is the served path of the verification commands
+    ([kpt check --socket …] and friends) and the body of
+    [kpt client ping|shutdown]: it prints the
     response's [stdout]/[stderr] bytes to the real streams (so a served
     answer is byte-identical to the direct command) and returns the
     daemon-reported exit code — the exit-code contract crosses the wire
@@ -66,6 +68,12 @@ val retryable_response : Protocol.response -> bool
 (** [true] only for the structured [overloaded] error frame — the single
     reply a client may safely resend after. *)
 
+val run_local : Protocol.request -> int
+(** Run a verification request in this process ({!Handler.dispatch},
+    no cache), print its outcome and return its exit code — the direct
+    path of the CLI.  Under [opts.trace] the events stream to stderr
+    live.  @raise Invalid_argument on [Ping]/[Shutdown]. *)
+
 val run_cli :
   socket:string ->
   serve_auto:bool ->
@@ -73,9 +81,9 @@ val run_cli :
   ?backoff:float ->
   Protocol.request ->
   int
-(** The [kpt client] body.  [retries] (default 0) bounds additional
-    attempts; [backoff] (default {!default_backoff}) seeds the jitter
-    schedule.  When no daemon is reachable after the last attempt:
-    [~serve_auto:true] falls back to running the command locally
-    ({!Handler.dispatch} — same driver, same bytes, same exit code);
-    otherwise prints a hint and returns 2. *)
+(** Send [req] to the daemon at [socket] and print the answer.
+    [retries] (default 0) bounds additional attempts; [backoff] (default
+    {!default_backoff}) seeds the jitter schedule.  When no daemon is
+    reachable after the last attempt: [~serve_auto:true] falls back to
+    {!run_local} (same driver, same bytes, same exit code); otherwise
+    prints a hint naming [kpt serve] and returns 2. *)

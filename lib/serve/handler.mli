@@ -17,8 +17,9 @@ type t
 val create : cache_size:int -> t
 
 val dispatch : ?sink:Driver.sink -> Protocol.cmd -> Driver.options -> (string * string) list -> Driver.outcome
-(** Run one verification command, bypassing the cache (also the client's
-    [--serve-auto] local fallback).  @raise Invalid_argument on
+(** Run one verification command, bypassing the cache (also the CLI's
+    in-process path and its [--serve-auto] fallback, through
+    {!Client.run_local}).  @raise Invalid_argument on
     [Ping]/[Shutdown] — those are transport commands, answered by the
     server loop. *)
 

@@ -14,6 +14,41 @@ let replay_banner ?(extra = []) ~env_var ~seed () =
 
 let qtests cases = List.map QCheck_alcotest.to_alcotest cases
 
+let contains ~affix s =
+  let n = String.length affix in
+  let rec go i = i + n <= String.length s && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
+let slurp path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The built CLI (a declared dependency of the test stanza), run to
+   completion from the test directory: [(exit code, stdout, stderr)]. *)
+let kpt_exe = "../bin/kpt.exe"
+
+let run_kpt args =
+  let out = Filename.temp_file "kpt-cli" ".out" in
+  let err = Filename.temp_file "kpt-cli" ".err" in
+  let open_w path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let ofd = open_w out and efd = open_w err in
+  let pid =
+    Unix.create_process kpt_exe (Array.of_list (kpt_exe :: args)) Unix.stdin ofd efd
+  in
+  Unix.close ofd;
+  Unix.close efd;
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> 1000 + s
+  in
+  let result = (code, slurp out, slurp err) in
+  Sys.remove out;
+  Sys.remove err;
+  result
+
 (* Brute-force truth table of a BDD over variables [0..nvars-1], as the
    list of satisfying assignments encoded as integers (bit k of the code =
    value of variable k). *)

@@ -15,11 +15,6 @@ let seed =
   | Some (Some s) -> s
   | _ -> 0x5EED_2026L
 
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  go 0
-
 let failf fmt =
   Format.kasprintf
     (fun msg ->
@@ -159,7 +154,7 @@ let test_manifest_roundtrip () =
   match Gen.instances_of_manifest (Json.Obj [ ("version", Json.Int 1) ]) with
   | exception Gen.Bad_manifest m ->
       Alcotest.(check bool) "message names the field" true
-        (contains ~affix:"instances" m)
+        (Helpers.contains ~affix:"instances" m)
   | _ -> failf "truncated manifest accepted"
 
 (* ---- solve-outcome classes (the budget satellite) ----------------------------- *)

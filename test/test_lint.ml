@@ -531,6 +531,22 @@ let test_flag_matrix () =
       Alcotest.(check string) "clean file quiet output empty" "" (Buffer.contents buf))
     [ false; true ]
 
+(* An unreadable input (here a directory) is a clean [error: PATH: msg]
+   with exit 1 from every file-consuming command — never the exit-125
+   internal-error trap an escaped [Sys_error] used to reach. *)
+let test_unreadable_input_is_clean_error () =
+  let dir = "../examples/specs" in
+  List.iter
+    (fun cmd ->
+      let code, _, err = Helpers.run_kpt [ cmd; dir ] in
+      Alcotest.(check bool) (cmd ^ " DIR: not an internal error") true (code <> 125);
+      Alcotest.(check int) (cmd ^ " DIR: exit 1") 1 code;
+      Alcotest.(check bool)
+        (cmd ^ " DIR: error names the path")
+        true
+        (Helpers.contains ~affix:("error: " ^ dir ^ ": ") err))
+    [ "lint"; "check"; "stats"; "solve-file"; "slice"; "parse"; "verify" ]
+
 let suite =
   [
     Alcotest.test_case "figure 1: K of a negated fact" `Quick test_figure1_polarity;
@@ -560,4 +576,6 @@ let suite =
     Alcotest.test_case "bundled protocols lint clean" `Quick
       test_bundled_protocols_clean;
     Alcotest.test_case "driver: --quiet x --warn-error matrix" `Quick test_flag_matrix;
+    Alcotest.test_case "unreadable input is a clean error, not exit 125" `Quick
+      test_unreadable_input_is_clean_error;
   ]

@@ -27,7 +27,11 @@
      deterministic under a pinned seed, and resends only what never
      demonstrably ran; the ping health fields are pinned by a golden
      file; and a mini chaos sweep against a real spawned daemon holds
-     every invariant. *)
+     every invariant;
+   - through the real binary, [kpt CMD --socket S] prints the same
+     stdout, stderr and exit code as [kpt CMD] for every Driver-backed
+     command; an unreachable [--socket] exits 2 naming [kpt serve], and
+     [--serve-auto] with no daemon gives the direct bytes. *)
 
 module Server = Kpt_serve.Server
 module Client = Kpt_serve.Client
@@ -36,11 +40,7 @@ module Driver = Kpt_analysis.Driver
 
 (* ---- corpus (same shape as test_par) ---------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Helpers.slurp
 
 let corpus () =
   Sys.readdir "../examples/specs" |> Array.to_list
@@ -616,6 +616,70 @@ let test_ping_health_golden () =
   Alcotest.(check string) "health fields match the golden file"
     (read_file "golden/ping_health.txt") rendered
 
+(* ---- the CLI transport: kpt CMD --socket S vs kpt CMD ------------------------- *)
+
+(* A real [kpt serve] process; [f socket] runs against it, then
+   [kpt client shutdown] must stop it cleanly (exit 0, socket gone). *)
+let with_daemon_process ~tag f =
+  let socket = socket_path tag in
+  if Sys.file_exists socket then Sys.remove socket;
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let exe = Helpers.kpt_exe in
+  let pid = Unix.create_process exe [| exe; "serve"; "--socket"; socket |] Unix.stdin null null in
+  Unix.close null;
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end)
+    (fun () ->
+      wait_for_socket socket;
+      f socket;
+      let code, _, _ = Helpers.run_kpt [ "client"; "shutdown"; "--socket"; socket ] in
+      Alcotest.(check int) "client shutdown exits 0" 0 code;
+      let status = snd (Unix.waitpid [] pid) in
+      reaped := true;
+      Alcotest.(check bool) "daemon exits 0" true (status = Unix.WEXITED 0);
+      Alcotest.(check bool) "socket removed" false (Sys.file_exists socket);
+      socket)
+
+let check_same_run name (dc, dout, derr) (sc, sout, serr) =
+  Alcotest.(check int) (name ^ ": exit code") dc sc;
+  Alcotest.(check string) (name ^ ": stdout") dout sout;
+  Alcotest.(check string) (name ^ ": stderr") derr serr
+
+let test_cli_transport_byte_identity () =
+  let spec n = "../examples/specs/" ^ n ^ ".unity" in
+  let specs = List.map spec [ "figure1"; "mutex"; "transmit"; "relay" ] in
+  let cases =
+    [
+      "check" :: specs;
+      "check" :: "--json" :: specs;
+      "lint" :: "--semantic" :: specs;
+      [ "stats"; "--json"; spec "transmit" ];
+      [ "solve-file"; spec "figure1" ];
+      [ "slice"; "../examples/analysis/ring_mon.unity"; "--wrt"; "~(busy0 /\\ busy1)" ];
+    ]
+  in
+  let socket =
+    with_daemon_process ~tag:"cli" @@ fun socket ->
+    List.iter
+      (fun args ->
+        check_same_run (String.concat " " args) (Helpers.run_kpt args)
+          (Helpers.run_kpt (args @ [ "--socket"; socket ])))
+      cases
+  in
+  (* the daemon is gone: --socket insists on one, --serve-auto runs locally *)
+  let args = [ "check"; spec "mutex" ] in
+  let code, _, err = Helpers.run_kpt (args @ [ "--socket"; socket ]) in
+  Alcotest.(check int) "unreachable --socket exits 2" 2 code;
+  Alcotest.(check bool) "the hint names kpt serve" true
+    (Helpers.contains ~affix:"kpt serve" err);
+  check_same_run "--serve-auto without a daemon" (Helpers.run_kpt args)
+    (Helpers.run_kpt (args @ [ "--serve-auto"; "--socket"; socket ]))
+
 (* ---- a mini chaos sweep ------------------------------------------------------- *)
 
 let test_chaos_mini_sweep () =
@@ -693,6 +757,8 @@ let suite =
       test_retry_reaches_a_late_daemon;
     Alcotest.test_case "ping health fields are pinned (golden)" `Quick
       test_ping_health_golden;
+    Alcotest.test_case "kpt CMD --socket is byte-identical to kpt CMD" `Quick
+      test_cli_transport_byte_identity;
     Alcotest.test_case "mini chaos sweep against a spawned daemon" `Slow
       test_chaos_mini_sweep;
   ]
