@@ -30,13 +30,6 @@ module Driver = Kpt_analysis.Driver
 
 let fmt = Format.std_formatter
 
-let () =
-  (* diagnostic logging: set KPT_DEBUG=1 to see solver/checker tracing *)
-  if Sys.getenv_opt "KPT_DEBUG" <> None then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end
-
 (* ---- shared arguments --------------------------------------------------- *)
 
 let n_arg =

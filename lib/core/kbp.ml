@@ -22,10 +22,6 @@ type t = {
 
 exception Ill_formed of string
 
-let log_src = Logs.Src.create "kpt.kbp" ~doc:"knowledge-based protocol solvers"
-
-module Log = (val Logs.src_log log_src)
-
 (* Eq. 25 observability: every application of the Ĝ operator is counted
    (both solvers funnel through it), the exhaustive solver counts the
    candidates it tries, and chaotic iteration reports its fixpoint depth
@@ -158,9 +154,6 @@ let solutions ?(max_states = 22) k =
     List.filter (fun st -> not (List.mem (Array.to_list st) init_codes)) (universe k)
   in
   let nfree = List.length free in
-  Log.debug (fun f ->
-      f "solutions: %d initial states, %d free candidate states (2^%d candidates)"
-        (List.length init_states) nfree nfree);
   if nfree > max_states then
     invalid_arg
       (Printf.sprintf "Kbp.solutions: %d free candidate states exceed the 2^%d budget" nfree
@@ -208,8 +201,6 @@ let run_iteration k ~max_steps ~progress =
     Engine.checkpoint ~fuel:1 ();
     let x' = g_operator k x in
     progress := (steps + 1, x');
-    Log.debug (fun f ->
-        f "iterate step %d: candidate has %d states" steps (Space.count_states_of sp x'));
     if Kpt_obs.enabled () then
       Kpt_obs.emit "kbp.iterate"
         [ ("step", steps); ("candidate_states", Space.count_states_of sp x') ];

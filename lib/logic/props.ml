@@ -1,10 +1,6 @@
 open Kpt_predicate
 open Kpt_unity
 
-let log_src = Logs.Src.create "kpt.props" ~doc:"UNITY property checking"
-
-module Log = (val Logs.src_log log_src)
-
 (* Fair leads-to observability: the gfp of [fair_avoid] proceeds in
    elimination sweeps over the candidate set; the sweep count and the
    survivors per sweep are what explain a slow liveness check. *)
@@ -117,8 +113,6 @@ let fair_avoid prog q =
     done;
     !found
   in
-  Log.debug (fun f ->
-      f "fair_avoid: %d candidate states, %d statements" nstates n);
   Kpt_obs.incr c_gfp_runs;
   if Kpt_obs.enabled () then
     Kpt_obs.emit "leadsto.gfp" [ ("candidates", nstates); ("statements", n) ];
@@ -142,10 +136,6 @@ let fair_avoid prog q =
           ("alive", Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alive);
         ]
   done;
-  Log.debug (fun f ->
-      f "fair_avoid: gfp reached after %d sweep(s); %d state(s) can avoid"
-        !sweeps
-        (Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alive));
   let acc = ref (Bdd.fls m) in
   Array.iteri
     (fun u st -> if alive.(u) then acc := Bdd.or_ m !acc (Space.pred_of_state space st))

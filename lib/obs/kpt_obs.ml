@@ -232,195 +232,3 @@ module Ctx = struct
   let reset = reset_ctx
   let set_sink t f = t.sink <- f
 end
-
-(* ---- the bench gate -------------------------------------------------------- *)
-
-module Gate = struct
-  type verdict = { name : string; baseline_ns : float; current_ns : float; ratio : float }
-
-  type report = {
-    verdicts : verdict list;
-    regressions : verdict list;
-    missing : string list;
-  }
-
-  (* A pinhole scanner for the JSON this repository's bench harness
-     writes: locate a named section and read its members.  Handles the
-     escapes [json_escape] produces; anything structurally unexpected
-     raises. *)
-  let fail fmt = Printf.ksprintf failwith fmt
-
-  let find_sub src sub from =
-    let n = String.length src in
-    let ls = String.length sub in
-    let rec go i =
-      if i + ls > n then fail "bench gate: %S not found in JSON" sub
-      else if String.sub src i ls = sub then i + ls
-      else go (i + 1)
-    in
-    go from
-
-  let rec skip_ws src i =
-    if
-      i < String.length src
-      && (src.[i] = ' ' || src.[i] = '\n' || src.[i] = '\t' || src.[i] = '\r')
-    then skip_ws src (i + 1)
-    else i
-
-  let expect src c i =
-    let i = skip_ws src i in
-    if i < String.length src && src.[i] = c then i + 1
-    else fail "bench gate: expected %c at offset %d" c i
-
-  let read_string src i =
-    let n = String.length src in
-    let b = Buffer.create 64 in
-    let rec go i =
-      if i >= n then fail "bench gate: unterminated string"
-      else
-        match src.[i] with
-        | '"' -> (Buffer.contents b, i + 1)
-        | '\\' when i + 1 < n ->
-            (match src.[i + 1] with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | 'u' ->
-                if i + 5 < n then
-                  Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub src (i + 2) 4) land 0xff))
-                else fail "bench gate: truncated \\u escape"
-            | c -> Buffer.add_char b c);
-            go (i + if src.[i + 1] = 'u' then 6 else 2)
-        | c ->
-            Buffer.add_char b c;
-            go (i + 1)
-    in
-    go i
-
-  let read_number src i =
-    let n = String.length src in
-    let i = skip_ws src i in
-    let stop = ref i in
-    while
-      !stop < n
-      && (match src.[!stop] with '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false)
-    do
-      Stdlib.incr stop
-    done;
-    if !stop = i then fail "bench gate: expected a number at offset %d" i;
-    (float_of_string (String.sub src i (!stop - i)), !stop)
-
-  (* "string": number members of a named top-level object *)
-  let object_members section src =
-    let n = String.length src in
-    let i = find_sub src (Printf.sprintf "%S" section) 0 in
-    let i = expect src ':' i in
-    let i = expect src '{' i in
-    let rec members acc i =
-      let i = skip_ws src i in
-      if i < n && src.[i] = '}' then List.rev acc
-      else
-        let i = expect src '"' i in
-        let name, i = read_string src i in
-        let i = expect src ':' i in
-        let v, i = read_number src i in
-        let i = skip_ws src i in
-        if i < n && src.[i] = ',' then members ((name, v) :: acc) (i + 1)
-        else members ((name, v) :: acc) i
-    in
-    members [] i
-
-  let benchmarks_of_json src = object_members "benchmarks_ns_per_run" src
-  let counters_of_json src = object_members "counters" src
-
-  (* The one message an incomplete results file produces — structured
-     enough to act on (which file, which section, optionally which
-     benchmark within it), and pinned verbatim by the unit tests so the
-     CI log stays greppable. *)
-  let missing_section_message ~file ~section ?benchmark () =
-    match benchmark with
-    | None ->
-        Printf.sprintf
-          "%s is incomplete — section %S is missing or malformed; re-run the bench \
-           suite to regenerate it"
-          file section
-    | Some b ->
-        Printf.sprintf "%s is incomplete — benchmark %S is missing from section %S" file
-          b section
-
-  (* [require_section ~file ~section parse src]: run a section scanner,
-     converting its bare [Failure] into the structured message above. *)
-  let require_section ~file ~section parse src =
-    try parse src
-    with Failure _ -> failwith (missing_section_message ~file ~section ())
-
-  let scaling_of_json src =
-    let n = String.length src in
-    let i = find_sub src "\"scaling_standard_protocol\"" 0 in
-    let i = expect src ':' i in
-    let i = expect src '[' i in
-    let rec rows acc i =
-      let i = skip_ws src i in
-      if i >= n then fail "bench gate: unterminated scaling array"
-      else if src.[i] = ']' then List.rev acc
-      else if src.[i] = ',' then rows acc (i + 1)
-      else begin
-        let i = expect src '{' i in
-        (* rows written before the family field default to the standard
-           protocol, the only family the sweep had then *)
-        let rec fields fam sz a si i =
-          let i = skip_ws src i in
-          if i < n && src.[i] = '}' then ((fam, sz, a, si), i + 1)
-          else if i < n && src.[i] = ',' then fields fam sz a si (i + 1)
-          else
-            let i = expect src '"' i in
-            let name, i = read_string src i in
-            let i = expect src ':' i in
-            let i = skip_ws src i in
-            if i < n && src.[i] = '"' then begin
-              let v, i = read_string src (i + 1) in
-              fields (if name = "family" then v else fam) sz a si i
-            end
-            else
-              let v, i = read_number src i in
-              (match name with
-              | "n" -> fields fam (int_of_float v) a si i
-              | "a" -> fields fam sz (int_of_float v) si i
-              | "si_s" -> fields fam sz a v i
-              | _ -> fields fam sz a si i)
-        in
-        let row, i = fields "seqtrans" 0 0 0.0 i in
-        rows (row :: acc) i
-      end
-    in
-    rows [] i
-
-  let check ?(tolerance = 0.25) ~baseline current =
-    let base = benchmarks_of_json baseline in
-    let cur = benchmarks_of_json current in
-    let verdicts, missing =
-      List.fold_left
-        (fun (vs, miss) (name, baseline_ns) ->
-          match List.assoc_opt name cur with
-          | Some current_ns ->
-              ({ name; baseline_ns; current_ns; ratio = current_ns /. baseline_ns } :: vs, miss)
-          | None -> (vs, name :: miss))
-        ([], []) base
-    in
-    let verdicts = List.sort (fun a b -> Float.compare b.ratio a.ratio) verdicts in
-    let regressions = List.filter (fun v -> v.ratio > 1.0 +. tolerance) verdicts in
-    { verdicts; regressions; missing = List.rev missing }
-
-  let pp_report fmt r =
-    List.iter
-      (fun v ->
-        Format.fprintf fmt "  %-62s %12.1f → %12.1f ns/run  ×%.2f%s@." v.name v.baseline_ns
-          v.current_ns v.ratio
-          (if List.memq v r.regressions then "  REGRESSION" else ""))
-      r.verdicts;
-    List.iter
-      (fun name -> Format.fprintf fmt "  %-62s missing from the current run@." name)
-      r.missing
-end

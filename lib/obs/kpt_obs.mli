@@ -24,11 +24,7 @@
     domain runs on {!Ctx.root}; every other domain starts on a private
     context.  {!Ctx.use} scopes a context to a computation (how the
     parallel pool gives each task an isolated profile) and {!Ctx.merge}
-    folds a finished worker's numbers into an aggregate after the join.
-
-    The {!Gate} submodule is the consumer side: it diffs the
-    [benchmarks_ns_per_run] section of two bench JSON files and flags
-    regressions beyond a tolerance (the CI bench gate). *)
+    folds a finished worker's numbers into an aggregate after the join. *)
 
 (** {1 Counters} *)
 
@@ -154,60 +150,4 @@ module Ctx : sig
       request handler arranges event streaming for an engine it is about
       to run ({!use} + the global {!set_sink} would race nothing, but
       this spelling works before the context is current). *)
-end
-
-(** {1 The bench gate} *)
-
-module Gate : sig
-  type verdict = {
-    name : string;
-    baseline_ns : float;
-    current_ns : float;
-    ratio : float;  (** current / baseline; > 1 is a slowdown *)
-  }
-
-  type report = {
-    verdicts : verdict list;  (** every benchmark present in both files *)
-    regressions : verdict list;  (** verdicts beyond the tolerance *)
-    missing : string list;  (** in the baseline but not the current run *)
-  }
-
-  val benchmarks_of_json : string -> (string * float) list
-  (** Extract the ["benchmarks_ns_per_run"] object of a bench JSON file
-      (the format {e this} repository writes; not a general JSON parser).
-      @raise Failure if the section is absent or malformed. *)
-
-  val counters_of_json : string -> (string * float) list
-  (** Extract the cumulative ["counters"] object of a bench JSON file.
-      @raise Failure if the section is absent or malformed. *)
-
-  val scaling_of_json : string -> (string * int * int * float) list
-  (** Extract the ["scaling_standard_protocol"] array as
-      [(family, n, a, si_seconds)] rows.  Rows written before the
-      [family] field existed read as ["seqtrans"].
-      @raise Failure if the section is absent or malformed. *)
-
-  val missing_section_message :
-    file:string -> section:string -> ?benchmark:string -> unit -> string
-  (** The one diagnostic an incomplete results file produces: names the
-      file, the section, and (when given) the benchmark missing within
-      it.  Pinned verbatim by the unit tests so CI logs stay
-      greppable. *)
-
-  val require_section :
-    file:string -> section:string -> (string -> 'a) -> string -> 'a
-  (** Run a section scanner ({!benchmarks_of_json}, {!counters_of_json},
-      {!scaling_of_json}), converting its bare [Failure] into
-      {!missing_section_message}.
-      @raise Failure with the structured message. *)
-
-  val check : ?tolerance:float -> baseline:string -> string -> report
-  (** [check ~baseline current] compares two bench JSON {e contents}
-      (not paths).  A benchmark
-      regresses when [current > baseline * (1 + tolerance)]; the default
-      [tolerance] is [0.25].  Renamed or removed benchmarks appear in
-      [missing] — refresh the baseline rather than letting them rot. *)
-
-  val pp_report : Format.formatter -> report -> unit
-  (** Human-readable table of every verdict, slowest ratio first. *)
 end

@@ -250,11 +250,22 @@ let state_count sp = List.fold_left (fun acc v -> acc * card v) 1 (vars sp)
 let state_count_exact sp =
   List.fold_left (fun acc v -> Bigcount.mul_int acc (card v)) Bigcount.one (vars sp)
 
+(* The walk is exponential in the variable count, so it polls the engine
+   budget once per 1024 states: a [--timeout] interrupts it like any
+   fixpoint loop.  Fuel is never consumed here, and the clock is read only
+   when a deadline is armed, so unbudgeted runs stay deterministic. *)
 let iter_states sp f =
   let vs = Array.of_list (vars sp) in
   let n = Array.length vs in
   let st = Array.make (max n 1) 0 in
-  let rec go i = if i = n then f st else
+  let visited = ref 0 in
+  let rec go i =
+    if i = n then begin
+      incr visited;
+      if !visited land 1023 = 0 then Engine.checkpoint ();
+      f st
+    end
+    else
     for value = 0 to card vs.(i) - 1 do
       st.(i) <- value;
       go (i + 1)

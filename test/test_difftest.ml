@@ -2,7 +2,8 @@
    agreement on a known-good spec with the advertised comparison count,
    detection of an envelope mismatch and of a lying extra path, greedy
    shrinking to a minimal reproducer, the verdict classifier, the
-   log-log fit, and the CORPUS_RESULTS.json document shape. *)
+   log-log fit, the CORPUS_RESULTS.json document shape, and the exit-code
+   contract of the real [kpt difftest] binary. *)
 
 module Difftest = Kpt_analysis.Difftest
 module Gen = Kpt_gen.Gen
@@ -175,6 +176,43 @@ let test_report_json_shape () =
   in
   Alcotest.(check (list string)) "fit for the multi-size family" [ "ring" ] fams
 
+(* CI relies on [kpt difftest] exiting 1 on any disagreement, so the
+   contract is pinned through the real binary: a freshly generated corpus
+   agrees (exit 0, a parseable report); a manifest that expects the wrong
+   exit code for one instance is a printed disagreement and exit 1. *)
+let test_cli_exit_code () =
+  let dir = Filename.temp_dir "kpt-difftest" "" in
+  let corpus = Filename.concat dir "D" and report = Filename.concat dir "R.json" in
+  let code, _, err = Helpers.run_kpt [ "gen"; "--count"; "6"; "--seed"; "1"; "-o"; corpus ] in
+  Alcotest.(check int) ("kpt gen exits 0: " ^ err) 0 code;
+  let difftest () = Helpers.run_kpt [ "difftest"; corpus; "--no-serve"; "--report"; report ] in
+  let code, out, err = difftest () in
+  Alcotest.(check int) ("a clean corpus exits 0: " ^ out ^ err) 0 code;
+  (match Json.of_string (Helpers.slurp report) with
+  | j -> ignore (mem "difftest" j)
+  | exception Json.Parse_error m -> Alcotest.failf "report does not parse: %s" m);
+  let manifest = Filename.concat corpus "manifest.json" in
+  let map_field key f = function
+    | Json.Obj fs -> Json.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fs)
+    | v -> v
+  in
+  let tamper =
+    map_field "instances" (function
+      | Json.List (first :: rest) ->
+          Json.List (map_field "expected" (map_field "exit" (fun _ -> Json.Int 1)) first :: rest)
+      | v -> v)
+  in
+  let tampered = Json.to_string (tamper (Json.of_string (Helpers.slurp manifest))) in
+  Out_channel.with_open_bin manifest (fun oc -> output_string oc tampered);
+  let code, out, err = difftest () in
+  Alcotest.(check int) "a wrong manifest exit code makes difftest exit 1" 1 code;
+  Alcotest.(check bool) "the disagreement is printed" true
+    (Helpers.contains ~affix:"DISAGREEMENT envelope" (out ^ err));
+  Array.iter (fun f -> Sys.remove (Filename.concat corpus f)) (Sys.readdir corpus);
+  Unix.rmdir corpus;
+  Sys.remove report;
+  Unix.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "all paths agree on a clean spec" `Quick test_agreement_and_count;
@@ -187,4 +225,5 @@ let suite =
       test_verdict_classes;
     Alcotest.test_case "log-log slope fit" `Quick test_loglog_slope;
     Alcotest.test_case "CORPUS_RESULTS.json shape" `Quick test_report_json_shape;
+    Alcotest.test_case "kpt difftest exit code through the binary" `Quick test_cli_exit_code;
   ]

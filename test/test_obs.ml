@@ -1,5 +1,5 @@
-(* The observability layer: counters, spans, the event sink, the bench
-   gate, exact model counting, and the [kpt stats --json] golden. *)
+(* The observability layer: counters, spans, the event sink, exact
+   model counting, and the [kpt stats --json] golden. *)
 
 open Kpt_predicate
 open Kpt_analysis
@@ -166,57 +166,6 @@ let test_span_nesting () =
   Alcotest.(check bool) "parent total includes nested children" true (outer_ns >= inner_ns);
   Alcotest.(check bool) "totals are non-negative" true (Int64.compare inner_ns 0L >= 0)
 
-(* ---- the bench gate --------------------------------------------------------- *)
-
-let bench_json entries =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\n  \"benchmarks_ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "    \"%s\": %.1f%s\n" name v
-           (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string b "  },\n  \"scaling_standard_protocol\": []\n}\n";
-  Buffer.contents b
-
-let test_gate_parses_bench_json () =
-  let json = bench_json [ ("P1 bdd: ops (12 vars)", 1234.5); ("P2 SI fixpoint", 99.0) ] in
-  Alcotest.(check (list (pair string (float 0.0))))
-    "benchmarks_of_json round-trips the section"
-    [ ("P1 bdd: ops (12 vars)", 1234.5); ("P2 SI fixpoint", 99.0) ]
-    (Kpt_obs.Gate.benchmarks_of_json json)
-
-let test_gate_passes_within_tolerance () =
-  let baseline = bench_json [ ("a", 100.0); ("b", 200.0) ] in
-  let current = bench_json [ ("a", 120.0); ("b", 190.0) ] in
-  let r = Kpt_obs.Gate.check ~baseline current in
-  Alcotest.(check int) "two verdicts" 2 (List.length r.Kpt_obs.Gate.verdicts);
-  Alcotest.(check int) "no regressions at +20%/−5%" 0 (List.length r.Kpt_obs.Gate.regressions);
-  Alcotest.(check (list string)) "nothing missing" [] r.Kpt_obs.Gate.missing
-
-(* The acceptance scenario: a synthetic 2× slowdown must fail the gate. *)
-let test_gate_fails_on_2x_slowdown () =
-  let baseline = bench_json [ ("a", 100.0); ("b", 200.0) ] in
-  let current = bench_json [ ("a", 200.0); ("b", 400.0) ] in
-  let r = Kpt_obs.Gate.check ~baseline current in
-  Alcotest.(check int) "both benchmarks regress" 2 (List.length r.Kpt_obs.Gate.regressions);
-  List.iter
-    (fun v -> Alcotest.(check (float 1e-9)) "ratio is 2.0" 2.0 v.Kpt_obs.Gate.ratio)
-    r.Kpt_obs.Gate.regressions;
-  (* a wide-open tolerance accepts the same data *)
-  let r' = Kpt_obs.Gate.check ~tolerance:1.5 ~baseline current in
-  Alcotest.(check int) "tolerance 150% admits a 2x slowdown" 0
-    (List.length r'.Kpt_obs.Gate.regressions)
-
-let test_gate_detects_missing () =
-  let baseline = bench_json [ ("a", 100.0); ("gone", 50.0) ] in
-  let current = bench_json [ ("a", 100.0) ] in
-  let r = Kpt_obs.Gate.check ~baseline current in
-  Alcotest.(check (list string)) "renamed/removed benchmarks are flagged" [ "gone" ]
-    r.Kpt_obs.Gate.missing;
-  Alcotest.(check int) "the survivor is still judged" 1 (List.length r.Kpt_obs.Gate.verdicts)
-
 (* ---- exact model counting ---------------------------------------------------- *)
 
 let test_bigcount_arithmetic () =
@@ -369,39 +318,6 @@ let test_stats_collect_shape () =
      in
      contains 0)
 
-(* The gate's incomplete-results diagnosis (satellite of the corpus PR):
-   a missing or malformed section must be reported by file, section and
-   — when known — benchmark name, never as a bare parse failure. *)
-let test_gate_missing_section_message () =
-  Alcotest.(check string) "section-level message"
-    "BENCH_RESULTS.json is incomplete — section \"counters\" is missing or malformed; \
-     re-run the bench suite to regenerate it"
-    (Kpt_obs.Gate.missing_section_message ~file:"BENCH_RESULTS.json" ~section:"counters"
-       ());
-  Alcotest.(check string) "benchmark-level message"
-    "baseline.json is incomplete — benchmark \"lint.err\" is missing from section \
-     \"benchmarks_ns_per_run\""
-    (Kpt_obs.Gate.missing_section_message ~file:"baseline.json"
-       ~section:"benchmarks_ns_per_run" ~benchmark:"lint.err" ())
-
-let test_gate_require_section () =
-  (* a parser that raises Failure is converted into the named message *)
-  (match
-     Kpt_obs.Gate.require_section ~file:"r.json" ~section:"scaling"
-       (fun _ -> failwith "raw parse error")
-       "{}"
-   with
-  | exception Failure m ->
-      Alcotest.(check string) "failure renamed"
-        (Kpt_obs.Gate.missing_section_message ~file:"r.json" ~section:"scaling" ())
-        m
-  | _ -> Alcotest.fail "require_section swallowed the failure");
-  (* a working parser passes through untouched *)
-  Alcotest.(check int) "success passes through" 42
-    (Kpt_obs.Gate.require_section ~file:"r.json" ~section:"scaling"
-       (fun s -> String.length s)
-       (String.make 42 'x'))
-
 let suite =
   [
     Alcotest.test_case "counters are monotone cells" `Quick test_counters_monotone;
@@ -417,11 +333,6 @@ let suite =
     Alcotest.test_case "installed sink receives events" `Quick test_sink_receives_events;
     Alcotest.test_case "trace sink line format" `Quick test_trace_sink_format;
     Alcotest.test_case "spans nest and accumulate" `Quick test_span_nesting;
-    Alcotest.test_case "gate parses bench JSON" `Quick test_gate_parses_bench_json;
-    Alcotest.test_case "gate passes within tolerance" `Quick test_gate_passes_within_tolerance;
-    Alcotest.test_case "gate fails a synthetic 2x slowdown" `Quick
-      test_gate_fails_on_2x_slowdown;
-    Alcotest.test_case "gate flags missing benchmarks" `Quick test_gate_detects_missing;
     Alcotest.test_case "bigcount arithmetic" `Quick test_bigcount_arithmetic;
     Alcotest.test_case "sat_count_exact = brute force (<=18 vars)" `Quick
       test_satcount_exact_vs_brute;
@@ -431,8 +342,4 @@ let suite =
       test_stats_json_golden;
     Alcotest.test_case "stats collect: shape and headline numbers" `Quick
       test_stats_collect_shape;
-    Alcotest.test_case "gate names the missing section and benchmark" `Quick
-      test_gate_missing_section_message;
-    Alcotest.test_case "gate require_section converts bare failures" `Quick
-      test_gate_require_section;
   ]

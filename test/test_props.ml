@@ -189,6 +189,29 @@ let test_counterexamples () =
   Alcotest.(check bool) "valid leads-to has none" true
     (Props.leads_to_counterexample prog (at 0) (at 3) = None)
 
+(* [fair_avoid] finds its candidates by walking the whole product space
+   (2^30 states here, around a two-state SI), so an armed deadline must
+   interrupt the walk itself rather than wait minutes for it to end. *)
+let test_leads_to_enumeration_honours_deadline () =
+  let sp = Space.create () in
+  let xs = List.init 30 (fun i -> Space.bool_var sp (Printf.sprintf "x%d" i)) in
+  let x0 = List.hd xs in
+  let flip = Stmt.make ~name:"flip" ~guard:Expr.(not_ (var x0)) [ (x0, Expr.tru) ] in
+  let init = List.fold_left (fun acc x -> Expr.(acc &&& not_ (var x))) Expr.tru xs in
+  let prog = Program.make sp ~name:"wide" ~init [ flip ] in
+  let limits = Budget.limits ~timeout_ns:(Budget.timeout_of_seconds 0.1) () in
+  let t0 = Kpt_obs.now_ns () in
+  (match
+     Engine.with_budget limits (fun () ->
+         Props.leads_to prog (Bdd.tru (Space.manager sp)) (bp sp (Expr.var x0)))
+   with
+  | _ -> Alcotest.fail "leads-to over 2^30 states finished inside a 0.1 s deadline"
+  | exception Budget.Exhausted (Budget.Timeout _) -> ());
+  let elapsed = Int64.to_float (Int64.sub (Kpt_obs.now_ns ()) t0) /. 1e9 in
+  Alcotest.(check bool)
+    (Printf.sprintf "the deadline interrupted the walk (%.2fs)" elapsed)
+    true (elapsed < 5.0)
+
 let suite =
   [
     Alcotest.test_case "unless" `Quick test_unless;
@@ -203,4 +226,6 @@ let suite =
     Alcotest.test_case "random consistency" `Quick test_consistency_random;
     Alcotest.test_case "wlt transformer" `Quick test_wlt;
     Alcotest.test_case "counterexample extraction" `Quick test_counterexamples;
+    Alcotest.test_case "leads-to enumeration honours a deadline" `Quick
+      test_leads_to_enumeration_honours_deadline;
   ]
