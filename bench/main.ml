@@ -318,7 +318,10 @@ let slice_nodes : (int * int) option ref = ref None
 (* armed / unbudgeted time of the interleaved P8 pair *)
 let budget_ratio : float option ref = ref None
 
-let scaling_rows : (string * int * int * Bigcount.t * int * float * float) list ref =
+(* family, n, |A|, state space, reachable, SI s, safety s, and — for the
+   seqtrans rows — the total time of liveness (35)@k over every k < n *)
+let scaling_rows :
+    (string * int * int * Bigcount.t * int * float * float * float option) list ref =
   ref []
 
 let json_escape s =
@@ -345,11 +348,12 @@ let write_json path =
   pf "  },\n  \"scaling_standard_protocol\": [\n";
   let rows = List.rev !scaling_rows in
   List.iteri
-    (fun i (family, n, a, total, reach, t_si, t_safe) ->
+    (fun i (family, n, a, total, reach, t_si, t_safe, t_live) ->
       pf
         "    { \"family\": \"%s\", \"n\": %d, \"a\": %d, \"state_space\": %s, \
-         \"reachable\": %d, \"si_s\": %.4f, \"safety_s\": %.4f }%s\n"
+         \"reachable\": %d, \"si_s\": %.4f, \"safety_s\": %.4f%s }%s\n"
         (json_escape family) n a (Bigcount.to_string total) reach t_si t_safe
+        (match t_live with Some t -> Printf.sprintf ", \"liveness_s\": %.4f" t | None -> "")
         (if i = List.length rows - 1 then "" else ","))
     rows;
   pf "  ],\n";
@@ -434,8 +438,8 @@ let run_quick () =
 
 let scaling_sweep () =
   Format.printf "@.══ Scaling: the standard protocol across (n, |A|) ══@.";
-  Format.printf "  %-10s %12s %12s %14s %14s@." "(n,|A|)" "state space" "reachable"
-    "SI time (s)" "safety (s)";
+  Format.printf "  %-10s %12s %12s %14s %14s %14s@." "(n,|A|)" "state space" "reachable"
+    "SI time (s)" "safety (s)" "liveness (s)";
   List.iter
     (fun (n, a) ->
       let st = Seqtrans.standard ~lossy:true { Seqtrans.n = n; a } in
@@ -444,9 +448,13 @@ let scaling_sweep () =
       let si, t_si = time (fun () -> Program.si st.Seqtrans.sprog) in
       let reach = Space.count_states_of sp si in
       let ok, t_safe = time (fun () -> Program.invariant st.Seqtrans.sprog (Seqtrans.spec_safety st)) in
-      scaling_rows := ("seqtrans", n, a, total, reach, t_si, t_safe) :: !scaling_rows;
-      Format.printf "  (%d,%d)      %12s %12d %14.3f %14.3f   safety=%b@." n a
-        (Bigcount.to_string total) reach t_si t_safe ok)
+      let live, t_live =
+        time (fun () -> List.init n (fun k -> Seqtrans.spec_liveness_holds st ~k))
+      in
+      scaling_rows :=
+        ("seqtrans", n, a, total, reach, t_si, t_safe, Some t_live) :: !scaling_rows;
+      Format.printf "  (%d,%d)      %12s %12d %14.3f %14.3f %14.3f   safety=%b liveness=%b@." n a
+        (Bigcount.to_string total) reach t_si t_safe t_live ok (List.for_all Fun.id live))
     [ (2, 2); (2, 3); (3, 2) ]
 
 let ring_sweep () =
@@ -466,7 +474,7 @@ let ring_sweep () =
           let ok, t_safe =
             time (fun () -> Program.invariant r.Ring.rprog (Ring.mutex_ok r))
           in
-          scaling_rows := ("token_ring", n, 2, total, reach, t_si, t_safe) :: !scaling_rows;
+          scaling_rows := ("token_ring", n, 2, total, reach, t_si, t_safe, None) :: !scaling_rows;
           Format.printf "  %-10d %12s %12d %14.3f %14.3f   mutex=%b@." n
             (Bigcount.to_string total) reach t_si t_safe ok))
     [ 3; 4; 5; 6; 7; 8; 9; 10 ]
@@ -799,6 +807,14 @@ let invariants =
       fun () ->
         let n = List.length !scaling_rows in
         (n >= 6, Printf.sprintf "%d row(s)" n) );
+    ( "every seqtrans row has a finite liveness_s",
+      fun () ->
+        let rows = List.filter (fun (f, _, _, _, _, _, _, _) -> f = "seqtrans") !scaling_rows in
+        let timed (_, _, _, _, _, _, _, t) =
+          match t with Some t -> Float.is_finite t | None -> false
+        in
+        ( rows <> [] && List.for_all timed rows,
+          Printf.sprintf "%d of %d row(s)" (List.length (List.filter timed rows)) (List.length rows) ) );
   ]
 
 (* prints one line per rule; true when every rule holds *)

@@ -2,7 +2,7 @@ open Kpt_predicate
 open Kpt_unity
 
 (* Fair leads-to observability: the gfp of [fair_avoid] proceeds in
-   elimination sweeps over the candidate set; the sweep count and the
+   outer rounds (sweeps) over the statements; the sweep count and the
    survivors per sweep are what explain a slow liveness check. *)
 let c_gfp_runs = Kpt_obs.counter "leadsto.gfp.runs"
 let c_gfp_sweeps = Kpt_obs.counter "leadsto.gfp.sweeps"
@@ -41,106 +41,49 @@ let invariant = Program.invariant
 
 (* --- fair leads-to ------------------------------------------------------ *)
 
-(* Integer code of a state for hashing. *)
-let coder space =
-  let vars = Array.of_list (Space.vars space) in
-  fun st ->
-    let code = ref 0 in
-    Array.iteri (fun k v -> code := (!code * Space.card v) + st.(k)) vars;
-    !code
+(* Emerson–Lei fair-EG under unconditional fairness.  A state can fairly
+   avoid [q] iff it lies in the greatest [Z ⊆ SI ∧ ¬q] from which, for
+   every statement [t], some path inside [Z] reaches a state whose
+   [t]-successor is again in [Z]:
 
+     Z = νZ. Z ∧ ⋀ₜ E[Z U (Z ∧ wp.t.Z)]
+
+   Statements are deterministic and total, so [wp.t] is the exact
+   pre-image along [t] and [EX Y = ⋁ₛ wp.s.Y].  The conjuncts are applied
+   chaotically in statement order; one pass over them is a sweep. *)
 let fair_avoid prog q =
   let space = Program.space prog in
   let m = Space.manager space in
-  let stmts = Array.of_list (Program.statements prog) in
-  let n = Array.length stmts in
-  let full_mask = (1 lsl n) - 1 in
-  let code_of = coder space in
-  (* Candidate states: reachable and avoiding q. *)
-  let b0 = Bdd.and_ m (Program.si prog) (Bdd.not_ m q) in
-  let states = Array.of_list (Space.states_of space b0) in
-  let index = Hashtbl.create (Array.length states * 2) in
-  Array.iteri (fun k st -> Hashtbl.add index (code_of st) k) states;
-  let nstates = Array.length states in
-  (* successor table: succ.(u).(t) = index of exec t from u, or -1 if the
-     successor leaves the candidate set *)
-  let succ = Array.make_matrix nstates n (-1) in
-  Array.iteri
-    (fun u st ->
-      for t = 0 to n - 1 do
-        let st' = Stmt.exec space stmts.(t) st in
-        match Hashtbl.find_opt index (code_of st') with
-        | Some v -> succ.(u).(t) <- v
-        | None -> ()
-      done)
-    states;
-  let alive = Array.make nstates true in
-  (* Visited sets for the inner BFS, allocated once and reused across every
-     [survives] call: a generation-stamped int array when the
-     state × mask key space is small, a (reset) hash table otherwise. *)
-  let nkeys = nstates * (full_mask + 1) in
-  let use_stamps = nstates > 0 && nkeys / nstates = full_mask + 1 && nkeys <= 1 lsl 22 in
-  let stamps = if use_stamps then Array.make (max nkeys 1) 0 else [||] in
-  let generation = ref 0 in
-  let seen_tbl = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  (* Round check: from u, can we apply every statement at least once while
-     staying among alive states?  BFS over (state, remaining-mask). *)
-  let survives u =
-    Engine.checkpoint ();
-    incr generation;
-    if not use_stamps then Hashtbl.reset seen_tbl;
-    Queue.clear queue;
-    let push v mask =
-      let key = (v * (full_mask + 1)) + mask in
-      let visited =
-        if use_stamps then
-          stamps.(key) = !generation || (stamps.(key) <- !generation; false)
-        else Hashtbl.mem seen_tbl key || (Hashtbl.add seen_tbl key (); false)
-      in
-      if not visited then Queue.add (v, mask) queue
+  let stmts = Program.statements prog in
+  let wp s y = Stmt.wp space s y in
+  let ex y = List.fold_left (fun acc s -> Bdd.or_ m acc (wp s y)) (Bdd.fls m) stmts in
+  (* E[z U target] for [target ⊆ z]: pre-images distribute over ∨, so
+     each step only needs the pre-image of the states it last added. *)
+  let eu z target steps =
+    let rec grow reached frontier =
+      Engine.checkpoint ();
+      incr steps;
+      let fresh = Bdd.conj m [ z; ex frontier; Bdd.not_ m reached ] in
+      if Bdd.is_false fresh then reached else grow (Bdd.or_ m reached fresh) fresh
     in
-    push u full_mask;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let v, mask = Queue.pop queue in
-      if mask = 0 then found := true
-      else
-        for t = 0 to n - 1 do
-          let v' = succ.(v).(t) in
-          if v' >= 0 && alive.(v') then push v' (mask land lnot (1 lsl t))
-        done
-    done;
-    !found
+    grow target target
   in
+  let z0 = Bdd.and_ m (Program.si prog) (Bdd.not_ m q) in
   Kpt_obs.incr c_gfp_runs;
   if Kpt_obs.enabled () then
-    Kpt_obs.emit "leadsto.gfp" [ ("candidates", nstates); ("statements", n) ];
-  let changed = ref true in
-  let sweeps = ref 0 in
-  while !changed do
-    incr sweeps;
+    Kpt_obs.emit "leadsto.gfp"
+      [ ("candidates", Space.count_states_of space z0); ("statements", List.length stmts) ];
+  let rec sweep z k =
     Kpt_obs.incr c_gfp_sweeps;
     Engine.checkpoint ~fuel:1 ();
-    changed := false;
-    for u = 0 to nstates - 1 do
-      if alive.(u) && not (survives u) then begin
-        alive.(u) <- false;
-        changed := true
-      end
-    done;
+    let steps = ref 0 in
+    let z' = List.fold_left (fun z s -> eu z (Bdd.and_ m z (wp s z)) steps) z stmts in
     if Kpt_obs.enabled () then
       Kpt_obs.emit "leadsto.gfp.sweep"
-        [
-          ("sweep", !sweeps);
-          ("alive", Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alive);
-        ]
-  done;
-  let acc = ref (Bdd.fls m) in
-  Array.iteri
-    (fun u st -> if alive.(u) then acc := Bdd.or_ m !acc (Space.pred_of_state space st))
-    states;
-  !acc
+        [ ("sweep", k); ("alive", Space.count_states_of space z'); ("eu_steps", !steps) ];
+    if Bdd.equal z z' then z else sweep z' (k + 1)
+  in
+  sweep z0 1
 
 let leads_to prog p q =
   let space = Program.space prog in
@@ -164,8 +107,28 @@ let holds prog = function
   | Ensures (p, q) -> ensures prog p q
   | Leadsto (p, q) -> leads_to prog p q
 
+(* The first state of [pred] in {!Space.iter_states} order, found
+   symbolically: fix each variable, in declaration order, to its least
+   value that keeps [pred] satisfiable within the domain. *)
 let first_state_of space pred =
-  match Space.states_of space pred with [] -> None | st :: _ -> Some st
+  let m = Space.manager space in
+  let vars = Space.vars space in
+  let st = Array.make (max (List.length vars) 1) 0 in
+  let rec fix p = function
+    | [] -> Some st
+    | v :: rest ->
+        let rec least k =
+          let p' = Bdd.and_ m p (Bitvec.eq_const m (Space.cur_vec space v) k) in
+          if Bdd.is_false p' then least (k + 1)
+          else begin
+            st.(Space.idx v) <- k;
+            fix p' rest
+          end
+        in
+        least 0
+  in
+  let p = Bdd.and_ m pred (Space.domain space) in
+  if Bdd.is_false p then None else fix p vars
 
 let invariant_counterexample prog p =
   let space = Program.space prog in
@@ -184,7 +147,11 @@ let unless_counterexample prog p q =
           Bdd.and_ m bad (Bdd.not_ m (Stmt.wp space s (Bdd.or_ m p q)))
         in
         match first_state_of space violating with
-        | Some st -> Some (st, Stmt.name s, Stmt.exec space s st)
+        | Some st ->
+            (* the image of a single state under a deterministic, total
+               statement is a single state *)
+            let succ = Stmt.sp space s (Space.pred_of_state space st) in
+            Option.map (fun st' -> (st, Stmt.name s, st')) (first_state_of space succ)
         | None -> scan rest)
   in
   scan (Program.statements prog)

@@ -6,8 +6,8 @@
     transcriptions of the proof rules (which are sound and complete for
     them); leads-to is decided against the run semantics — every
     unconditionally-fair execution from a reachable [p]-state reaches
-    [q] — by the "fair rounds" greatest fixpoint, which coincides with
-    derivability in the UNITY proof system on finite spaces. *)
+    [q] — by the Emerson–Lei fair-EG greatest fixpoint, which coincides
+    with derivability in the UNITY proof system on finite spaces. *)
 
 open Kpt_predicate
 open Kpt_unity
@@ -33,9 +33,15 @@ val invariant : Program.t -> Bdd.t -> bool
 
 val fair_avoid : Program.t -> Bdd.t -> Bdd.t
 (** States of [SI ∧ ¬q] from which some {e fair} infinite execution stays
-    in [¬q] forever.  Greatest fixpoint of the round operator: a state
-    survives iff it can schedule every statement at least once while
-    remaining among survivors.  (Enumerates states: small spaces.) *)
+    in [¬q] forever: the Emerson–Lei fair-EG under unconditional
+    fairness, [νZ. Z ∧ ⋀ₜ E[Z U (Z ∧ wp.t.Z)]] from [Z₀ = SI ∧ ¬q].  A
+    state survives iff, staying among survivors, it can reach a firing
+    of every statement [t] that lands among survivors again.  Symbolic
+    throughout — [wp.t] is the exact pre-image of a deterministic, total
+    statement and each [E[· U ·]] is a frontier least fixpoint — so no
+    state is enumerated.  Each outer round (one pass over the
+    statements) consumes one unit of {!Engine.checkpoint} fuel and bumps
+    [leadsto.gfp.sweeps]; every inner step polls the deadline. *)
 
 val leads_to : Program.t -> Bdd.t -> Bdd.t -> bool
 (** Fair leads-to: [p ↦ q] iff no reachable [p ∧ ¬q] state can fairly
@@ -53,7 +59,10 @@ val holds : Program.t -> t -> bool
 (** {1 Counterexample extraction}
 
     The checkers above answer yes/no; these return a witness state when
-    the answer is no — reachable states the user can inspect. *)
+    the answer is no — reachable states the user can inspect.  The
+    witness is the first violating state in {!Space.iter_states} order,
+    picked symbolically (least value per variable in declaration order)
+    rather than by walking the space. *)
 
 val invariant_counterexample : Program.t -> Bdd.t -> Space.state option
 (** A reachable state violating the predicate, if any. *)

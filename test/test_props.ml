@@ -189,28 +189,117 @@ let test_counterexamples () =
   Alcotest.(check bool) "valid leads-to has none" true
     (Props.leads_to_counterexample prog (at 0) (at 3) = None)
 
-(* [fair_avoid] finds its candidates by walking the whole product space
-   (2^30 states here, around a two-state SI), so an armed deadline must
-   interrupt the walk itself rather than wait minutes for it to end. *)
-let test_leads_to_enumeration_honours_deadline () =
+(* A 2^30-state product space around a two-state SI: one statement sets
+   [x0], every other variable stays false. *)
+let wide () =
   let sp = Space.create () in
   let xs = List.init 30 (fun i -> Space.bool_var sp (Printf.sprintf "x%d" i)) in
   let x0 = List.hd xs in
   let flip = Stmt.make ~name:"flip" ~guard:Expr.(not_ (var x0)) [ (x0, Expr.tru) ] in
   let init = List.fold_left (fun acc x -> Expr.(acc &&& not_ (var x))) Expr.tru xs in
-  let prog = Program.make sp ~name:"wide" ~init [ flip ] in
+  (sp, x0, Program.make sp ~name:"wide" ~init [ flip ])
+
+let seconds_since t0 = Int64.to_float (Int64.sub (Kpt_obs.now_ns ()) t0) /. 1e9
+
+(* Explicit enumeration ([Reachability], [Kbp.universe] and
+   [Program.validate] still walk states through [Space.states_of]) must
+   stop at an armed deadline rather than wait minutes for the walk to
+   end. *)
+let test_state_enumeration_honours_deadline () =
+  let sp, _, prog = wide () in
+  let si = Program.si prog in
   let limits = Budget.limits ~timeout_ns:(Budget.timeout_of_seconds 0.1) () in
   let t0 = Kpt_obs.now_ns () in
-  (match
-     Engine.with_budget limits (fun () ->
-         Props.leads_to prog (Bdd.tru (Space.manager sp)) (bp sp (Expr.var x0)))
-   with
-  | _ -> Alcotest.fail "leads-to over 2^30 states finished inside a 0.1 s deadline"
+  (match Engine.with_budget limits (fun () -> Space.states_of sp si) with
+  | _ -> Alcotest.fail "enumerating 2^30 states finished inside a 0.1 s deadline"
   | exception Budget.Exhausted (Budget.Timeout _) -> ());
-  let elapsed = Int64.to_float (Int64.sub (Kpt_obs.now_ns ()) t0) /. 1e9 in
+  let elapsed = seconds_since t0 in
   Alcotest.(check bool)
     (Printf.sprintf "the deadline interrupted the walk (%.2fs)" elapsed)
     true (elapsed < 5.0)
+
+(* Fair leads-to never enumerates: on the same 2^30 space it costs what
+   the BDDs of SI and q cost. *)
+let test_wide_leads_to_is_symbolic () =
+  let sp, x0, prog = wide () in
+  let t0 = Kpt_obs.now_ns () in
+  Alcotest.(check bool) "true ↦ x0" true
+    (Props.leads_to prog (Bdd.tru (Space.manager sp)) (bp sp (Expr.var x0)));
+  let elapsed = seconds_since t0 in
+  Alcotest.(check bool) (Printf.sprintf "decided in %.2fs (< 1 s)" elapsed) true (elapsed < 1.0)
+
+(* One outer round of the fair-EG gfp consumes one fuel unit, so a tank
+   one short of the round count runs dry and an exact one does not. *)
+let test_leads_to_fuel () =
+  let sp, x, prog = counter () in
+  let m = Space.manager sp in
+  let q = bp sp Expr.(var x === nat 3) in
+  ignore (Program.si prog);
+  let sweeps = Kpt_obs.counter "leadsto.gfp.sweeps" in
+  let before = Kpt_obs.value sweeps in
+  Alcotest.(check bool) "true ↦ x=3" true (Props.leads_to prog (Bdd.tru m) q);
+  let rounds = Kpt_obs.value sweeps - before in
+  Alcotest.(check bool) (Printf.sprintf "several rounds (%d)" rounds) true (rounds >= 2);
+  let with_fuel fuel =
+    Engine.with_budget (Budget.limits ~fuel ()) (fun () -> Props.leads_to prog (Bdd.tru m) q)
+  in
+  Alcotest.(check bool) "exact fuel suffices" true (with_fuel rounds);
+  match with_fuel (rounds - 1) with
+  | _ -> Alcotest.fail "leads-to finished on less fuel than it has rounds"
+  | exception Budget.Exhausted (Budget.Fuel_exhausted _) -> ()
+
+(* The symbolic fair-EG against the explicit round-gfp oracle on the
+   section-6 protocols [kpt check <protocol> --horizon 2] runs — both
+   channels where there is one — for the (35) target [j > k]. *)
+let test_fair_avoid_matches_oracle_on_protocols () =
+  let open Kpt_protocols in
+  let params = { Seqtrans.n = 2; a = 2 } in
+  let std lossy =
+    let st = Seqtrans.standard ~lossy params in
+    (st.Seqtrans.sprog, st.Seqtrans.j)
+  in
+  let abp lossy =
+    let t = Abp.make ~lossy params in
+    (t.Abp.prog, t.Abp.j)
+  in
+  let stenning lossy =
+    let t = Stenning.make ~lossy params in
+    (t.Stenning.prog, t.Stenning.j)
+  in
+  let window lossy =
+    let t = Window.make ~lossy ~window:2 params in
+    (t.Window.prog, t.Window.j)
+  in
+  let kbp () =
+    let ab = Seqtrans.abstract_kbp params in
+    (ab.Seqtrans.aprog, ab.Seqtrans.aj)
+  in
+  let auy () =
+    let t = Auy.make params in
+    (t.Auy.prog, t.Auy.j)
+  in
+  List.iter
+    (fun (name, (prog, j)) ->
+      let sp = Program.space prog in
+      for k = 0 to 1 do
+        let q = bp sp Expr.(var j >>> nat k) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: fair_avoid (j > %d) = oracle" name k)
+          true
+          (Bdd.equal (Props.fair_avoid prog q) (Oracle_leadsto.fair_avoid prog q))
+      done)
+    [
+      ("standard-dup", std false);
+      ("standard-lossy", std true);
+      ("abp-dup", abp false);
+      ("abp-lossy", abp true);
+      ("stenning-dup", stenning false);
+      ("stenning-lossy", stenning true);
+      ("window-dup", window false);
+      ("window-lossy", window true);
+      ("kbp", kbp ());
+      ("auy", auy ());
+    ]
 
 let suite =
   [
@@ -226,6 +315,11 @@ let suite =
     Alcotest.test_case "random consistency" `Quick test_consistency_random;
     Alcotest.test_case "wlt transformer" `Quick test_wlt;
     Alcotest.test_case "counterexample extraction" `Quick test_counterexamples;
-    Alcotest.test_case "leads-to enumeration honours a deadline" `Quick
-      test_leads_to_enumeration_honours_deadline;
+    Alcotest.test_case "state enumeration honours a deadline" `Quick
+      test_state_enumeration_honours_deadline;
+    Alcotest.test_case "wide leads-to is decided symbolically" `Quick
+      test_wide_leads_to_is_symbolic;
+    Alcotest.test_case "leads-to consumes one fuel unit per round" `Quick test_leads_to_fuel;
+    Alcotest.test_case "fair_avoid = oracle on the section-6 protocols" `Slow
+      test_fair_avoid_matches_oracle_on_protocols;
   ]

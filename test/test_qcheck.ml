@@ -363,6 +363,27 @@ let prop_ensures_implies_leadsto =
       ignore sp;
       (not (Kpt_logic.Props.ensures prog p q)) || Kpt_logic.Props.leads_to prog p q)
 
+(* The symbolic Emerson–Lei fair-EG against the explicit round-gfp
+   oracle, which enumerates states and schedules statement masks. *)
+let prop_fair_avoid_equals_oracle =
+  QCheck.Test.make ~count:60 ~name:"logic: symbolic fair_avoid = explicit oracle"
+    (QCheck.pair arbitrary_program (arbitrary_formula ~nvars:4)) (fun (syns, fsyn) ->
+      let sp, prog = build_program syns in
+      let q = to_bdd ~remap:(fun i -> 2 * i) (Space.manager sp) fsyn in
+      Bdd.equal (Kpt_logic.Props.fair_avoid prog q) (Oracle_leadsto.fair_avoid prog q))
+
+(* Counterexamples are picked symbolically; they must be the first
+   violating state in enumeration order, as an explicit scan finds it. *)
+let prop_counterexample_is_first_state =
+  QCheck.Test.make ~count:60 ~name:"logic: counterexample = first enumerated state"
+    (QCheck.pair arbitrary_program (arbitrary_formula ~nvars:4)) (fun (syns, fsyn) ->
+      let sp, prog = build_program syns in
+      let m = Space.manager sp in
+      let p = to_bdd ~remap:(fun i -> 2 * i) m fsyn in
+      let bad = Bdd.and_ m (Program.si prog) (Bdd.not_ m p) in
+      let first = match Space.states_of sp bad with [] -> None | st :: _ -> Some st in
+      Kpt_logic.Props.invariant_counterexample prog p = first)
+
 let prop_unless_conjunction_sound =
   QCheck.Test.make ~count:40 ~name:"logic: appendix-8 conjunction is semantically sound"
     (QCheck.triple arbitrary_program (arbitrary_formula ~nvars:4) (arbitrary_formula ~nvars:4))
@@ -570,6 +591,8 @@ let suite =
       prop_sst_monotone;
       prop_frontier_sst_equals_naive;
       prop_ensures_implies_leadsto;
+      prop_fair_avoid_equals_oracle;
+      prop_counterexample_is_first_state;
       prop_unless_conjunction_sound;
       prop_s5_random_si;
       prop_k_conjunctive_random_si;
