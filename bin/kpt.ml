@@ -51,7 +51,7 @@ let trace_arg =
     value & flag
     & info [ "trace" ]
         ~doc:
-          "Stream fixpoint iterations (sst frontiers, Ĝ-iteration steps, gfp sweeps) to \
+          "Stream fixpoint iterations (sst rounds, Ĝ-iteration steps, gfp sweeps) to \
            standard error as they happen.")
 
 let jobs_arg =
@@ -96,7 +96,7 @@ let fuel_arg =
     & opt (some int) None
     & info [ "fuel" ] ~docv:"N"
         ~doc:
-          "Fixpoint-iteration budget: every sst frontier round, Ĝ-iteration step and \
+          "Fixpoint-iteration budget: every sst round, Ĝ-iteration step and \
            gfp sweep consumes one unit.  Deterministic, unlike $(b,--timeout).  \
            Exhaustion exits with code 3.")
 

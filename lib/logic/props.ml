@@ -50,7 +50,9 @@ let invariant = Program.invariant
 
    Statements are deterministic and total, so [wp.t] is the exact
    pre-image along [t] and [EX Y = ⋁ₛ wp.s.Y].  The conjuncts are applied
-   chaotically in statement order; one pass over them is a sweep. *)
+   chaotically in statement order; one pass over them is a sweep.  When
+   [Z ⊆ wp.t.Z] the target is [Z] itself and [E[Z U Z] = Z], so that EU
+   and its pre-images are skipped. *)
 let fair_avoid prog q =
   let space = Program.space prog in
   let m = Space.manager space in
@@ -76,11 +78,20 @@ let fair_avoid prog q =
   let rec sweep z k =
     Kpt_obs.incr c_gfp_sweeps;
     Engine.checkpoint ~fuel:1 ();
-    let steps = ref 0 in
-    let z' = List.fold_left (fun z s -> eu z (Bdd.and_ m z (wp s z)) steps) z stmts in
+    let steps = ref 0 and skipped = ref 0 in
+    let conjunct z s =
+      let target = Bdd.and_ m z (wp s z) in
+      if Bdd.equal target z then (incr skipped; z) else eu z target steps
+    in
+    let z' = List.fold_left conjunct z stmts in
     if Kpt_obs.enabled () then
       Kpt_obs.emit "leadsto.gfp.sweep"
-        [ ("sweep", k); ("alive", Space.count_states_of space z'); ("eu_steps", !steps) ];
+        [
+          ("sweep", k);
+          ("alive", Space.count_states_of space z');
+          ("eu_steps", !steps);
+          ("eu_skipped", !skipped);
+        ];
     if Bdd.equal z z' then z else sweep z' (k + 1)
   in
   sweep z0 1

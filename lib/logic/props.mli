@@ -39,9 +39,11 @@ val fair_avoid : Program.t -> Bdd.t -> Bdd.t
     of every statement [t] that lands among survivors again.  Symbolic
     throughout — [wp.t] is the exact pre-image of a deterministic, total
     statement and each [E[· U ·]] is a frontier least fixpoint — so no
-    state is enumerated.  Each outer round (one pass over the
-    statements) consumes one unit of {!Engine.checkpoint} fuel and bumps
-    [leadsto.gfp.sweeps]; every inner step polls the deadline. *)
+    state is enumerated.  A conjunct whose target is already [Z] (that
+    is, [Z ⊆ wp.t.Z]) is taken as [E[Z U Z] = Z] without its EU.  Each
+    outer round (one pass over the statements) consumes one unit of
+    {!Engine.checkpoint} fuel and bumps [leadsto.gfp.sweeps]; every
+    inner step polls the deadline. *)
 
 val leads_to : Program.t -> Bdd.t -> Bdd.t -> bool
 (** Fair leads-to: [p ↦ q] iff no reachable [p ∧ ¬q] state can fairly

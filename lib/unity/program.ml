@@ -1,8 +1,8 @@
 open Kpt_predicate
 
 (* Fixpoint observability (eqs. 1-5): every [sst] run and each of its
-   frontier iterations is counted, and — when a trace sink is installed —
-   streamed with the frontier/accumulator sizes of the round. *)
+   rounds is counted, and — when a trace sink is installed — streamed
+   with the frontier/accumulator sizes of the round. *)
 let c_sst_runs = Kpt_obs.counter "sst.runs"
 let c_sst_iters = Kpt_obs.counter "sst.iterations"
 
@@ -60,17 +60,33 @@ let sp_pred p pred =
 
 let stable p pred = Pred.holds_implies p.space (sp_pred p pred) pred
 
-(* Frontier (delta) iteration for the Knaster–Tarski fixpoint of eq. 3:
-   because SP is an exact image it distributes over disjunction, so each
-   round only needs the image of the {e newly added} states
-   [frontier = x' ∧ ¬x] rather than of the whole accumulated set.  The
-   result is the same least fixpoint (and, by canonicity, the same BDD)
-   as the full-set Kleene iteration [x' = p ∨ x ∨ SP.x]. *)
+(* Chained iteration for the Knaster–Tarski fixpoint of eq. 3, which
+   fixes the least fixpoint but not the order in which SP's disjuncts
+   are applied ("chaining", as in BDD reachability).  Within a round,
+   statement [s] images the round's frontier together with every state
+   the earlier statements of the round added.  SP is an exact image and
+   distributes over disjunction, so a state needs imaging only until it
+   has met every statement: the frontier's states meet all of them in
+   the round, the states the round added only the later ones, so those
+   are the next frontier.  A round that adds nothing leaves [x] closed
+   under every statement — the same least fixpoint, and by canonicity
+   the same BDD, as the full-set Kleene iteration [x' = p ∨ x ∨ SP.x].
+
+   The accumulator is kept over current bits ([x]) and over next bits
+   ([xn]), so each image is pruned before it is renamed, and only a
+   productive statement pays for the rename. *)
 let sst p pred =
   let m = Space.manager p.space in
   let pred = Pred.normalize p.space pred in
   Kpt_obs.incr c_sst_runs;
-  let rec go i x frontier =
+  let chain (x, xn, f, added) s =
+    let fresh_n = Bdd.and_ m (Stmt.image p.space s f) (Bdd.not_ m xn) in
+    if Bdd.is_false fresh_n then (x, xn, f, added)
+    else
+      let fresh = Space.to_current p.space fresh_n in
+      (Bdd.or_ m x fresh, Bdd.or_ m xn fresh_n, Bdd.or_ m f fresh, Bdd.or_ m added fresh)
+  in
+  let rec go i x xn frontier =
     if Bdd.is_false frontier then begin
       if Kpt_obs.enabled () then
         Kpt_obs.emit "sst.fixpoint"
@@ -92,12 +108,11 @@ let sst p pred =
             ("frontier_nodes", Bdd.size m frontier);
             ("total_states", Space.count_states_of p.space x);
           ];
-      let image = sp_pred p frontier in
-      let fresh = Bdd.and_ m image (Bdd.not_ m x) in
-      go (i + 1) (Bdd.or_ m x fresh) fresh
+      let x, xn, _, added = List.fold_left chain (x, xn, frontier, Bdd.fls m) p.statements in
+      go (i + 1) x xn added
     end
   in
-  go 0 pred pred
+  go 0 pred (Space.to_next p.space pred) pred
 
 let si p =
   match p.cached_si with

@@ -46,10 +46,13 @@ val stable : t -> Bdd.t -> bool
 val sst : t -> Bdd.t -> Bdd.t
 (** Strongest stable predicate weaker than [p] (eq. 1), computed by the
     Knaster–Tarski iteration of eq. 3: [(∃i :: fⁱ.false)] for
-    [f.x = SP.x ∨ p].  Exact on finite spaces.  Implemented as a frontier
-    (delta) iteration — each round images only the states added by the
-    previous round — which reaches the same least fixpoint (and, BDDs
-    being canonical, the identical predicate). *)
+    [f.x = SP.x ∨ p].  Exact on finite spaces.  Implemented as a chained
+    iteration: within a round each statement images the round's frontier
+    plus every state the earlier statements of the round added, and the
+    next round's frontier is everything the round added.  It reaches the
+    same least fixpoint (and, BDDs being canonical, the identical
+    predicate) in fewer rounds.  Each round consumes one unit of
+    {!Engine.checkpoint} fuel and bumps [sst.iterations]. *)
 
 val si : t -> Bdd.t
 (** Strongest invariant [sst.init] — the reachable states (cached). *)

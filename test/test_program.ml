@@ -134,32 +134,67 @@ let test_si_invariant () =
   Alcotest.(check bool) "init ⇒ SI" true (Pred.holds_implies sp (Program.init prog) (Program.si prog));
   Alcotest.(check bool) "SI stable" true (Program.stable prog (Program.si prog))
 
-(* Reference implementation of sst: the full-set Kleene iteration
-   x' = p ∨ x ∨ SP.x that the frontier-based Program.sst replaced.  Both
-   compute the same least fixpoint, and BDDs are canonical, so the results
-   must be the identical node. *)
-let naive_sst prog p =
-  let sp = Program.space prog in
-  let m = Space.manager sp in
-  let p = Pred.normalize sp p in
-  let rec go x =
-    let x' = Bdd.or_ m p (Bdd.or_ m x (Program.sp_pred prog x)) in
-    if Bdd.equal x x' then x else go x'
-  in
-  go (Bdd.fls m)
-
+(* [Program.sst] (chained) and the frontier oracle both reach the least
+   fixpoint of the full-set Kleene iteration, and BDDs are canonical, so
+   all three results must be the identical node. *)
 let test_frontier_sst_equals_naive () =
   let sp, _, stmts = bubble_sort 3 2 in
   let prog = Program.make sp ~name:"bsort" ~init:Expr.tru stmts in
   let st0 = Helpers.rng () in
   let m = Space.manager sp in
-  Alcotest.(check bool) "sst false" true
-    (Bdd.equal (Program.sst prog (Bdd.fls m)) (naive_sst prog (Bdd.fls m)));
+  let agree p =
+    let naive = Oracle_sst.naive prog p in
+    Bdd.equal (Oracle_sst.frontier prog p) naive && Bdd.equal (Program.sst prog p) naive
+  in
+  Alcotest.(check bool) "sst false" true (agree (Bdd.fls m));
   for _ = 1 to 20 do
-    let p = Pred.random st0 sp in
-    Alcotest.(check bool) "frontier sst = full-set Kleene sst" true
-      (Bdd.equal (Program.sst prog p) (naive_sst prog p))
+    Alcotest.(check bool) "frontier sst = chained sst = full-set Kleene sst" true
+      (agree (Pred.random st0 sp))
   done
+
+(* Chained [sst] against the frontier oracle on the programs the
+   benchmark exercises: SI of the ten section-6 protocols, and of one
+   generated spec per corpus family and size 1-4 (a KBP family's
+   knowledge guards instantiated over the whole domain). *)
+let test_chained_sst_equals_frontier () =
+  let check name prog =
+    let init = Program.init prog in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: chained sst = frontier sst" name)
+      true
+      (Bdd.equal (Program.sst prog init) (Oracle_sst.frontier prog init))
+  in
+  List.iter (fun (name, (prog, _)) -> check name prog) (Helpers.section6_programs ());
+  List.iter
+    (fun (fam : Kpt_gen.Family.t) ->
+      for size = 1 to 4 do
+        let built = fam.build ~n:size (Kpt_gen.Rng.of_int size) in
+        let sp, k = Kpt_syntax.Elaborate.program built.Kpt_gen.Family.ast in
+        let prog =
+          if Kpt_core.Kbp.is_standard k then Kpt_core.Kbp.to_standard_program k
+          else Kpt_core.Kbp.instantiate k ~si:(Space.domain sp)
+        in
+        check (Printf.sprintf "%s n=%d" fam.name size) prog
+      done)
+    Kpt_gen.Family.all
+
+(* One chained round consumes one fuel unit, so a tank one short of the
+   round count runs dry and an exact one does not. *)
+let test_sst_fuel () =
+  let sp, arr, stmts = bubble_sort 4 3 in
+  let init = Expr.conj (List.init 4 (fun k -> Expr.(var arr.(k) === nat (3 - k)))) in
+  let prog = Program.make sp ~name:"bsort" ~init stmts in
+  let p = Program.init prog in
+  let iters = Kpt_obs.counter "sst.iterations" in
+  let before = Kpt_obs.value iters in
+  let x = Program.sst prog p in
+  let rounds = Kpt_obs.value iters - before in
+  Alcotest.(check bool) (Printf.sprintf "several rounds (%d)" rounds) true (rounds >= 2);
+  let with_fuel fuel = Engine.with_budget (Budget.limits ~fuel ()) (fun () -> Program.sst prog p) in
+  Alcotest.(check bool) "exact fuel suffices" true (Bdd.equal x (with_fuel rounds));
+  match with_fuel (rounds - 1) with
+  | _ -> Alcotest.fail "sst finished on less fuel than it has rounds"
+  | exception Budget.Exhausted (Budget.Fuel_exhausted _) -> ()
 
 let test_trans_cache () =
   let sp, arr, stmts = bubble_sort 3 2 in
@@ -291,6 +326,9 @@ let suite =
     Alcotest.test_case "sst properties (eqs. 2-4)" `Quick test_sst_properties;
     Alcotest.test_case "SI and invariants" `Quick test_si_invariant;
     Alcotest.test_case "frontier sst = naive sst" `Quick test_frontier_sst_equals_naive;
+    Alcotest.test_case "chained sst = frontier sst on protocols and corpus families" `Quick
+      test_chained_sst_equals_frontier;
+    Alcotest.test_case "sst consumes one fuel unit per round" `Quick test_sst_fuel;
     Alcotest.test_case "transition-relation cache" `Quick test_trans_cache;
     Alcotest.test_case "processes" `Quick test_find_process;
     Alcotest.test_case "pp smoke" `Quick test_pp_smoke;

@@ -252,32 +252,6 @@ let test_leads_to_fuel () =
    section-6 protocols [kpt check <protocol> --horizon 2] runs — both
    channels where there is one — for the (35) target [j > k]. *)
 let test_fair_avoid_matches_oracle_on_protocols () =
-  let open Kpt_protocols in
-  let params = { Seqtrans.n = 2; a = 2 } in
-  let std lossy =
-    let st = Seqtrans.standard ~lossy params in
-    (st.Seqtrans.sprog, st.Seqtrans.j)
-  in
-  let abp lossy =
-    let t = Abp.make ~lossy params in
-    (t.Abp.prog, t.Abp.j)
-  in
-  let stenning lossy =
-    let t = Stenning.make ~lossy params in
-    (t.Stenning.prog, t.Stenning.j)
-  in
-  let window lossy =
-    let t = Window.make ~lossy ~window:2 params in
-    (t.Window.prog, t.Window.j)
-  in
-  let kbp () =
-    let ab = Seqtrans.abstract_kbp params in
-    (ab.Seqtrans.aprog, ab.Seqtrans.aj)
-  in
-  let auy () =
-    let t = Auy.make params in
-    (t.Auy.prog, t.Auy.j)
-  in
   List.iter
     (fun (name, (prog, j)) ->
       let sp = Program.space prog in
@@ -288,18 +262,42 @@ let test_fair_avoid_matches_oracle_on_protocols () =
           true
           (Bdd.equal (Props.fair_avoid prog q) (Oracle_leadsto.fair_avoid prog q))
       done)
+    (Helpers.section6_programs ())
+
+(* The sweeps of the fair-EG gfp on the section-6 protocols, pinned per
+   (35) target [j > k].  Skipping an EU whose target is already [Z] does
+   not change any intermediate [Z], so it must not change a sweep count
+   either: these are the counts of the unskipped iteration. *)
+let test_gfp_sweeps_pinned () =
+  let expected =
     [
-      ("standard-dup", std false);
-      ("standard-lossy", std true);
-      ("abp-dup", abp false);
-      ("abp-lossy", abp true);
-      ("stenning-dup", stenning false);
-      ("stenning-lossy", stenning true);
-      ("window-dup", window false);
-      ("window-lossy", window true);
-      ("kbp", kbp ());
-      ("auy", auy ());
+      ("standard-dup", [ 3; 7 ]);
+      ("standard-lossy", [ 2; 2 ]);
+      ("abp-dup", [ 3; 7 ]);
+      ("abp-lossy", [ 2; 2 ]);
+      ("stenning-dup", [ 3; 7 ]);
+      ("stenning-lossy", [ 2; 2 ]);
+      ("window-dup", [ 3; 4 ]);
+      ("window-lossy", [ 1; 1 ]);
+      ("kbp", [ 2; 4 ]);
+      ("auy", [ 3; 4 ]);
     ]
+  in
+  let sweeps = Kpt_obs.counter "leadsto.gfp.sweeps" in
+  List.iter
+    (fun (name, (prog, j)) ->
+      let sp = Program.space prog in
+      List.iteri
+        (fun k want ->
+          let q = bp sp Expr.(var j >>> nat k) in
+          let before = Kpt_obs.value sweeps in
+          ignore (Props.fair_avoid prog q);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: sweeps for j > %d" name k)
+            want
+            (Kpt_obs.value sweeps - before))
+        (List.assoc name expected))
+    (Helpers.section6_programs ())
 
 let suite =
   [
@@ -322,4 +320,6 @@ let suite =
     Alcotest.test_case "leads-to consumes one fuel unit per round" `Quick test_leads_to_fuel;
     Alcotest.test_case "fair_avoid = oracle on the section-6 protocols" `Slow
       test_fair_avoid_matches_oracle_on_protocols;
+    Alcotest.test_case "gfp sweeps pinned on the section-6 protocols" `Quick
+      test_gfp_sweeps_pinned;
   ]

@@ -332,25 +332,25 @@ let prop_sst_monotone =
       let q = Bdd.or_ m p (to_bdd ~remap:(fun i -> 2 * i) m g) in
       Pred.holds_implies sp (Program.sst prog p) (Program.sst prog q))
 
-(* Reference full-set Kleene iteration for sst; the frontier-based
-   Program.sst must return the identical canonical BDD. *)
-let naive_sst prog p =
-  let sp = Program.space prog in
-  let m = Space.manager sp in
-  let p = Pred.normalize sp p in
-  let rec go x =
-    let x' = Bdd.or_ m p (Bdd.or_ m x (Program.sp_pred prog x)) in
-    if Bdd.equal x x' then x else go x'
-  in
-  go (Bdd.fls m)
-
+(* Eq. 3 fixes the least fixpoint, not the iteration order: the chained
+   [Program.sst], the frontier oracle and the full-set Kleene iteration
+   must return the identical canonical BDD. *)
 let prop_frontier_sst_equals_naive =
   QCheck.Test.make ~count:60 ~name:"program: frontier sst = full-set Kleene sst"
     (QCheck.pair arbitrary_program (arbitrary_formula ~nvars:4)) (fun (syns, fsyn) ->
       let sp, prog = build_program syns in
       let m = Space.manager sp in
       let p = to_bdd ~remap:(fun i -> 2 * i) m fsyn in
-      Bdd.equal (Program.sst prog p) (naive_sst prog p))
+      let naive = Oracle_sst.naive prog p in
+      Bdd.equal (Oracle_sst.frontier prog p) naive && Bdd.equal (Program.sst prog p) naive)
+
+let prop_chained_sst_equals_frontier =
+  QCheck.Test.make ~count:60 ~name:"program: chained sst = frontier sst"
+    (QCheck.pair arbitrary_program (arbitrary_formula ~nvars:4)) (fun (syns, fsyn) ->
+      let sp, prog = build_program syns in
+      let m = Space.manager sp in
+      let p = to_bdd ~remap:(fun i -> 2 * i) m fsyn in
+      Bdd.equal (Program.sst prog p) (Oracle_sst.frontier prog p))
 
 let prop_ensures_implies_leadsto =
   QCheck.Test.make ~count:40 ~name:"logic: ensures ⊆ leads-to"
@@ -590,6 +590,7 @@ let suite =
       prop_sst_closure;
       prop_sst_monotone;
       prop_frontier_sst_equals_naive;
+      prop_chained_sst_equals_frontier;
       prop_ensures_implies_leadsto;
       prop_fair_avoid_equals_oracle;
       prop_counterexample_is_first_state;

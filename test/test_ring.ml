@@ -2,7 +2,7 @@
 
    Three pillars:
    - the token-ring family has a known closed-form reachable set (2n
-     states), so the sst frontier loop through the new partitioned
+     states), so the sst loop through the new partitioned
      [Stmt.image] is pinned exactly at a non-trivial size;
    - on the whole examples corpus, the early-quantified [Stmt.sp]/[wp]
      must coincide with the naive monolithic relational product against
