@@ -1,10 +1,10 @@
-open Kpt_syntax
 module D = Diagnostic
 
 (* The batch driver behind [kpt check FILE...]: per file, run the full
-   front-to-back pipeline — lint, elaborate, solve (SI for standard
-   programs, the Ĝ-iteration for KBPs) and a stats snapshot — and render
-   one summary line.  Files are independent, so the pool farms them out;
+   front-to-back pipeline — load (parse and elaborate, once), lint the
+   AST, solve the elaborated spec (SI for standard programs, the
+   Ĝ-iteration for KBPs) with a stats snapshot — and render one summary
+   line.  Files are independent, so the pool farms them out;
    everything below is written for determinism across pool sizes:
 
    - [check_source] is pure in the file's content (no shared tables: the
@@ -22,39 +22,32 @@ type report = {
 }
 
 let check_source ?(slice = false) ~file src =
-  let diags = Lint.lint_source ~file src in
-  match Elaborate.program (Parser.program_of_string src) with
-  | sp, kbp ->
+  (* one load feeds both the lint passes and the solver; the AST is
+     dropped before solving *)
+  let diags, spec =
+    let loaded = D.load ~file src in
+    (Lint.lint_loaded ~file loaded, snd loaded)
+  in
+  match spec with
+  | Error _ -> { file; diags; stats = None }
+  | Ok (sp, kbp) ->
       (* [--slice]: reduce to the cone of influence before solving.  The
          property-less KBP slice is conservative (see {!Slice}), so the
          verdict — and on identity slices the whole report — is the same
          as the unsliced run's. *)
       let kbp = if slice then fst (Slice.kbp kbp) else kbp in
       { file; diags; stats = Some (Stats.collect ~file (sp, kbp)) }
-  | exception (Token.Lex_error _ | Parser.Parse_error _ | Elaborate.Elab_error _)
-  | exception Invalid_argument _ ->
-      (* already reported among [diags] by [Lint.lint_source] *)
-      { file; diags; stats = None }
 
-(* Safety net for anything a task throws outside [check_source]'s
-   anticipated failures (e.g. [Failure] out of a solver): the file gets
-   an error report of its own and its siblings are untouched.  Budget
-   exhaustion gets its own code (KPT041) so the caller can map it to the
-   documented resource exit code. *)
+(* Safety net for anything a task throws outside [check_source]: the
+   file gets an error report of its own and its siblings are untouched.
+   A spec error the solver finds is its {!D.of_exn} diagnostic, and
+   budget exhaustion its KPT041, which the exit code maps to the
+   documented resource code. *)
 let report_of_exn ~file exn =
   let d =
-    match D.of_syntax_exn ~file exn with
+    match D.of_exn ~file exn with
     | Some d -> d
-    | None -> (
-        match exn with
-        | Kpt_predicate.Budget.Exhausted reason ->
-            D.error ~file ~code:"KPT041"
-              ~hint:
-                "raise --timeout/--fuel, or check this file on its own to see how far \
-                 the solver gets"
-              (Printf.sprintf "resource budget exhausted: %s"
-                 (Kpt_predicate.Budget.reason_to_string reason))
-        | _ -> D.error ~file ~code:"KPT003" (Printexc.to_string exn))
+    | None -> D.error ~file ~code:"KPT003" (Printexc.to_string exn)
   in
   { file; diags = [ d ]; stats = None }
 
@@ -177,8 +170,7 @@ let run_sources ?jobs ?budget ?slice ?(warn_error = false) ?(quiet = false)
     ?(json = false) ppf sources =
   let rs = reports ?jobs ?budget ?slice sources in
   if not quiet then if json then render_json ppf rs else render_text ppf rs;
-  let code = D.exit_code ~warn_error (List.concat_map (fun r -> r.diags) rs) in
-  (* budget exhaustion outranks plain findings: exit 3, the documented
-     resource code, so scripts can tell "spec is wrong" from "budget was
-     too small" *)
-  if List.exists budget_exhausted rs then 3 else code
+  (* budget exhaustion (KPT041) outranks plain findings: exit 3, the
+     documented resource code, so scripts can tell "spec is wrong" from
+     "budget was too small" *)
+  D.exit_code ~warn_error (List.concat_map (fun r -> r.diags) rs)

@@ -21,11 +21,14 @@ type report = {
 }
 
 val check_source : ?slice:bool -> file:string -> string -> report
-(** Check one file's content (lint, then — if it elaborates — the
-    {!Stats.collect} solving workload).  [~slice:true] reduces the
-    protocol to its cone of influence ({!Slice.kbp}, conservative seed)
-    before solving; the verdict is preserved.  Does not catch non-syntax
-    exceptions; the batch driver does. *)
+(** Check one file's content: load it once ({!Diagnostic.load}), lint
+    the AST ({!Lint.lint_loaded}, so [diags] equal {!Lint.lint_source}'s)
+    and — if it elaborates — run the {!Stats.collect} solving workload on
+    the spec.  [~slice:true] reduces the protocol to its cone of
+    influence ({!Slice.kbp}, conservative seed) before solving; the
+    verdict is preserved.  Exceptions out of the solver (a spec error
+    only it can see, budget exhaustion) propagate; the batch driver maps
+    them with {!Diagnostic.of_exn}. *)
 
 val failed : report -> bool
 (** Whether the report carries at least one error-severity finding. *)

@@ -33,11 +33,31 @@ let compare a b =
 
 let is_error d = d.severity = Error
 
-let of_syntax_exn ?file = function
+let of_exn ?file = function
   | Token.Lex_error (span, msg) -> Some (error ?file ~span ~code:"KPT001" msg)
   | Parser.Parse_error (span, msg) -> Some (error ?file ~span ~code:"KPT002" msg)
   | Elaborate.Elab_error (span, msg) -> Some (error ?file ?span ~code:"KPT003" msg)
+  | Kpt_unity.Program.Ill_formed msg | Kpt_core.Kbp.Ill_formed msg ->
+      Some (error ?file ~code:"KPT003" msg)
+  | Kpt_predicate.Budget.Exhausted reason ->
+      Some
+        (error ?file ~code:"KPT041"
+           ~hint:
+             "raise --timeout/--fuel, or check this file on its own to see how far the \
+              solver gets"
+           (Printf.sprintf "resource budget exhausted: %s"
+              (Kpt_predicate.Budget.reason_to_string reason)))
   | _ -> None
+
+(* The one place a source becomes a spec.  Each file is parsed and
+   elaborated exactly once, and every way that can fail comes back as a
+   single diagnostic; the AST is returned too, for the syntactic lint
+   passes, whenever parsing succeeded. *)
+let load ?file src =
+  let fail e = Stdlib.Error (Option.get (of_exn ?file e)) in
+  match Parser.program_of_string src with
+  | exception ((Token.Lex_error _ | Parser.Parse_error _) as e) -> (None, fail e)
+  | ast -> (Some ast, try Ok (Elaborate.program ast) with Elaborate.Elab_error _ as e -> fail e)
 
 let pp fmt d =
   (match (d.file, d.span) with
@@ -87,4 +107,6 @@ let exit_code ?(warn_error = false) ds =
   let bad d =
     match d.severity with Error -> true | Warning -> warn_error | Info -> false
   in
-  if List.exists bad ds then 1 else 0
+  if List.exists (fun d -> d.code = "KPT041") ds then 3
+  else if List.exists bad ds then 1
+  else 0

@@ -41,10 +41,27 @@ val compare : t -> t -> int
 
 val is_error : t -> bool
 
-val of_syntax_exn : ?file:string -> exn -> t option
-(** Map {!Token.Lex_error} / {!Parser.Parse_error} /
-    {!Elaborate.Elab_error} to [KPT001]/[KPT002]/[KPT003] diagnostics;
-    [None] for any other exception. *)
+val of_exn : ?file:string -> exn -> t option
+(** The one mapping from exceptions to diagnostics:
+    {!Token.Lex_error} / {!Parser.Parse_error} / {!Elaborate.Elab_error}
+    to [KPT001]/[KPT002]/[KPT003] at their span;
+    {!Kpt_unity.Program.Ill_formed} / {!Kpt_core.Kbp.Ill_formed} — a
+    spec that elaborates but that the solver rejects, such as a
+    non-total assignment — to [KPT003] with the plain message; and
+    {!Kpt_predicate.Budget.Exhausted} to [KPT041].  [None] for any other
+    exception, which is a bug rather than a property of the input. *)
+
+val load :
+  ?file:string ->
+  string ->
+  Ast.program option * (Kpt_predicate.Space.t * Kpt_core.Kbp.t, t) result
+(** Parse and elaborate a source, once: the front end's single entry
+    point, shared by every command that reads a [.unity] file.  The AST
+    is [Some] whenever the source parses (the syntactic lint passes need
+    it even when elaboration fails); the result carries the elaborated
+    spec or the one [KPT001]/[KPT002]/[KPT003] diagnostic saying why
+    there is none.  Never raises on any input; only an armed budget's
+    {!Kpt_predicate.Budget.Exhausted} may escape. *)
 
 val pp : Format.formatter -> t -> unit
 (** One line: [file:line:col: severity[KPTnnn]: message]. *)
@@ -57,5 +74,6 @@ val summary : t list -> string
 (** ["2 errors, 1 warning"] — empty string for no findings. *)
 
 val exit_code : ?warn_error:bool -> t list -> int
-(** [1] if any error (or, with [~warn_error:true], any warning) is
+(** [3] if a budget ran out ([KPT041], the CLI's resource code); else
+    [1] if any error (or, with [~warn_error:true], any warning) is
     present; [0] otherwise.  Infos never affect the exit code. *)

@@ -84,22 +84,26 @@ let emit_outcome o =
   flush stderr;
   o.code
 
-(* Parse and elaborate one source; syntax-family errors render once,
-   uniformly, as [file:line:col: error[KPT00x]: …].  Every
-   file-consuming command, direct or served, funnels through here. *)
+(* Load one source through {!Diagnostic.load} and run [f] on the spec.
+   [Error d] is the load's diagnostic, or that of a spec error [f]'s
+   solver raised (a non-total assignment, say); anything else is a bug
+   and propagates. *)
+let on_loaded ~file ~src f =
+  match snd (Diagnostic.load ~file src) with
+  | Error d -> Error d
+  | Ok spec -> (
+      try Ok (f spec)
+      with exn -> (
+        match Diagnostic.of_exn ~file exn with Some d -> Error d | None -> raise exn))
+
+let report epf d =
+  Format.fprintf epf "%a@." Diagnostic.pp d;
+  Diagnostic.exit_code [ d ]
+
+(* Every file-consuming command, direct or served, funnels through here,
+   so a failure renders once as [file:line:col: error[KPTnnn]: …]. *)
 let with_loaded ~file ~src epf f =
-  match Kpt_syntax.Elaborate.program (Kpt_syntax.Parser.program_of_string src) with
-  | loaded -> f loaded
-  | exception
-      ((Kpt_syntax.Token.Lex_error _ | Kpt_syntax.Parser.Parse_error _
-       | Kpt_syntax.Elaborate.Elab_error _) as exn) ->
-      (match Diagnostic.of_syntax_exn ~file exn with
-      | Some d -> Format.fprintf epf "%a@." Diagnostic.pp d
-      | None -> Format.fprintf epf "error: %s@." (Printexc.to_string exn));
-      1
-  | exception Failure msg ->
-      Format.fprintf epf "error: %s@." msg;
-      1
+  match on_loaded ~file ~src f with Ok code -> code | Error d -> report epf d
 
 let compile_property sp s =
   try
@@ -136,28 +140,18 @@ let lint ?sink opts sources =
 (* ---- stats ----------------------------------------------------------------- *)
 
 let stats_one ~file ~src ~json ~timings ppf epf =
-  with_loaded ~file ~src epf @@ fun loaded ->
-  match Stats.collect ~file loaded with
-  | st ->
-      if json then Format.pp_print_string ppf (Stats.to_json ~timings st)
-      else Format.fprintf ppf "%a@." Stats.pp st;
-      0
-  | exception Failure msg ->
-      Format.fprintf epf "error: %s@." msg;
-      1
+  with_loaded ~file ~src epf @@ fun spec ->
+  let st = Stats.collect ~file spec in
+  if json then Format.pp_print_string ppf (Stats.to_json ~timings st)
+  else Format.fprintf ppf "%a@." Stats.pp st;
+  0
 
 (* several files: profiled on the pool (each under its own engine, so
    every profile is the same one a single-file run would print) and
    rendered in input order — as a JSON array under --json *)
 let stats_many ~jobs ~json ~timings sources ppf epf =
   let collected =
-    Kpt_par.try_map ?jobs
-      (fun (file, src) ->
-        let sp, kbp =
-          Kpt_syntax.Elaborate.program (Kpt_syntax.Parser.program_of_string src)
-        in
-        Stats.collect ~file (sp, kbp))
-      sources
+    Kpt_par.map ?jobs (fun (file, src) -> on_loaded ~file ~src (Stats.collect ~file)) sources
   in
   let code = ref 0 in
   if json then Format.pp_print_string ppf "[\n";
@@ -170,12 +164,7 @@ let stats_many ~jobs ~json ~timings sources ppf epf =
             Format.pp_print_string ppf (Stats.to_json ~timings st)
           end
           else Format.fprintf ppf "%a@." Stats.pp st
-      | Error exn ->
-          code := 1;
-          let file = fst (List.nth sources i) in
-          (match Diagnostic.of_syntax_exn ~file exn with
-          | Some d -> Format.fprintf epf "%a@." Diagnostic.pp d
-          | None -> Format.fprintf epf "error: %s: %s@." file (Printexc.to_string exn)))
+      | Error d -> code := max !code (report epf d))
     collected;
   if json then Format.pp_print_string ppf "]\n";
   !code

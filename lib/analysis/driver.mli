@@ -62,10 +62,12 @@ val with_loaded :
   Format.formatter ->
   (Space.t * Kpt_core.Kbp.t -> int) ->
   int
-(** [with_loaded ~file ~src epf f] parses and elaborates [src] and runs
-    [f] on the result.  Lexical, syntax and elaboration errors are
-    rendered once to [epf] as [file:line:col: error[KPT00x]: …] (a
-    [Failure] as [error: msg]) and give exit code 1. *)
+(** [with_loaded ~file ~src epf f] loads [src] once through
+    {!Diagnostic.load} and runs [f] on the spec.  The load's diagnostic,
+    or the {!Diagnostic.of_exn} diagnostic of a spec error [f]'s solver
+    raises (a non-total assignment, say), is rendered once to [epf] as
+    [file:line:col: error[KPTnnn]: …] and gives exit code 1 ([3] for
+    [KPT041]).  Other exceptions out of [f] propagate. *)
 
 val compile_property : Space.t -> string -> Bdd.t
 (** Parse, elaborate and compile a property string (a [--wrt],

@@ -388,25 +388,17 @@ let lint_ast ?file (p : Ast.program) =
     (process_pass env p @ knowledge_pass env stmts @ polarity_pass env stmts
     @ hygiene_pass env p stmts @ range_pass env p stmts)
 
-let lint_source ?file src =
-  match Parser.program_of_string src with
-  | ast -> (
-      let ds = lint_ast ?file ast in
-      match Elaborate.program ast with
-      | _ -> ds
-      | exception (Elaborate.Elab_error _ as e) ->
-          List.sort D.compare (Option.get (D.of_syntax_exn ?file e) :: ds)
-      | exception Invalid_argument msg ->
-          List.sort D.compare (D.error ?file ~code:"KPT003" msg :: ds))
-  | exception ((Token.Lex_error _ | Parser.Parse_error _) as e) ->
-      [ Option.get (D.of_syntax_exn ?file e) ]
+let lint_loaded ?file (ast, spec) =
+  let ds = match ast with Some ast -> lint_ast ?file ast | None -> [] in
+  match spec with Ok _ -> ds | Error d -> List.sort D.compare (d :: ds)
 
-(* The semantic tier rides on top of [lint_source]: re-elaborate the
-   file and hand the loaded spec to {!Semantic.analyse}.  An
-   unsatisfiable initial condition is the one semantic finding that
-   cannot survive elaboration (both program constructors reject it), so
-   it is recovered here from the elaboration error's message and
-   upgraded from the generic KPT003 to its own KPT103 code. *)
+let lint_source ?file src = lint_loaded ?file (D.load ?file src)
+
+(* The semantic tier rides on the same load: the spec it elaborated is
+   handed to {!Semantic.analyse}.  An unsatisfiable initial condition is
+   the one semantic finding that cannot survive elaboration (both
+   program constructors reject it), so the load's KPT003 for it is
+   upgraded to its own KPT103 code. *)
 let unsat_init_msg = "unsatisfiable initial condition"
 
 let contains_unsat_init msg =
@@ -415,24 +407,19 @@ let contains_unsat_init msg =
   go 0
 
 let lint_source_semantic ?budget ~file src =
-  let ds = lint_source ~file src in
-  match Elaborate.program (Parser.program_of_string src) with
-  | sp, kbp -> List.sort D.compare (ds @ Semantic.analyse ~file ?budget (sp, kbp))
-  | exception Elaborate.Elab_error (span, msg) when contains_unsat_init msg ->
-      let ds =
-        List.filter
-          (fun (d : D.t) -> not (d.D.code = "KPT003" && contains_unsat_init d.D.message))
-          ds
-      in
-      List.sort D.compare
-        (D.error ~file ?span ~code:"KPT103"
-           ~hint:"no state satisfies init: the program has no runs at all"
-           (Printf.sprintf "%s (eq. 5: SI = sst.init is the empty predicate)" msg)
-        :: ds)
-  | exception (Token.Lex_error _ | Parser.Parse_error _ | Elaborate.Elab_error _)
-  | exception Invalid_argument _ ->
-      (* already reported among [ds] by [lint_source] *)
-      ds
+  match D.load ~file src with
+  | ast, Error d when d.D.code = "KPT003" && contains_unsat_init d.D.message ->
+      lint_loaded ~file
+        ( ast,
+          Error
+            (D.error ~file ?span:d.D.span ~code:"KPT103"
+               ~hint:"no state satisfies init: the program has no runs at all"
+               (Printf.sprintf "%s (eq. 5: SI = sst.init is the empty predicate)"
+                  d.D.message)) )
+  | (_, Error _) as loaded -> lint_loaded ~file loaded
+  | (_, Ok spec) as loaded ->
+      let ds = lint_loaded ~file loaded in
+      List.sort D.compare (ds @ Semantic.analyse ~file ?budget spec)
 
 (* ---- JSON rendering (the [kpt lint --json] shape) -------------------------- *)
 

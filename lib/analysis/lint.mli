@@ -29,20 +29,28 @@ open Kpt_core
 val lint_ast : ?file:string -> Ast.program -> Diagnostic.t list
 (** All passes over a parsed program, sorted in document order. *)
 
+val lint_loaded :
+  ?file:string ->
+  Ast.program option * (Kpt_predicate.Space.t * Kbp.t, Diagnostic.t) result ->
+  Diagnostic.t list
+(** The lint findings of an already loaded source ({!Diagnostic.load}'s
+    result): {!lint_ast} over the AST when there is one, plus the load's
+    diagnostic when it failed, sorted in document order. *)
+
 val lint_source : ?file:string -> string -> Diagnostic.t list
-(** Lex, parse, lint, then elaborate: lexical / syntax errors surface as
-    [KPT001]/[KPT002] diagnostics, elaboration errors as [KPT003], and a
-    well-formed program gets the full {!lint_ast} treatment.  Never
-    raises. *)
+(** {!lint_loaded} on {!Diagnostic.load}: lexical / syntax errors
+    surface as [KPT001]/[KPT002] diagnostics, elaboration errors as
+    [KPT003], and a program that parses gets the full {!lint_ast}
+    treatment.  Never raises. *)
 
 val lint_source_semantic :
   ?budget:Kpt_predicate.Budget.limits -> file:string -> string -> Diagnostic.t list
-(** {!lint_source} plus the semantic tier: elaborate the source and run
-    {!Semantic.analyse} on the loaded spec (KPT1xx findings, budgeted).
-    An unsatisfiable initial condition — which elaboration rejects, so
-    {!Semantic} never sees it — is recovered from the error message and
-    reported as [KPT103] (replacing the generic [KPT003]).  Never
-    raises. *)
+(** {!lint_source} plus the semantic tier, on the same single load:
+    {!Semantic.analyse} runs on the elaborated spec (KPT1xx findings,
+    budgeted).  An unsatisfiable initial condition — which elaboration
+    rejects, so {!Semantic} never sees it — turns the load's [KPT003]
+    into [KPT103].  Never raises: a spec error the solver finds (a
+    non-total assignment, say) is a [KPT003] diagnostic too. *)
 
 val render_json : Format.formatter -> (string * Diagnostic.t list) list -> unit
 (** The [kpt lint --json] shape: same top-level and per-file structure

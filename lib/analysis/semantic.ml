@@ -349,3 +349,6 @@ let analyse ?file ?(budget = Budget.analysis_default) (_sp, kbp) =
            (Printf.sprintf "analysis budget exhausted (%s)"
               (Budget.reason_to_string reason))
         :: !partial)
+  | exception exn -> (
+      (* a spec error only the solver sees, such as a non-total assignment *)
+      match D.of_exn ?file exn with Some d -> [ d ] | None -> raise exn)

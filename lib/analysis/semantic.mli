@@ -32,8 +32,9 @@ val analyse :
   ?file:string -> ?budget:Budget.limits -> Space.t * Kbp.t -> Diagnostic.t list
 (** Run every applicable semantic pass on a loaded spec, under [budget]
     (default {!Budget.analysis_default}).  Never raises: budget
-    exhaustion degrades to a [KPT100] info.  Results are sorted with
-    {!Diagnostic.compare}. *)
+    exhaustion degrades to a [KPT100] info, and a spec the solver
+    rejects (a non-total assignment, say) to its {!Diagnostic.of_exn}
+    [KPT003].  Results are sorted with {!Diagnostic.compare}. *)
 
 val analyse_program : ?file:string -> Program.t -> Diagnostic.t list
 (** KPT101/102/104 on a standard program.  Runs under the ambient engine

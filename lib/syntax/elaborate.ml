@@ -135,11 +135,15 @@ let declare_scalar sp ~at name = function
 let program (p : Ast.program) =
   let sp = Space.create () in
   let arrays = Hashtbl.create 8 in
-  (* declare variables *)
+  (* declare variables; a surface name is declared once, scalar or array *)
+  let declared = Hashtbl.create 16 in
   List.iter
     (fun (names, ty) ->
       List.iter
         (fun (name, at) ->
+          if Hashtbl.mem declared name then
+            err_at at "duplicate declaration of variable %s" name;
+          Hashtbl.replace declared name ();
           match ty with
           | Ast.Tarray (elem, len) ->
               if len <= 0 then err_at at "array %s has non-positive length" name;

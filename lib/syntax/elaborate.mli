@@ -22,8 +22,9 @@ exception Elab_error of Loc.span option * string
 
 val program : Ast.program -> Space.t * Kbp.t
 (** @raise Elab_error on unknown identifiers, sort errors, duplicate
-    declarations, arity mismatches, or knowledge operators outside
-    guards. *)
+    declarations (at the later one), arity mismatches, or knowledge
+    operators outside guards.  Nothing else escapes, bar
+    {!Kpt_predicate.Budget.Exhausted} under an armed node budget. *)
 
 val expr : Space.t -> Ast.expr -> Kpt_unity.Expr.t
 (** Elaborate a knowledge-free expression against an existing space

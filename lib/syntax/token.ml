@@ -103,7 +103,10 @@ let tokenize src =
       while !j < n && is_digit src.[!j] do
         incr j
       done;
-      emit (NUM (int_of_string (String.sub src !i (!j - !i))));
+      let digits = String.sub src !i (!j - !i) in
+      (match int_of_string_opt digits with
+      | Some v -> emit (NUM v)
+      | None -> lex_error !line !col "integer literal %s is too large" digits);
       advance (!j - !i)
     end
     else if is_ident_start c then begin

@@ -69,7 +69,8 @@ exception Lex_error of Loc.span * string
     position — callers prepend [file:line:col] as appropriate). *)
 
 val tokenize : string -> located list
-(** Lex a whole source file.  @raise Lex_error on unknown characters. *)
+(** Lex a whole source file.  @raise Lex_error on unknown characters and
+    on integer literals too large for an OCaml [int]. *)
 
 val describe : token -> string
 (** For error messages. *)

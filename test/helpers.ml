@@ -121,3 +121,31 @@ let section6_programs () =
     ("kbp", kbp ());
     ("auy", auy ());
   ]
+
+(* ---- the malformed-spec table ------------------------------------------------ *)
+
+(* [examples/malformed/*.unity]: one source per way a spec can fail to
+   load (lexing, parsing, elaboration), plus [non_total.unity], which
+   loads but which the solver rejects. *)
+let malformed_specs () =
+  Sys.readdir "../examples/malformed" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".unity")
+  |> List.sort compare
+  |> List.map (fun n -> ("examples/malformed/" ^ n, slurp ("../examples/malformed/" ^ n)))
+
+(* Every file-consuming command on one fixture, as (label, command,
+   options, sources); [stats] also runs with a valid second file, under
+   [--json] so its profile carries no wall-clock timings. *)
+let malformed_runs spec =
+  let d = Kpt_analysis.Driver.default_options in
+  let transmit = ("examples/specs/transmit.unity", slurp "../examples/specs/transmit.unity") in
+  Kpt_serve.Protocol.
+    [
+      ("check", Check, d, [ spec ]);
+      ("lint", Lint, d, [ spec ]);
+      ("lint --semantic", Lint, { d with semantic = true }, [ spec ]);
+      ("stats --json", Stats, { d with json = true }, [ spec ]);
+      ("stats --json (two files)", Stats, { d with json = true }, [ spec; transmit ]);
+      ("solve-file", Solve, d, [ spec ]);
+      ("slice", Slice, d, [ spec ]);
+    ]

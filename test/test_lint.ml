@@ -547,6 +547,61 @@ let test_unreadable_input_is_clean_error () =
         (Helpers.contains ~affix:("error: " ^ dir ^ ": ") err))
     [ "lint"; "check"; "stats"; "solve-file"; "slice"; "parse"; "verify" ]
 
+(* ---- the malformed-spec table ------------------------------------------------ *)
+
+(* Every fixture under examples/malformed through every file-consuming
+   command: exit 1, never an exception, and the one error carries the
+   same code and line:col everywhere — bar the documented KPT103 upgrade
+   of an unsatisfiable init under [--semantic].  [non_total] loads, so
+   the two syntactic commands, plain lint and slice, accept it; every
+   command that solves it reports the solver's KPT003. *)
+let solver_only = "examples/malformed/non_total.unity"
+
+(* [file:line:col: error[KPTnnn]: ], the rendering minus the message *)
+let error_prefix (d : D.t) = Format.asprintf "%a" D.pp { d with D.message = "" }
+
+let render ds = List.map (Format.asprintf "%a" D.pp) ds
+
+let test_malformed_table () =
+  List.iter
+    (fun ((file, src) as spec) ->
+      let loads = file = solver_only in
+      let report = List.hd (Check.reports ~jobs:1 [ spec ]) in
+      let err =
+        match List.filter D.is_error report.Check.diags with
+        | [ d ] -> d
+        | ds -> Alcotest.failf "%s: expected one error, got %d" file (List.length ds)
+      in
+      Alcotest.(check bool) (file ^ ": plain message") false
+        (Helpers.contains ~affix:"Ill_formed" err.D.message);
+      if not loads then
+        Alcotest.(check (list string)) (file ^ ": check diags = lint diags")
+          (render (Lint.lint_source ~file src))
+          (render (Check.check_source ~file src).Check.diags);
+      List.iter
+        (fun (label, cmd, opts, sources) ->
+          let name = file ^ " / " ^ label in
+          let o = Kpt_serve.Handler.dispatch cmd opts sources in
+          let syntactic = loads && (label = "lint" || label = "slice") in
+          Alcotest.(check int) (name ^ ": exit") (if syntactic then 0 else 1) o.Driver.code;
+          let printed = o.Driver.out ^ o.Driver.err in
+          if cmd = Kpt_serve.Protocol.Check then
+            Alcotest.(check bool) (name ^ ": FAIL line") true
+              (Helpers.contains ~affix:(file ^ ": FAIL — does not elaborate; ") printed)
+          else if not syntactic then begin
+            let upgraded =
+              opts.Driver.semantic
+              && Helpers.contains ~affix:"unsatisfiable initial condition" err.D.message
+            in
+            let expected =
+              error_prefix (if upgraded then { err with D.code = "KPT103" } else err)
+            in
+            if not (Helpers.contains ~affix:expected printed) then
+              Alcotest.failf "%s: expected a line starting %S in:\n%s" name expected printed
+          end)
+        (Helpers.malformed_runs spec))
+    (Helpers.malformed_specs ())
+
 let suite =
   [
     Alcotest.test_case "figure 1: K of a negated fact" `Quick test_figure1_polarity;
@@ -578,4 +633,6 @@ let suite =
     Alcotest.test_case "driver: --quiet x --warn-error matrix" `Quick test_flag_matrix;
     Alcotest.test_case "unreadable input is a clean error, not exit 125" `Quick
       test_unreadable_input_is_clean_error;
+    Alcotest.test_case "malformed specs: one diagnostic on every command" `Quick
+      test_malformed_table;
   ]

@@ -31,7 +31,10 @@
    - through the real binary, [kpt CMD --socket S] prints the same
      stdout, stderr and exit code as [kpt CMD] for every Driver-backed
      command; an unreachable [--socket] exits 2 naming [kpt serve], and
-     [--serve-auto] with no daemon gives the direct bytes. *)
+     [--serve-auto] with no daemon gives the direct bytes;
+   - every malformed spec under examples/malformed gets a result frame
+     byte-identical to the direct run on every file command — never a
+     dropped connection. *)
 
 module Server = Kpt_serve.Server
 module Client = Kpt_serve.Client
@@ -680,6 +683,26 @@ let test_cli_transport_byte_identity () =
   check_same_run "--serve-auto without a daemon" (Helpers.run_kpt args)
     (Helpers.run_kpt (args @ [ "--serve-auto"; "--socket"; socket ]))
 
+(* ---- malformed specs over the wire ------------------------------------------ *)
+
+(* The malformed-spec table through the in-process daemon: every reply is
+   a result frame (never a dropped connection) byte-identical to the
+   direct run, exit code included. *)
+let test_malformed_table_served () =
+  with_server ~tag:"malformed-table" @@ fun socket ->
+  List.iteri
+    (fun i ((file, _) as spec) ->
+      List.iteri
+        (fun j (label, cmd, opts, sources) ->
+          let direct = Kpt_serve.Handler.dispatch cmd opts sources in
+          let served =
+            result_exn
+              (Client.roundtrip ~socket (mk_req ~id:((100 * i) + j) ~opts cmd sources))
+          in
+          check_outcome (file ^ " / " ^ label) direct served ~cached:false)
+        (Helpers.malformed_runs spec))
+    (Helpers.malformed_specs ())
+
 (* ---- a mini chaos sweep ------------------------------------------------------- *)
 
 let test_chaos_mini_sweep () =
@@ -759,6 +782,8 @@ let suite =
       test_ping_health_golden;
     Alcotest.test_case "kpt CMD --socket is byte-identical to kpt CMD" `Quick
       test_cli_transport_byte_identity;
+    Alcotest.test_case "malformed specs: served replies match direct" `Quick
+      test_malformed_table_served;
     Alcotest.test_case "mini chaos sweep against a spawned daemon" `Slow
       test_chaos_mini_sweep;
   ]
