@@ -46,7 +46,7 @@ let def_bdd_ops () =
     for i = 0 to 10 do
       acc := Bdd.and_ m !acc (Bdd.or_ m (Bdd.var m i) (Bdd.nvar m (i + 1)))
     done;
-    ignore (Bdd.exists m [ 0; 2; 4; 6 ] !acc)
+    ignore (Bdd.exists m (Bdd.cube m [ 0; 2; 4; 6 ]) !acc)
 
 let def_bitvec () =
   fun () ->
@@ -725,7 +725,7 @@ let ablation_relprod () =
       (List.init 11 (fun i -> Bdd.iff m (Bdd.var m (2 * i)) (Bdd.var m ((2 * i) + 2))))
   in
   let p = Bdd.conj m (List.init 6 (fun i -> Bdd.var m (4 * i))) in
-  let vars = List.init 12 (fun i -> 2 * i) in
+  let vars = Bdd.cube m (List.init 12 (fun i -> 2 * i)) in
   let fused, t_f =
     time (fun () ->
         let r = ref (Bdd.fls m) in

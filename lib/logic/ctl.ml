@@ -4,7 +4,7 @@ open Kpt_unity
 let pre prog q =
   let space = Program.space prog in
   let m = Space.manager space in
-  let nxt = Space.all_next_bits space in
+  let nxt = Space.next_cube space in
   let q' = Space.to_next space q in
   List.fold_left
     (fun acc s ->

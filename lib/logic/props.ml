@@ -118,33 +118,10 @@ let holds prog = function
   | Ensures (p, q) -> ensures prog p q
   | Leadsto (p, q) -> leads_to prog p q
 
-(* The first state of [pred] in {!Space.iter_states} order, found
-   symbolically: fix each variable, in declaration order, to its least
-   value that keeps [pred] satisfiable within the domain. *)
-let first_state_of space pred =
-  let m = Space.manager space in
-  let vars = Space.vars space in
-  let st = Array.make (max (List.length vars) 1) 0 in
-  let rec fix p = function
-    | [] -> Some st
-    | v :: rest ->
-        let rec least k =
-          let p' = Bdd.and_ m p (Bitvec.eq_const m (Space.cur_vec space v) k) in
-          if Bdd.is_false p' then least (k + 1)
-          else begin
-            st.(Space.idx v) <- k;
-            fix p' rest
-          end
-        in
-        least 0
-  in
-  let p = Bdd.and_ m pred (Space.domain space) in
-  if Bdd.is_false p then None else fix p vars
-
 let invariant_counterexample prog p =
   let space = Program.space prog in
   let m = Space.manager space in
-  first_state_of space (Bdd.and_ m (Program.si prog) (Bdd.not_ m p))
+  Space.first_state space (Bdd.and_ m (Program.si prog) (Bdd.not_ m p))
 
 let unless_counterexample prog p q =
   let space = Program.space prog in
@@ -157,12 +134,12 @@ let unless_counterexample prog p q =
         let violating =
           Bdd.and_ m bad (Bdd.not_ m (Stmt.wp space s (Bdd.or_ m p q)))
         in
-        match first_state_of space violating with
+        match Space.first_state space violating with
         | Some st ->
             (* the image of a single state under a deterministic, total
                statement is a single state *)
             let succ = Stmt.sp space s (Space.pred_of_state space st) in
-            Option.map (fun st' -> (st, Stmt.name s, st')) (first_state_of space succ)
+            Option.map (fun st' -> (st, Stmt.name s, st')) (Space.first_state space succ)
         | None -> scan rest)
   in
   scan (Program.statements prog)
@@ -171,7 +148,7 @@ let leads_to_counterexample prog p q =
   let space = Program.space prog in
   let m = Space.manager space in
   let danger = fair_avoid prog q in
-  first_state_of space (Bdd.conj m [ Program.si prog; p; Bdd.not_ m q; danger ])
+  Space.first_state space (Bdd.conj m [ Program.si prog; p; Bdd.not_ m q; danger ])
 
 let pp space fmt prop =
   let pr = Space.pp_pred space in

@@ -157,8 +157,12 @@ let create ?(cache_size = 1 lsl 14) ?(reorder = false) () =
 
 (* Register variables up to [v]: each newcomer takes the next free level,
    so a fresh variable always enters at the bottom of the current order
-   (past reorders permute only the variables that existed then). *)
+   (past reorders permute only the variables that existed then).
+   Variables are registered in whole pairs (2k, 2k+1), so a pair always
+   enters as one adjacent block and sifting, which moves pairs as blocks,
+   keeps it adjacent (see [swap_pairs]). *)
 let ensure_var m v =
+  let v = v lor 1 in
   if v >= m.nvars then begin
     if v >= Array.length m.perm then begin
       let cap = pow2_at_least (v + 1) (Array.length m.perm) in
@@ -439,15 +443,47 @@ let rec p_release m n =
         p_release m n.low;
         p_release m n.high
 
-(* Stores into a stale index after a mid-recursion grow land in a wrong
-   slot of the larger arrays; that is harmless — a hit checks the exact
-   packed key, so a misplaced entry can only be returned for its own key. *)
-let cache_store m i k r =
-  Kpt_obs.incr c_store;
-  m.op_stores <- m.op_stores + 1;
-  if m.op_stores > (m.op_mask + 1) / 4 && m.op_mask + 1 < m.op_cap then grow_cache m;
-  m.op_key.(i) <- k;
-  m.op_res.(i) <- r
+(* Op-cache probe and store.  A probe returns [no_node] on a miss; keys
+   beyond the packed range go to the exact spill table.  The store slot
+   is computed after a possible grow, so it always lands where a probe
+   will look. *)
+let no_node = make_leaf (-1)
+
+let cache_find m op x y z =
+  if op_packs x y z then begin
+    let k = op_key op x y z in
+    let i = slot_of m.op_mask k in
+    if m.op_key.(i) = k then begin
+      Kpt_obs.incr c_hit;
+      m.op_res.(i)
+    end
+    else begin
+      Kpt_obs.incr c_miss;
+      no_node
+    end
+  end
+  else begin
+    Kpt_obs.incr c_spill;
+    match Hashtbl.find_opt m.op_spill (op, x, y, z) with
+    | Some r ->
+        Kpt_obs.incr c_hit;
+        r
+    | None ->
+        Kpt_obs.incr c_miss;
+        no_node
+  end
+
+let cache_add m op x y z r =
+  if op_packs x y z then begin
+    Kpt_obs.incr c_store;
+    m.op_stores <- m.op_stores + 1;
+    if m.op_stores > (m.op_mask + 1) / 4 && m.op_mask + 1 < m.op_cap then grow_cache m;
+    let k = op_key op x y z in
+    let i = slot_of m.op_mask k in
+    m.op_key.(i) <- k;
+    m.op_res.(i) <- r
+  end
+  else Hashtbl.replace m.op_spill (op, x, y, z) r
 
 (* Raised by the allocator when the table outgrows the reorder threshold
    in the middle of a public operation: the recursion's cofactor state
@@ -622,34 +658,23 @@ let swap_levels m l =
 
 (* Sifting moves variables in {e pair groups} (2k, 2k+1): the convention
    upstairs interleaves each state bit's current (even) and next (odd)
-   copy, and [Space.to_next]/[to_current] need the current→next bit map
-   to stay monotone in the order.  Keeping each pair adjacent — the even
-   variable directly above its odd twin — makes every such rename a
-   level-shift by one, monotone by construction. *)
+   copy, and [swap_pairs] needs the current↔next bit map to stay
+   monotone in the order.  Keeping each pair adjacent — the even variable
+   directly above its odd twin — makes every such move a level-shift by
+   one, monotone by construction. *)
 type sift_state = {
-  gvars : int array array; (* group → member vars, top first *)
-  gorder : int array; (* position → group *)
+  gorder : int array; (* position → group; group g is the pair (2g, 2g+1) *)
   gpos : int array; (* group → position *)
 }
 
-let group_size st g = Array.length st.gvars.(g)
-
-let level_offset st p =
-  let off = ref 0 in
-  for q = 0 to p - 1 do
-    off := !off + group_size st st.gorder.(q)
-  done;
-  !off
-
-(* Swap the groups at positions [p] and [p+1]: bubble each level of the
-   lower group up past the upper group, preserving both internal orders. *)
+(* Swap the groups at positions [p] and [p+1] (levels 2p .. 2p+3): bubble
+   each level of the lower pair up past the upper pair, preserving both
+   internal orders. *)
 let swap_adjacent_groups m st p =
   let gx = st.gorder.(p) and gy = st.gorder.(p + 1) in
-  let s1 = group_size st gx and s2 = group_size st gy in
-  let base = level_offset st p in
-  for k = 0 to s2 - 1 do
-    for j = 1 to s1 do
-      swap_levels m (base + s1 + k - j)
+  for k = 0 to 1 do
+    for j = 1 to 2 do
+      swap_levels m ((2 * p) + 2 + k - j)
     done
   done;
   st.gorder.(p) <- gy;
@@ -657,10 +682,9 @@ let swap_adjacent_groups m st p =
   st.gpos.(gy) <- p;
   st.gpos.(gx) <- p + 1
 
-let group_nodes m st g =
-  Array.fold_left
-    (fun acc v -> acc + m.subs.(v).s_count + Hashtbl.length m.subs.(v).s_spill)
-    0 st.gvars.(g)
+let group_nodes m g =
+  let count v = m.subs.(v).s_count + Hashtbl.length m.subs.(v).s_spill in
+  count (2 * g) + count ((2 * g) + 1)
 
 (* Sift one group: walk it to the nearer edge and then across to the
    other, tracking the total live-node count at each position, then park
@@ -741,22 +765,18 @@ let reorder_now m =
         Hashtbl.reset m.ro_prc)
       (fun () ->
         Kpt_obs.time "bdd.reorder" (fun () ->
-            let ngroups = (m.nvars + 1) / 2 in
-            let gvars =
-              Array.init ngroups (fun k ->
-                  if (2 * k) + 1 < m.nvars then [| 2 * k; (2 * k) + 1 |] else [| 2 * k |])
-            in
+            let ngroups = m.nvars / 2 in
             (* groups stay contiguous across reorders (they only ever move
                as blocks), so the current order of groups is the order of
                their top variables' levels *)
             let ids = Array.init ngroups (fun g -> g) in
-            Array.sort (fun a b -> compare m.perm.(gvars.(a).(0)) m.perm.(gvars.(b).(0))) ids;
-            let st = { gvars; gorder = ids; gpos = Array.make ngroups 0 } in
+            Array.sort (fun a b -> compare m.perm.(2 * a) m.perm.(2 * b)) ids;
+            let st = { gorder = ids; gpos = Array.make ngroups 0 } in
             Array.iteri (fun p g -> st.gpos.(g) <- p) st.gorder;
             (* sift the heaviest groups first: they have the most to give *)
             let by_weight = Array.init ngroups (fun g -> g) in
-            Array.sort (fun a b -> compare (group_nodes m st b) (group_nodes m st a)) by_weight;
-            Array.iter (fun g -> if group_nodes m st g > 0 then sift_group m st g) by_weight));
+            Array.sort (fun a b -> compare (group_nodes m b) (group_nodes m a)) by_weight;
+            Array.iter (fun g -> if group_nodes m g > 0 then sift_group m st g) by_weight));
     (* exit sweep: sifting zombified the displaced structure; what no
        live handle reaches can go *)
     collect m;
@@ -820,192 +840,120 @@ let nvar m i =
   assert (0 <= i && i < leaf_level);
   mk m i m.t_true m.t_false
 
-(* Operation tags for the packed cache.  Binary boolean operators use
-   their own tag with z = 0; [not] and [ite] get dedicated tags. *)
+(* Operation tags for the packed cache: the five binary boolean
+   operators (z = 0), [ite], the cube-keyed relational product and the
+   pair swap — all eight values of the 3-bit tag.  [not] needs no tag of
+   its own: [¬a] is stored under the key of [xor(true, a)], which denotes
+   the same function and which [xor] itself never stores (a constant
+   operand is one of its terminal cases). *)
 let op_and = 0
 let op_or = 1
 let op_xor = 2
 let op_imp = 3
 let op_iff = 4
 let op_ite = 5
-let op_not = 6
+let op_and_exists = 6
+let op_swap = 7
 
-(* Binary apply.  [op] tags the cache entry; [terminal] decides leaves and
-   short-circuits.  Commutative operators normalise the cache key. *)
-let bin m ~op ~commutative ~terminal =
-  let rec compute a b =
-    let pa = pos m a and pb = pos m b in
-    let topvar = if pa <= pb then a.var else b.var in
-    let a0, a1 = if pa <= pb then (a.low, a.high) else (a, a) in
-    let b0, b1 = if pb <= pa then (b.low, b.high) else (b, b) in
-    mk m topvar (go a0 b0) (go a1 b1)
-  and go a b =
-    match terminal a b with
-    | Some r -> r
-    | None ->
-        let x, y =
-          if commutative && a.uid > b.uid then (b.uid, a.uid) else (a.uid, b.uid)
-        in
-        if op_packs x y 0 then begin
-          let k = op_key op x y 0 in
-          let i = slot_of m.op_mask k in
-          if m.op_key.(i) = k then begin
-            Kpt_obs.incr c_hit;
-            m.op_res.(i)
-          end
-          else begin
-            Kpt_obs.incr c_miss;
-            let r = compute a b in
-            cache_store m i k r;
-            r
-          end
-        end
-        else begin
-          Kpt_obs.incr c_spill;
-          match Hashtbl.find_opt m.op_spill (op, x, y, 0) with
-          | Some r ->
-              Kpt_obs.incr c_hit;
-              r
-          | None ->
-              Kpt_obs.incr c_miss;
-              let r = compute a b in
-              Hashtbl.replace m.op_spill (op, x, y, 0) r;
-              r
-        end
-  in
-  go
+(* Terminal cases of the binary operators, or [no_node] when the
+   operands need a recursion step. *)
+let rec terminal m op a b =
+  if op = op_and then
+    if is_false a || is_false b then m.t_false
+    else if is_true a then b
+    else if is_true b then a
+    else if a == b then a
+    else no_node
+  else if op = op_or then
+    if is_true a || is_true b then m.t_true
+    else if is_false a then b
+    else if is_false b then a
+    else if a == b then a
+    else no_node
+  else if op = op_xor then
+    if a == b then m.t_false
+    else if is_false a then b
+    else if is_false b then a
+    else if is_true a then not_rec m b
+    else if is_true b then not_rec m a
+    else no_node
+  else if op = op_imp then
+    if is_false a || is_true b then m.t_true
+    else if is_true a then b
+    else if a == b then m.t_true
+    else if is_false b then not_rec m a
+    else no_node
+  else if a == b then m.t_true (* op_iff *)
+  else if is_true a then b
+  else if is_true b then a
+  else if is_false a then not_rec m b
+  else if is_false b then not_rec m a
+  else no_node
 
-let and_ m a b =
-  let terminal a b =
-    if is_false a || is_false b then Some m.t_false
-    else if is_true a then Some b
-    else if is_true b then Some a
-    else if a == b then Some a
-    else None
-  in
-  guarded m (fun () -> bin m ~op:op_and ~commutative:true ~terminal a b)
-
-let or_ m a b =
-  let terminal a b =
-    if is_true a || is_true b then Some m.t_true
-    else if is_false a then Some b
-    else if is_false b then Some a
-    else if a == b then Some a
-    else None
-  in
-  guarded m (fun () -> bin m ~op:op_or ~commutative:true ~terminal a b)
-
-let rec not_rec m a =
+and not_rec m a =
   if is_true a then m.t_false
   else if is_false a then m.t_true
-  else if op_packs a.uid 0 0 then begin
-    let k = op_key op_not a.uid 0 0 in
-    let i = slot_of m.op_mask k in
-    if m.op_key.(i) = k then begin
-      Kpt_obs.incr c_hit;
-      m.op_res.(i)
-    end
+  else begin
+    let r = cache_find m op_xor 1 a.uid 0 in
+    if r != no_node then r
     else begin
-      Kpt_obs.incr c_miss;
       let r = mk m a.var (not_rec m a.low) (not_rec m a.high) in
-      cache_store m i k r;
+      cache_add m op_xor 1 a.uid 0 r;
       (* seed the reverse direction too: ¬r = a *)
-      if op_packs r.uid 0 0 then begin
-        let k' = op_key op_not r.uid 0 0 in
-        cache_store m (slot_of m.op_mask k') k' a
-      end;
+      cache_add m op_xor 1 r.uid 0 a;
       r
     end
   end
+
+(* Binary apply.  Every operator but [imp] is commutative, so the cache
+   key is normalised on the operand uids. *)
+let rec apply m op a b =
+  let r = terminal m op a b in
+  if r != no_node then r
   else begin
-    Kpt_obs.incr c_spill;
-    match Hashtbl.find_opt m.op_spill (op_not, a.uid, 0, 0) with
-    | Some r ->
-        Kpt_obs.incr c_hit;
-        r
-    | None ->
-        Kpt_obs.incr c_miss;
-        let r = mk m a.var (not_rec m a.low) (not_rec m a.high) in
-        Hashtbl.replace m.op_spill (op_not, a.uid, 0, 0) r;
-        Hashtbl.replace m.op_spill (op_not, r.uid, 0, 0) a;
-        r
+    let sw = op <> op_imp && a.uid > b.uid in
+    let x = if sw then b.uid else a.uid and y = if sw then a.uid else b.uid in
+    let r = cache_find m op x y 0 in
+    if r != no_node then r
+    else begin
+      let pa = pos m a and pb = pos m b in
+      let r =
+        if pa = pb then mk m a.var (apply m op a.low b.low) (apply m op a.high b.high)
+        else if pa < pb then mk m a.var (apply m op a.low b) (apply m op a.high b)
+        else mk m b.var (apply m op a b.low) (apply m op a b.high)
+      in
+      cache_add m op x y 0 r;
+      r
+    end
   end
 
+let and_ m a b = guarded m (fun () -> apply m op_and a b)
+let or_ m a b = guarded m (fun () -> apply m op_or a b)
 let not_ m a = guarded m (fun () -> not_rec m a)
-
-let xor m a b =
-  let terminal a b =
-    if a == b then Some m.t_false
-    else if is_false a then Some b
-    else if is_false b then Some a
-    else if is_true a then Some (not_rec m b)
-    else if is_true b then Some (not_rec m a)
-    else None
-  in
-  guarded m (fun () -> bin m ~op:op_xor ~commutative:true ~terminal a b)
-
-let imp m a b =
-  let terminal a b =
-    if is_false a || is_true b then Some m.t_true
-    else if is_true a then Some b
-    else if a == b then Some m.t_true
-    else if is_false b then Some (not_rec m a)
-    else None
-  in
-  guarded m (fun () -> bin m ~op:op_imp ~commutative:false ~terminal a b)
-
-let iff m a b =
-  let terminal a b =
-    if a == b then Some m.t_true
-    else if is_true a then Some b
-    else if is_true b then Some a
-    else if is_false a then Some (not_rec m b)
-    else if is_false b then Some (not_rec m a)
-    else None
-  in
-  guarded m (fun () -> bin m ~op:op_iff ~commutative:true ~terminal a b)
+let xor m a b = guarded m (fun () -> apply m op_xor a b)
+let imp m a b = guarded m (fun () -> apply m op_imp a b)
+let iff m a b = guarded m (fun () -> apply m op_iff a b)
 
 let rec ite_rec m c a b =
   if is_true c then a
   else if is_false c then b
   else if a == b then a
   else if is_true a && is_false b then c
-  else
-    let compute () =
+  else begin
+    let r = cache_find m op_ite c.uid a.uid b.uid in
+    if r != no_node then r
+    else begin
       let p = min (pos m c) (min (pos m a) (pos m b)) in
       let topvar =
         if pos m c = p then c.var else if pos m a = p then a.var else b.var
       in
       let cof n = if pos m n = p then (n.low, n.high) else (n, n) in
       let c0, c1 = cof c and a0, a1 = cof a and b0, b1 = cof b in
-      mk m topvar (ite_rec m c0 a0 b0) (ite_rec m c1 a1 b1)
-    in
-    if op_packs c.uid a.uid b.uid then begin
-      let k = op_key op_ite c.uid a.uid b.uid in
-      let i = slot_of m.op_mask k in
-      if m.op_key.(i) = k then begin
-        Kpt_obs.incr c_hit;
-        m.op_res.(i)
-      end
-      else begin
-        Kpt_obs.incr c_miss;
-        let r = compute () in
-        cache_store m i k r;
-        r
-      end
+      let r = mk m topvar (ite_rec m c0 a0 b0) (ite_rec m c1 a1 b1) in
+      cache_add m op_ite c.uid a.uid b.uid r;
+      r
     end
-    else begin
-      Kpt_obs.incr c_spill;
-      match Hashtbl.find_opt m.op_spill (op_ite, c.uid, a.uid, b.uid) with
-      | Some r ->
-          Kpt_obs.incr c_hit;
-          r
-      | None ->
-          Kpt_obs.incr c_miss;
-          let r = compute () in
-          Hashtbl.replace m.op_spill (op_ite, c.uid, a.uid, b.uid) r;
-          r
-    end
+  end
 
 let ite m c a b = guarded m (fun () -> ite_rec m c a b)
 
@@ -1050,94 +998,108 @@ let restrict m root i polarity =
       in
       go root)
 
-let rec drop_below p = function
-  | l :: rest when l < p -> drop_below p rest
-  | ls -> ls
+(* ---- cubes: quantification and the pair swap ------------------------------
 
-(* Quantification works in {e level} space: the variable list is mapped
-   to sorted levels up front, so the recursion compares one int per node
-   regardless of the current order.  The memo is keyed on the node uid
-   only: after dropping levels above the node's, the remaining list is a
-   function of the node's level alone (the input list is sorted). *)
-let quant_levels m ~ex levels root =
-  let combine = if ex then or_ m else and_ m in
-  let memo = Hashtbl.create 256 in
-  let rec go ls n =
-    if is_leaf n then n
-    else
-      let p = pos m n in
-      let ls = drop_below p ls in
-      match ls with
-      | [] -> n
-      | l :: rest -> (
-          match Hashtbl.find_opt memo n.uid with
-          | Some r -> r
-          | None ->
-              let r =
-                if l = p then combine (go rest n.low) (go rest n.high)
-                else mk m n.var (go ls n.low) (go ls n.high)
-              in
-              Hashtbl.add memo n.uid r;
-              r)
-  in
-  go levels root
+   A set of variables is passed as its {e positive cube}, the BDD of their
+   conjunction: a chain of nodes whose low edges go to false.  A cube is
+   a node like any other, so a reorder rewrites it in place and it keeps
+   denoting the same set, and the op-cache can key on its uid.  Every
+   recursion below walks the cube alongside its operands and first drops
+   the cube variables above the operands' top level — none of them is in
+   the operands' support — so each cache entry is keyed on the suffix
+   that still matters, and denotes a function of (operands, variable set)
+   that no level swap changes.  Entries therefore survive across calls;
+   only a [collect] (which every reorder runs on entry and exit) clears
+   them. *)
 
-let levels_of_vars m vars = List.sort_uniq compare (List.map (posv m) vars)
+type cube = t
 
-let exists m vars root =
-  guarded m (fun () -> quant_levels m ~ex:true (levels_of_vars m vars) root)
+let cube m vars =
+  match vars with
+  | [] -> m.t_true
+  | _ ->
+      List.iter (fun v -> assert (0 <= v && v < leaf_level)) vars;
+      ensure_var m (List.fold_left max 0 vars);
+      let bottom_up = List.sort_uniq (fun a b -> compare m.perm.(b) m.perm.(a)) vars in
+      List.fold_left (fun acc v -> mk m v m.t_false acc) m.t_true bottom_up
 
-let forall m vars root =
-  guarded m (fun () -> quant_levels m ~ex:false (levels_of_vars m vars) root)
+let rec cube_from m c p = if pos m c < p then cube_from m c.high p else c
 
-let bin_and m a b =
-  let terminal a b =
-    if is_false a || is_false b then Some m.t_false
-    else if is_true a then Some b
-    else if is_true b then Some a
-    else if a == b then Some a
-    else None
-  in
-  bin m ~op:op_and ~commutative:true ~terminal a b
+(* CUDD's AndAbstract: [∃c. a ∧ b] in one pass, without building [a ∧ b].
+   [exists] is the instance [b = true] (and [a == b] reduces to it). *)
+let rec and_exists_rec m a b c =
+  if is_false a || is_false b then m.t_false
+  else if is_true a && is_true b then m.t_true
+  else if a == b then and_exists_rec m a m.t_true c
+  else begin
+    let pa = pos m a and pb = pos m b in
+    let p = if pa < pb then pa else pb in
+    let c = cube_from m c p in
+    if is_true c then apply m op_and a b
+    else begin
+      let sw = a.uid > b.uid in
+      let x = if sw then b.uid else a.uid and y = if sw then a.uid else b.uid in
+      let r = cache_find m op_and_exists x y c.uid in
+      if r != no_node then r
+      else begin
+        let a0 = if pa = p then a.low else a and a1 = if pa = p then a.high else a in
+        let b0 = if pb = p then b.low else b and b1 = if pb = p then b.high else b in
+        let r =
+          if pos m c = p then begin
+            let r0 = and_exists_rec m a0 b0 c.high in
+            if is_true r0 then r0 else apply m op_or r0 (and_exists_rec m a1 b1 c.high)
+          end
+          else
+            mk m (if pa = p then a.var else b.var)
+              (and_exists_rec m a0 b0 c) (and_exists_rec m a1 b1 c)
+        in
+        cache_add m op_and_exists x y c.uid r;
+        r
+      end
+    end
+  end
 
-let and_exists m vars a b =
-  guarded m (fun () ->
-      let sorted = levels_of_vars m vars in
-      let memo = Hashtbl.create 256 in
-      let rec go ls a b =
-        if is_false a || is_false b then m.t_false
-        else if is_true a then quant_levels m ~ex:true ls b
-        else if is_true b then quant_levels m ~ex:true ls a
-        else
-          let pa = pos m a and pb = pos m b in
-          let p = min pa pb in
-          let ls = drop_below p ls in
-          match ls with
-          | [] -> bin_and m a b
-          | l :: rest -> (
-              let key = if a.uid > b.uid then (b.uid, a.uid) else (a.uid, b.uid) in
-              match Hashtbl.find_opt memo key with
-              | Some r -> r
-              | None ->
-                  let topvar = if pa <= pb then a.var else b.var in
-                  let a0, a1 = if pa = p then (a.low, a.high) else (a, a) in
-                  let b0, b1 = if pb = p then (b.low, b.high) else (b, b) in
-                  let r =
-                    if l = p then or_ m (go rest a0 b0) (go rest a1 b1)
-                    else mk m topvar (go ls a0 b0) (go ls a1 b1)
-                  in
-                  Hashtbl.add memo key r;
-                  r)
-      in
-      go sorted a b)
+let exists m c root = guarded m (fun () -> and_exists_rec m root m.t_true c)
 
-(* Rename is order-sensitive: the classic single-pass recursion is only
-   canonical when the map preserves the {e level} order of the support.
-   Under the identity order (no reorder has ever run) every historical
-   caller passes an index-monotone map, so the fast path is free; once
-   the manager has been reordered the support is checked first, and a
-   non-monotone map falls back to ite-composition, which is correct at
-   any order. *)
+let forall m c root =
+  guarded m (fun () -> not_rec m (and_exists_rec m (not_rec m root) m.t_true c))
+
+let and_exists m c a b = guarded m (fun () -> and_exists_rec m a b c)
+
+(* Move every variable of the cube to its pair partner (v lxor 1) in one
+   rebuild.  Sifting moves the pairs as blocks with the even variable
+   directly above its odd twin, so a rebuild node lands one level above
+   or below the node it replaces; that keeps the order whenever no
+   partner of a moved variable is in the support.  A rebuild that would
+   break the order raises instead of minting a non-canonical node. *)
+let rec swap_rec m n c =
+  if is_leaf n then n
+  else begin
+    let c = cube_from m c (pos m n) in
+    if is_true c then n
+    else begin
+      let r = cache_find m op_swap n.uid c.uid 0 in
+      if r != no_node then r
+      else begin
+        let v = if c.var = n.var then n.var lxor 1 else n.var in
+        let r0 = swap_rec m n.low c and r1 = swap_rec m n.high c in
+        let pv = m.perm.(v) in
+        if pv >= pos m r0 || pv >= pos m r1 then
+          invalid_arg "Bdd.swap_pairs: a moved variable's partner is in the support";
+        let r = mk m v r0 r1 in
+        cache_add m op_swap n.uid c.uid 0 r;
+        r
+      end
+    end
+  end
+
+let swap_pairs m c root = guarded m (fun () -> swap_rec m root c)
+
+(* Rename by an arbitrary map (the current↔next moves go through
+   [swap_pairs]).  The classic single-pass recursion is only canonical
+   when the map preserves the {e level} order of the support, so the
+   support is checked first, and a non-monotone map falls back to
+   ite-composition, which is correct at any order. *)
 let rename m f root =
   guarded m (fun () ->
       let fast () =

@@ -25,7 +25,14 @@ type manager
     on demand.  The op-cache is lossy — an entry overwritten on collision
     only costs a recomputation, never correctness — while the unique
     table is exact at any size (keys beyond the packed range spill into
-    an exact hash table). *)
+    an exact hash table).
+
+    The op-cache holds the results of the boolean operators, of the
+    quantifiers and relational product (keyed on the operands and the
+    {!cube}), and of {!swap_pairs}.  Every entry is keyed on uids, which
+    keep their denotation across a level swap, so entries survive from
+    one call to the next; the garbage collection that brackets every
+    reorder (and {!gc}, {!clear_caches}) empties the cache. *)
 
 type t
 (** A BDD node.  Canonical: two nodes of the same manager denote the same
@@ -104,24 +111,43 @@ val implies : manager -> t -> t -> bool
 val restrict : manager -> t -> int -> bool -> t
 (** Cofactor: fix variable [i] to the given polarity. *)
 
-val exists : manager -> int list -> t -> t
-(** Existential quantification over a set of variables. *)
+type cube
+(** A set of variables, represented by its positive cube (the BDD of the
+    conjunction of the variables).  Build it once and reuse it: the
+    op-cache keys quantification and swap results on it. *)
 
-val forall : manager -> int list -> t -> t
-(** Universal quantification over a set of variables.  [forall m vs p] is
-    the paper's [(∀ vs :: p)] used to build weakest cylinders (eq. 6). *)
+val cube : manager -> int list -> cube
+(** The cube of a set of variables (duplicates ignored, [tru] for the
+    empty list).  Variables not registered yet are registered. *)
 
-val and_exists : manager -> int list -> t -> t -> t
-(** Relational product [∃vs. a ∧ b], computed without building [a ∧ b]
-    in full.  Workhorse of image computation ([sp]). *)
+val exists : manager -> cube -> t -> t
+(** Existential quantification over the cube's variables. *)
+
+val forall : manager -> cube -> t -> t
+(** Universal quantification over the cube's variables, [¬∃¬].
+    [forall m vs p] is the paper's [(∀ vs :: p)] used to build weakest
+    cylinders (eq. 6). *)
+
+val and_exists : manager -> cube -> t -> t -> t
+(** Relational product [∃vs. a ∧ b] (CUDD's AndAbstract), computed
+    without building [a ∧ b] in full.  Workhorse of image computation
+    ([sp]) and of [wp]. *)
+
+val swap_pairs : manager -> cube -> t -> t
+(** Move every variable [v] of the cube to its pair partner [v lxor 1]
+    (current bit [2k] ↔ next bit [2k+1]).  Pairs stay adjacent in every
+    order the manager reaches, so this is a one-pass rebuild.
+    @raise Invalid_argument when the rebuild would break the variable
+    order, which happens when the partner of a moved variable is in the
+    support on the same path.  The result is never a non-canonical
+    node. *)
 
 val rename : manager -> (int -> int) -> t -> t
-(** Variable renaming.  The function should be strictly monotone on the
-    support of the argument {e with respect to the current level order}
-    (true of the interleaved current/next column shifts used throughout
-    the library, including after pair-block reordering); a map found to
-    be non-monotone under the current order is still handled correctly
-    through a slower compose-based path. *)
+(** Variable renaming by an arbitrary map.  A map that is strictly
+    monotone on the support of the argument {e with respect to the
+    current level order} takes a one-pass rebuild; any other map is
+    handled correctly through a slower compose-based path.  For the
+    current↔next moves use {!swap_pairs}, which is op-cached. *)
 
 val support : manager -> t -> int list
 (** Variables the predicate depends on, ascending. *)

@@ -7,18 +7,19 @@ let normalize sp p = Bdd.and_ (man sp) p (Space.domain sp)
 
 let complement_vars = Space.complement
 
-(* Quantification ranges over type-correct values only: the flattened bit
-   list and the range-constraint predicate of the quantified variables are
-   memoised per variable set in the space (the hot path of wcyl/K_i). *)
+(* Quantification ranges over type-correct values only: the cube of the
+   quantified bits and the range-constraint predicate of the quantified
+   variables are memoised per variable set in the space (the hot path of
+   wcyl/K_i). *)
 let forall_vars sp vs p =
   let m = man sp in
-  let bits, local = Space.quant_data sp vs in
-  Bdd.forall m bits (Bdd.imp m local p)
+  let cube, local = Space.quant_data sp vs in
+  Bdd.forall m cube (Bdd.imp m local p)
 
 let exists_vars sp vs p =
   let m = man sp in
-  let bits, local = Space.quant_data sp vs in
-  Bdd.exists m bits (Bdd.and_ m local p)
+  let cube, local = Space.quant_data sp vs in
+  Bdd.exists m cube (Bdd.and_ m local p)
 
 let depends_only_on sp p vs =
   let outside = complement_vars sp vs in

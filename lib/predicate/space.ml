@@ -35,9 +35,11 @@ type t = {
   mutable c_identity : Bdd.t option;
   mutable c_cur_bits : int list option;
   mutable c_next_bits : int list option;
+  mutable c_cur_cube : Bdd.cube option;
+  mutable c_next_cube : Bdd.cube option;
   vec_tbl : (int, Bitvec.t * Bitvec.t) Hashtbl.t; (* vidx → cur, next vectors *)
-  quant_tbl : (int list, int list * Bdd.t) Hashtbl.t;
-      (* sorted vidx list → current bits, local-domain predicate *)
+  quant_tbl : (int list, Bdd.cube * Bdd.t) Hashtbl.t;
+      (* sorted vidx list → cube of the current bits, local-domain predicate *)
   compl_tbl : (int list, int * var list) Hashtbl.t;
       (* sorted vidx list → generation it was computed at, complement *)
 }
@@ -63,6 +65,8 @@ let create ?engine () =
     c_identity = None;
     c_cur_bits = None;
     c_next_bits = None;
+    c_cur_cube = None;
+    c_next_cube = None;
     vec_tbl = Hashtbl.create 16;
     quant_tbl = Hashtbl.create 16;
     compl_tbl = Hashtbl.create 16;
@@ -102,6 +106,8 @@ let declare sp name typ =
   sp.c_identity <- None;
   sp.c_cur_bits <- None;
   sp.c_next_bits <- None;
+  sp.c_cur_cube <- None;
+  sp.c_next_cube <- None;
   v
 
 let bool_var sp name = declare sp name Tbool
@@ -143,6 +149,22 @@ let all_next_bits sp =
       sp.c_next_bits <- Some bs;
       bs
 
+let current_cube sp =
+  match sp.c_cur_cube with
+  | Some c -> c
+  | None ->
+      let c = Bdd.cube sp.man (all_current_bits sp) in
+      sp.c_cur_cube <- Some c;
+      c
+
+let next_cube sp =
+  match sp.c_next_cube with
+  | Some c -> c
+  | None ->
+      let c = Bdd.cube sp.man (all_next_bits sp) in
+      sp.c_next_cube <- Some c;
+      c
+
 let vecs sp v =
   match Hashtbl.find_opt sp.vec_tbl v.vidx with
   | Some vecs -> vecs
@@ -159,8 +181,8 @@ let vecs sp v =
 
 let cur_vec sp v = fst (vecs sp v)
 let next_vec sp v = snd (vecs sp v)
-let to_next sp p = Bdd.rename sp.man (fun b -> b + 1) p
-let to_current sp p = Bdd.rename sp.man (fun b -> b - 1) p
+let to_next sp p = Bdd.swap_pairs sp.man (current_cube sp) p
+let to_current sp p = Bdd.swap_pairs sp.man (next_cube sp) p
 
 let range_constraint sp vec v = Bitvec.le sp.man vec (Bitvec.const sp.man ~width:v.vwidth (card v - 1))
 
@@ -209,7 +231,7 @@ let identity sp =
 
 let varset_key vs = List.sort_uniq compare (List.map (fun v -> v.vidx) vs)
 
-(* Quantification data for a variable set: its flattened current bits and
+(* Quantification data for a variable set: the cube of its current bits and
    the range constraints of exactly those variables ([local domain] — the
    relativisation that keeps ∀/∃ ranging over type-correct values only).
    Both depend only on the variables themselves, so entries survive later
@@ -222,7 +244,7 @@ let quant_data sp vs =
       data
   | None ->
       Kpt_obs.incr c_quant_miss;
-      let bits = List.concat_map current_bits vs in
+      let cube = Bdd.cube sp.man (List.concat_map current_bits vs) in
       let local =
         Bdd.conj sp.man
           (List.filter_map
@@ -231,8 +253,8 @@ let quant_data sp vs =
                else Some (range_constraint sp (cur_vec sp v) v))
              vs)
       in
-      Hashtbl.add sp.quant_tbl key (bits, local);
-      (bits, local)
+      Hashtbl.add sp.quant_tbl key (cube, local);
+      (cube, local)
 
 let complement sp vs =
   let key = varset_key vs in
@@ -291,6 +313,29 @@ let states_of sp p =
   let acc = ref [] in
   iter_states sp (fun st -> if holds_at sp p st then acc := Array.copy st :: !acc);
   List.rev !acc
+
+(* The first state of [p] in [iter_states] order, found symbolically: fix
+   each variable, in declaration order, to its least value that keeps [p]
+   satisfiable within the domain.  One BDD conjunction per value tried,
+   never a walk over the space. *)
+let first_state sp p =
+  let vs = vars sp in
+  let st = Array.make (max (List.length vs) 1) 0 in
+  let rec fix p = function
+    | [] -> Some st
+    | v :: rest ->
+        let rec least k =
+          let p' = Bdd.and_ sp.man p (Bitvec.eq_const sp.man (cur_vec sp v) k) in
+          if Bdd.is_false p' then least (k + 1)
+          else begin
+            st.(v.vidx) <- k;
+            fix p' rest
+          end
+        in
+        least 0
+  in
+  let p = Bdd.and_ sp.man p (domain sp) in
+  if Bdd.is_false p then None else fix p vs
 
 (* Symbolic state counting: a state predicate depends only on current
    (even) bits, so its exact model count over {e all} [2·nslots] bit

@@ -72,15 +72,25 @@ val next_bits : var -> int list
 val all_current_bits : t -> int list
 val all_next_bits : t -> int list
 
+val current_cube : t -> Bdd.cube
+(** Cube of every current bit of the space.  Cached; later declarations
+    invalidate it. *)
+
+val next_cube : t -> Bdd.cube
+(** Cube of every next bit of the space. *)
+
 val cur_vec : t -> var -> Bitvec.t
 (** The variable's value as a symbolic bit-vector over current bits. *)
 
 val next_vec : t -> var -> Bitvec.t
 
 val to_next : t -> Bdd.t -> Bdd.t
-(** Rename a current-bit predicate onto next bits. *)
+(** Move a current-bit predicate onto next bits ({!Bdd.swap_pairs} over
+    {!current_cube}).  @raise Invalid_argument if the predicate also
+    reads next bits of the same variables. *)
 
 val to_current : t -> Bdd.t -> Bdd.t
+(** Move a next-bit predicate back onto current bits. *)
 
 val domain : t -> Bdd.t
 (** Current-bit predicate: every variable is within its range (only
@@ -94,8 +104,8 @@ val identity : t -> Bdd.t
     bits — the skip branch of every guarded statement.  Cached; later
     declarations invalidate it. *)
 
-val quant_data : t -> var list -> int list * Bdd.t
-(** Quantification data for a set of program variables: their flattened
+val quant_data : t -> var list -> Bdd.cube * Bdd.t
+(** Quantification data for a set of program variables: the cube of their
     current bits and the conjunction of their range constraints (the
     "local domain" that keeps quantification over type-correct values).
     Memoised per variable set — the hot path of [wcyl]/[K_i]. *)
@@ -125,6 +135,11 @@ val holds_at : t -> Bdd.t -> state -> bool
 val states_of : t -> Bdd.t -> state list
 (** All states satisfying a predicate (by enumeration; intended for small
     spaces and for tests). *)
+
+val first_state : t -> Bdd.t -> state option
+(** The first state satisfying a predicate in {!iter_states} order, or
+    [None].  Found symbolically (one conjunction per value tried), so it
+    costs what the BDDs cost, not the size of the space. *)
 
 val count_states_exact : t -> Bdd.t -> Bigcount.t
 (** Exact number of states satisfying a predicate, computed {e

@@ -23,13 +23,11 @@ let validate space name init statements =
   if statements = [] then ill_formed "program %s: empty statement list" name;
   List.iter
     (fun s ->
-      let bad = Stmt.totality_violation space s in
-      if not (Bdd.is_false bad) then
-        match Space.states_of space bad with
-        | st :: _ ->
-            ill_formed "program %s: statement %s is not total at %a" name (Stmt.name s)
-              (Space.pp_state space) st
-        | [] -> ())
+      match Space.first_state space (Stmt.totality_violation space s) with
+      | Some st ->
+          ill_formed "program %s: statement %s is not total at %a" name (Stmt.name s)
+            (Space.pp_state space) st
+      | None -> ())
     statements;
   if Bdd.is_false (Pred.normalize space init) then
     ill_formed "program %s: unsatisfiable initial condition" name
@@ -49,14 +47,11 @@ let statements p = p.statements
 let processes p = p.processes
 let find_process p pname = List.find (fun pr -> Process.name pr = pname) p.processes
 
-(* SP distributes over the statement union, and each statement image goes
-   through the partitioned early-quantified product ({!Stmt.image}); the
-   per-statement results are collected over next bits and renamed back
-   once. *)
+(* SP distributes over the statement union; each statement image goes
+   through the frame-free update partition ({!Stmt.sp}). *)
 let sp_pred p pred =
   let m = Space.manager p.space in
-  let images = List.map (fun s -> Stmt.image p.space s pred) p.statements in
-  Space.to_current p.space (Bdd.disj m images)
+  Bdd.disj m (List.map (fun s -> Stmt.sp p.space s pred) p.statements)
 
 let stable p pred = Pred.holds_implies p.space (sp_pred p pred) pred
 
@@ -70,23 +65,17 @@ let stable p pred = Pred.holds_implies p.space (sp_pred p pred) pred
    the round, the states the round added only the later ones, so those
    are the next frontier.  A round that adds nothing leaves [x] closed
    under every statement — the same least fixpoint, and by canonicity
-   the same BDD, as the full-set Kleene iteration [x' = p ∨ x ∨ SP.x].
-
-   The accumulator is kept over current bits ([x]) and over next bits
-   ([xn]), so each image is pruned before it is renamed, and only a
-   productive statement pays for the rename. *)
+   the same BDD, as the full-set Kleene iteration [x' = p ∨ x ∨ SP.x]. *)
 let sst p pred =
   let m = Space.manager p.space in
   let pred = Pred.normalize p.space pred in
   Kpt_obs.incr c_sst_runs;
-  let chain (x, xn, f, added) s =
-    let fresh_n = Bdd.and_ m (Stmt.image p.space s f) (Bdd.not_ m xn) in
-    if Bdd.is_false fresh_n then (x, xn, f, added)
-    else
-      let fresh = Space.to_current p.space fresh_n in
-      (Bdd.or_ m x fresh, Bdd.or_ m xn fresh_n, Bdd.or_ m f fresh, Bdd.or_ m added fresh)
+  let chain (x, f, added) s =
+    let fresh = Bdd.and_ m (Stmt.sp p.space s f) (Bdd.not_ m x) in
+    if Bdd.is_false fresh then (x, f, added)
+    else (Bdd.or_ m x fresh, Bdd.or_ m f fresh, Bdd.or_ m added fresh)
   in
-  let rec go i x xn frontier =
+  let rec go i x frontier =
     if Bdd.is_false frontier then begin
       if Kpt_obs.enabled () then
         Kpt_obs.emit "sst.fixpoint"
@@ -108,11 +97,11 @@ let sst p pred =
             ("frontier_nodes", Bdd.size m frontier);
             ("total_states", Space.count_states_of p.space x);
           ];
-      let x, xn, _, added = List.fold_left chain (x, xn, frontier, Bdd.fls m) p.statements in
-      go (i + 1) x xn added
+      let x, _, added = List.fold_left chain (x, frontier, Bdd.fls m) p.statements in
+      go (i + 1) x added
     end
   in
-  go 0 pred (Space.to_next p.space pred) pred
+  go 0 pred pred
 
 let si p =
   match p.cached_si with

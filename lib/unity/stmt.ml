@@ -2,30 +2,26 @@ open Kpt_predicate
 
 type guard = Gexpr of Expr.t | Gpred of Bdd.t
 
-(* Early-quantification observability: [images] counts statement images
-   taken through the partitioned path, [steps] the relational-product
-   steps they decomposed into. *)
+(* Early-quantification observability: [images] counts statement images,
+   [steps] the update conjuncts that images and pre-images were
+   decomposed into. *)
 let c_eq_images = Kpt_obs.counter "space.early_quant.images"
 let c_eq_steps = Kpt_obs.counter "space.early_quant.steps"
 
-(* A conjunctive partition of the fire branch of the transition relation,
-   with its quantification schedule precomputed.  The update ∧ frame
-   relation is a conjunction of one small equality per variable; keeping
-   the conjuncts unmerged lets image computation quantify each current
-   bit away as soon as the {e remaining} conjuncts no longer mention it
-   (and dually each next bit in [wp]), so the intermediate products never
-   carry the whole relation's support.  [q_parts] additionally folds each
-   variable's range constraint into the {e last} conjunct that reads the
-   variable — appending them at the end instead would keep every
-   constrained bit alive through the whole product, defeating the
-   schedule. *)
+(* The frame-free partition of the fire branch: one update conjunct
+   [v' = rhs_v] per assigned variable, in declaration order, with its
+   quantification cubes built once.  Unassigned variables never enter the
+   relation — an image or a pre-image leaves their current bits alone —
+   so a statement pays only for the variables it writes.  Each assigned
+   current bit is quantified right after the last conjunct that reads it
+   (after the first if none does), so the intermediate products never
+   carry more of the old state than the remaining conjuncts need. *)
 type schedule = {
-  q_parts : (Bdd.t * int list) list;
-      (* fire-branch conjunct · the current bits to ∃ right after it *)
-  q_pre : Bdd.t; (* range constraints of variables no conjunct reads *)
-  q_pre_bits : int list; (* current bits no conjunct reads *)
-  q_wp_parts : (Bdd.t * int list) list;
-      (* raw update/frame conjunct · the next bits it writes *)
+  q_parts : (Bdd.t * Bdd.cube * Bdd.cube) list;
+      (* update conjunct · assigned current bits to ∃ after it (image) ·
+         its target's next bits (wp) *)
+  q_cur : Bdd.cube; (* current bits of the assigned variables *)
+  q_next : Bdd.cube; (* next bits of the assigned variables *)
 }
 
 (* Compiled-relation caches.  Each entry is keyed on the space it was
@@ -33,7 +29,7 @@ type schedule = {
    space recompiles transparently.
 
    The [shared] part holds guard-independent data (the update ∧ frame
-   relation, its partitioned schedule, and the range-overflow set of the
+   relation, the update schedule, and the range-overflow set of the
    assignments); [with_guard_pred] keeps it physically shared, so
    re-instantiating a knowledge-based protocol at a new candidate
    invariant — same assignments, new guard — reuses the compiled
@@ -179,66 +175,30 @@ let trans sp s =
         (Bdd.and_ m (Bdd.not_ m g) (identity sp)))
     (fun v -> s.cache.c_trans <- v)
 
-(* Build the partitioned schedule.  One conjunct per variable — the
-   update equality for assigned targets, the frame equality otherwise —
-   in declaration order.  A current bit's quantification point is the
-   last conjunct whose support reads it; range constraints are merged
-   into that last reader per variable (see [schedule]), and a variable no
-   conjunct reads is handled before the product starts ([q_pre]/
-   [q_pre_bits]), so the fire-branch product ends with {e every} current
-   bit of the space quantified regardless of the precondition's
-   support. *)
 let build_schedule sp s =
   let m = Space.manager sp in
-  let conjuncts =
-    List.map
-      (fun v ->
-        match List.find_opt (fun (u, _) -> Space.idx u = Space.idx v) s.assigns with
-        | Some (_, rhs) -> (v, Bitvec.eq m (Space.next_vec sp v) (rhs_vec sp rhs))
-        | None -> (v, Bitvec.eq m (Space.next_vec sp v) (Space.cur_vec sp v)))
+  let assigned =
+    List.filter_map
+      (fun v -> List.find_opt (fun (u, _) -> Space.idx u = Space.idx v) s.assigns)
       (Space.vars sp)
   in
-  let parts = Array.of_list (List.map snd conjuncts) in
-  let n = Array.length parts in
-  let last = Hashtbl.create 64 in
-  Array.iteri
-    (fun i c ->
-      List.iter (fun b -> if b land 1 = 0 then Hashtbl.replace last b i) (Bdd.support m c))
-    parts;
-  (* fold each variable's range constraint into its last reader *)
-  let pre = ref [] in
-  List.iter
-    (fun v ->
-      if Space.card v <> 1 lsl Space.width v then begin
-        let bits = Space.current_bits v in
-        let lv =
-          List.fold_left
-            (fun acc b -> match Hashtbl.find_opt last b with
-              | Some i -> max acc i
-              | None -> acc)
-            (-1) bits
-        in
-        let rc =
-          Bitvec.le m (Space.cur_vec sp v)
-            (Bitvec.const m ~width:(Space.width v) (Space.card v - 1))
-        in
-        if lv < 0 then pre := rc :: !pre
-        else begin
-          parts.(lv) <- Bdd.and_ m parts.(lv) rc;
-          List.iter (fun b -> Hashtbl.replace last b lv) bits
-        end
-      end)
-    (Space.vars sp);
-  let pre_bits =
-    List.filter (fun b -> not (Hashtbl.mem last b)) (Space.all_current_bits sp)
+  let parts =
+    List.map (fun (v, rhs) -> (v, Bitvec.eq m (Space.next_vec sp v) (rhs_vec sp rhs))) assigned
   in
-  let after = Array.make n [] in
-  Hashtbl.iter (fun b i -> after.(i) <- b :: after.(i)) last;
+  let cur_bits = List.concat_map (fun (v, _) -> Space.current_bits v) assigned in
+  (* the last update reading each bit *)
+  let last = Hashtbl.create 16 in
+  List.iteri (fun i (_, c) -> List.iter (fun b -> Hashtbl.replace last b i) (Bdd.support m c)) parts;
+  let quantified_after i =
+    List.filter (fun b -> Option.value (Hashtbl.find_opt last b) ~default:0 = i) cur_bits
+  in
   {
-    q_parts = List.init n (fun i -> (parts.(i), List.sort compare after.(i)));
-    q_pre = Bdd.conj m !pre;
-    q_pre_bits = pre_bits;
-    q_wp_parts = List.map (fun (v, c) -> (c, Space.next_bits v)) conjuncts;
+    q_parts =
+      List.mapi
+        (fun i (v, c) -> (c, Bdd.cube m (quantified_after i), Bdd.cube m (Space.next_bits v)))
+        parts;
+    q_cur = Bdd.cube m cur_bits;
+    q_next = Bdd.cube m (List.concat_map (fun (v, _) -> Space.next_bits v) assigned);
   }
 
 let schedule sp s =
@@ -246,59 +206,53 @@ let schedule sp s =
     (fun () -> build_schedule sp s)
     (fun v -> s.cache.shared.s_parts <- v)
 
-(* Image of [p] under the statement, over {e next} bits: the fire branch
-   is the early-quantified conjunctive product; the skip branch
-   [∃cur. p ∧ dom ∧ ¬g ∧ Id] collapses to a renaming, no product at
-   all. *)
-let image space s p =
+(* Image of [p] under the statement, over current bits.  Fire branch:
+   conjoin the updates one by one, ∃-quantifying each assigned current
+   bit as soon as no remaining update reads it, then move the assigned
+   next bits back onto their current bits — the unassigned variables
+   never leave their current bits.  Skip branch: [p ∧ ¬g] as it is. *)
+let sp space s p =
   Kpt_obs.incr c_eq_images;
   let m = Space.manager space in
   let g = guard_pred space s in
   let sched = schedule space s in
-  let acc = Bdd.and_ m (Bdd.and_ m p g) sched.q_pre in
-  let acc = if sched.q_pre_bits = [] then acc else Bdd.exists m sched.q_pre_bits acc in
+  let pd = Bdd.and_ m p (Space.domain space) in
   let fire =
     List.fold_left
-      (fun acc (c, bits) ->
+      (fun acc (c, cur, _) ->
         Kpt_obs.incr c_eq_steps;
-        Bdd.and_exists m bits acc c)
-      acc sched.q_parts
+        Bdd.and_exists m cur acc c)
+      (Bdd.and_ m pd g) sched.q_parts
   in
-  let skip =
-    Space.to_next space (Bdd.conj m [ p; Bdd.not_ m g; Space.domain space ])
-  in
-  Bdd.or_ m fire skip
+  Bdd.or_ m (Bdd.swap_pairs m sched.q_next fire) (Bdd.and_ m pd (Bdd.not_ m g))
 
-let sp_post space s p = Space.to_current space (image space s p)
+(* wp through the same partition.  With [A] the assigned variables and
+   [U = ⋀ v∈A :: v' = rhs_v]:
 
-let sp = sp_post
+     wp = ite(g, ¬∃A'. (¬p)[A := A'] ∧ U, p)
 
-(* wp through the same partition.  With [x' = to_next x]:
-
-     wp = ∀nxt. ((g ∧ UF) ∨ (¬g ∧ Id)) ⇒ x'
-        = (g ⇒ ∀nxt. UF ⇒ x') ∧ (¬g ⇒ ∀nxt. Id ⇒ x')   (g has no next bits)
-        = ite(g, ¬∃nxt. UF ∧ ¬x', x)                     (∀nxt. Id ⇒ x' = x)
-
-   and the remaining ∃ is a conjunctive product in which each conjunct
-   owns exactly its target's next bits — the schedule is per-variable. *)
+   i.e. the substitution [p[A := rhs]] when the guard holds, [p] when it
+   does not.  [(¬p)[A := A']] is a pair swap on the assigned bits only,
+   and each update owns exactly its target's next bits, so those are
+   quantified right after it. *)
 let wp space s p =
   let m = Space.manager space in
   let g = guard_pred space s in
   let sched = schedule space s in
-  let acc = Space.to_next space (Bdd.not_ m p) in
   let bad =
     List.fold_left
-      (fun acc (c, nbits) ->
+      (fun acc (c, _, nxt) ->
         Kpt_obs.incr c_eq_steps;
-        Bdd.and_exists m nbits acc c)
-      acc sched.q_wp_parts
+        Bdd.and_exists m nxt acc c)
+      (Bdd.swap_pairs m sched.q_cur (Bdd.not_ m p))
+      sched.q_parts
   in
   Bdd.ite m g (Bdd.not_ m bad) p
 
 let unchanged space s =
   let m = Space.manager space in
   let diag = Bdd.and_ m (trans space s) (identity space) in
-  Bdd.exists m (Space.all_next_bits space) diag
+  Bdd.exists m (Space.next_cube space) diag
 
 let exec space s st =
   let env v = st.(Space.idx v) in

@@ -63,20 +63,21 @@ val trans : Space.t -> t -> Bdd.t
     on the domain (given no totality violation).  Memoised per statement,
     so fixpoint loops compile each relation once. *)
 
-val image : Space.t -> t -> Bdd.t -> Bdd.t
-(** Exact image of [p] under the statement, {e over next bits}: the
-    conjunctively-partitioned relational product with early
-    quantification — each current bit is ∃-quantified as soon as the
-    remaining conjuncts no longer mention it — rather than one monolithic
-    [and_exists] against {!trans}.  [{!sp} = to_current ∘ image]. *)
-
 val sp : Space.t -> t -> Bdd.t -> Bdd.t
 (** Strongest postcondition of one statement ([sp.s.p], eq. 26's
-    ingredient): the exact image of [p]. *)
+    ingredient): the exact image of [p], over current bits.  Computed
+    frame-free — the fire branch conjoins only the updates of the
+    assigned variables, ∃-quantifies each assigned current bit as soon as
+    no remaining update reads it, and moves the assigned next bits back
+    ({!Bdd.swap_pairs}); unassigned variables never leave their current
+    bits.  Agrees with the monolithic relational product against
+    {!trans}. *)
 
 val wp : Space.t -> t -> Bdd.t -> Bdd.t
 (** Weakest precondition ([= wlp], §5): states whose unique successor
-    satisfies the postcondition. *)
+    satisfies the postcondition — [ite(g, p[A := rhs], p)] for the
+    assigned variables [A], through the same update partition as
+    {!sp}. *)
 
 val unchanged : Space.t -> t -> Bdd.t
 (** States the statement maps to themselves (used for fixed points). *)

@@ -73,9 +73,9 @@ let test_quantifiers () =
     let ex = Bdd.or_ m (Bdd.restrict m p v false) (Bdd.restrict m p v true) in
     let fa = Bdd.and_ m (Bdd.restrict m p v false) (Bdd.restrict m p v true) in
     Alcotest.(check bool) "exists = or of cofactors" true
-      (Bdd.equal (Bdd.exists m [ v ] p) ex);
+      (Bdd.equal (Bdd.exists m (Bdd.cube m [ v ]) p) ex);
     Alcotest.(check bool) "forall = and of cofactors" true
-      (Bdd.equal (Bdd.forall m [ v ] p) fa)
+      (Bdd.equal (Bdd.forall m (Bdd.cube m [ v ]) p) fa)
   done
 
 let test_quantifier_multi () =
@@ -84,12 +84,12 @@ let test_quantifier_multi () =
   for _ = 1 to 30 do
     let p = Helpers.random_formula st m ~nvars:6 ~depth:5 in
     let vs = [ 1; 3; 4 ] in
-    let seq = List.fold_left (fun acc v -> Bdd.exists m [ v ] acc) p vs in
+    let seq = List.fold_left (fun acc v -> Bdd.exists m (Bdd.cube m [ v ]) acc) p vs in
     Alcotest.(check bool) "multi-var exists = sequential" true
-      (Bdd.equal (Bdd.exists m vs p) seq);
-    let seqf = List.fold_left (fun acc v -> Bdd.forall m [ v ] acc) p vs in
+      (Bdd.equal (Bdd.exists m (Bdd.cube m vs) p) seq);
+    let seqf = List.fold_left (fun acc v -> Bdd.forall m (Bdd.cube m [ v ]) acc) p vs in
     Alcotest.(check bool) "multi-var forall = sequential" true
-      (Bdd.equal (Bdd.forall m vs p) seqf)
+      (Bdd.equal (Bdd.forall m (Bdd.cube m vs) p) seqf)
   done
 
 let test_and_exists () =
@@ -100,7 +100,7 @@ let test_and_exists () =
     let b = Helpers.random_formula st m ~nvars:6 ~depth:4 in
     let vs = [ 0; 2; 5 ] in
     Alcotest.(check bool) "and_exists = exists of and" true
-      (Bdd.equal (Bdd.and_exists m vs a b) (Bdd.exists m vs (Bdd.and_ m a b)))
+      (Bdd.equal (Bdd.and_exists m (Bdd.cube m vs) a b) (Bdd.exists m (Bdd.cube m vs) (Bdd.and_ m a b)))
   done
 
 let test_rename () =
@@ -301,6 +301,45 @@ let test_depends_on_support () =
     done
   done
 
+(* The swap refuses a predicate that reads a moved bit together with its
+   partner on one path: a one-pass rebuild would break the order. *)
+let test_swap_partner_in_support () =
+  let m = m () in
+  let both = Bdd.and_ m (Bdd.var m 0) (Bdd.var m 1) in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "current and next bit of one pair" true
+    (raises (fun () -> Bdd.swap_pairs m (Bdd.cube m [ 0 ]) both));
+  Alcotest.(check bool) "moving the next bit instead" true
+    (raises (fun () -> Bdd.swap_pairs m (Bdd.cube m [ 1 ]) both));
+  (* a different pair's partner is harmless *)
+  let p = Bdd.and_ m (Bdd.var m 0) (Bdd.var m 3) in
+  Alcotest.(check bool) "disjoint pairs move" true
+    (Bdd.equal (Bdd.swap_pairs m (Bdd.cube m [ 0 ]) p) (Bdd.and_ m (Bdd.var m 1) (Bdd.var m 3)));
+  Bdd.reorder m;
+  Alcotest.(check bool) "still refused after a reorder" true
+    (raises (fun () -> Bdd.swap_pairs m (Bdd.cube m [ 0 ]) both))
+
+(* Cubes may name variables no node mentions yet, and quantifying them
+   is a no-op on the operands. *)
+let test_quant_unregistered () =
+  let m = m () in
+  let p = Bdd.or_ m (Bdd.var m 0) (Bdd.var m 2) in
+  Alcotest.(check bool) "∃ over unregistered variables only" true
+    (Bdd.equal (Bdd.exists m (Bdd.cube m [ 40; 41 ]) p) p);
+  Alcotest.(check bool) "∀ over a mix" true
+    (Bdd.equal (Bdd.forall m (Bdd.cube m [ 0; 57 ]) p) (Bdd.var m 2));
+  Alcotest.(check bool) "and_exists past the registered range" true
+    (Bdd.equal (Bdd.and_exists m (Bdd.cube m [ 2; 99 ]) p (Bdd.nvar m 0)) (Bdd.nvar m 0));
+  Alcotest.(check bool) "swap over an unregistered pair" true
+    (Bdd.equal (Bdd.swap_pairs m (Bdd.cube m [ 70 ]) p) p);
+  (* the space-level case: declared variables no BDD has touched yet *)
+  let sp = Space.create () in
+  let a = Space.bool_var sp "a" in
+  let _ = List.init 6 (fun i -> Space.nat_var sp (Printf.sprintf "n%d" i) ~max:5) in
+  let pa = Bitvec.eq_const (Space.manager sp) (Space.cur_vec sp a) 1 in
+  Alcotest.(check bool) "depends_only_on with untouched variables" true
+    (Pred.depends_only_on sp pa [ a ])
+
 let suite =
   [
     Alcotest.test_case "constants" `Quick test_constants;
@@ -328,4 +367,7 @@ let suite =
     Alcotest.test_case "op-cache clear mid-stream" `Quick test_opcache_clear_midstream;
     Alcotest.test_case "balanced conj/disj folds" `Quick test_balanced_folds;
     Alcotest.test_case "depends_on vs support" `Quick test_depends_on_support;
+    Alcotest.test_case "swap refuses a partner in the support" `Quick
+      test_swap_partner_in_support;
+    Alcotest.test_case "quantifying unregistered variables" `Quick test_quant_unregistered;
   ]

@@ -34,6 +34,29 @@ let test_make_validation () =
     (Program.Ill_formed "program q: unsatisfiable initial condition") (fun () ->
       ignore (Program.make sp ~name:"q" ~init:Expr.fls [ ok ]))
 
+(* The non-totality witness is found symbolically: [var n : nat(3)] with
+   [s: n := 7] beside 40 unused booleans is a 2^42-state space, which a
+   walk over the states could never finish.  The witness is the first
+   state in enumeration order, as [examples/malformed/non_total.unity]
+   reports it. *)
+let test_non_total_witness_is_symbolic () =
+  let sp = Space.create () in
+  let n = Space.nat_var sp "n" ~max:3 in
+  let _ = List.init 40 (fun i -> Space.bool_var sp (Printf.sprintf "b%d" i)) in
+  let s = Stmt.make ~name:"s" [ (n, Expr.nat 7) ] in
+  let t0 = Kpt_obs.now_ns () in
+  (match Program.make sp ~name:"non_total" ~init:Expr.(var n === nat 0) [ s ] with
+  | _ -> Alcotest.fail "expected totality rejection"
+  | exception Program.Ill_formed msg ->
+      let expected =
+        "program non_total: statement s is not total at ⟨n=0"
+        ^ String.concat "" (List.init 40 (fun i -> Printf.sprintf " b%d=false" i))
+        ^ "⟩"
+      in
+      Alcotest.(check string) "witness is the first state" expected msg);
+  let elapsed = Int64.to_float (Int64.sub (Kpt_obs.now_ns ()) t0) /. 1e9 in
+  Alcotest.(check bool) (Printf.sprintf "found in %.2fs (< 1 s)" elapsed) true (elapsed < 1.0)
+
 let test_bubble_sort_si () =
   let sp, arr, stmts = bubble_sort 3 2 in
   (* Start from the specific array [2; 1; 0]. *)
@@ -319,6 +342,8 @@ let test_union_validation () =
 let suite =
   [
     Alcotest.test_case "make validation" `Quick test_make_validation;
+    Alcotest.test_case "non-totality witness on a 2^42-state space" `Quick
+      test_non_total_witness_is_symbolic;
     Alcotest.test_case "bubble sort SI" `Quick test_bubble_sort_si;
     Alcotest.test_case "bubble sort fixed points" `Quick test_bubble_sort_fixed_point;
     Alcotest.test_case "SP is union of sp" `Quick test_sp_pred_is_union;

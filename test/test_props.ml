@@ -201,8 +201,8 @@ let wide () =
 
 let seconds_since t0 = Int64.to_float (Int64.sub (Kpt_obs.now_ns ()) t0) /. 1e9
 
-(* Explicit enumeration ([Reachability], [Kbp.universe] and
-   [Program.validate] still walk states through [Space.states_of]) must
+(* Explicit enumeration ([Reachability] and [Kbp.universe] still walk
+   states through [Space.states_of]) must
    stop at an armed deadline rather than wait minutes for the walk to
    end. *)
 let test_state_enumeration_honours_deadline () =

@@ -125,7 +125,7 @@ let prop_bdd_quantifier_duality =
       let m = Bdd.create () in
       let b = to_bdd m f in
       let vs = [ 0; 2; 4 ] in
-      Bdd.equal (Bdd.forall m vs b) (Bdd.not_ m (Bdd.exists m vs (Bdd.not_ m b))))
+      Bdd.equal (Bdd.forall m (Bdd.cube m vs) b) (Bdd.not_ m (Bdd.exists m (Bdd.cube m vs) (Bdd.not_ m b))))
 
 let prop_bdd_sat_count =
   QCheck.Test.make ~count:200 ~name:"bdd: sat_count = brute force" (arbitrary_formula ~nvars)
@@ -145,7 +145,69 @@ let prop_bdd_relational_product =
       let m = Bdd.create () in
       let bf = to_bdd m f and bg = to_bdd m g in
       let vs = [ 1; 3 ] in
-      Bdd.equal (Bdd.and_exists m vs bf bg) (Bdd.exists m vs (Bdd.and_ m bf bg)))
+      Bdd.equal (Bdd.and_exists m (Bdd.cube m vs) bf bg) (Bdd.exists m (Bdd.cube m vs) (Bdd.and_ m bf bg)))
+
+(* Brute-force quantifier oracles over [nvars] variables: the value at a
+   point is the disjunction (conjunction) of [b] over every assignment to
+   the quantified variables. *)
+let brute_quant ~ex ~nvars vs b =
+  let mask = List.fold_left (fun acc v -> acc lor (1 lsl v)) 0 vs in
+  List.init (1 lsl nvars) (fun code ->
+      let hits = ref 0 and total = ref 0 in
+      for sub = 0 to (1 lsl nvars) - 1 do
+        if sub land lnot mask = 0 then begin
+          incr total;
+          let pt = code land lnot mask lor sub in
+          if Bdd.eval b (fun i -> (pt lsr i) land 1 = 1) then incr hits
+        end
+      done;
+      if ex then !hits > 0 else !hits = !total)
+
+let table ~nvars b = List.init (1 lsl nvars) (fun code -> Bdd.eval b (fun i -> (code lsr i) land 1 = 1))
+
+(* The relational product caches every subproblem across calls, keyed on
+   uids.  Computing the same products again after a reorder (which
+   collects twice and sifts) and after warming the cache on overlapping
+   cubes must give the identical nodes, equal to the brute-force
+   definitions. *)
+let prop_bdd_quant_cache_across_calls =
+  let nvars = 8 in
+  QCheck.Test.make ~count:100 ~name:"bdd: cached ∃/∀/and_exists sound across calls and reorders"
+    (QCheck.pair (arbitrary_formula ~nvars) (arbitrary_formula ~nvars)) (fun (f, g) ->
+      let m = Bdd.create () in
+      let bf = to_bdd m f and bg = to_bdd m g in
+      let vs = [ 1; 2; 5; 6 ] in
+      let c = Bdd.cube m vs in
+      (* warm the cache on cubes sharing suffixes with [c] *)
+      ignore (Bdd.and_exists m (Bdd.cube m [ 5; 6 ]) bf bg);
+      ignore (Bdd.exists m (Bdd.cube m [ 2; 6 ]) bf);
+      let ae1 = Bdd.and_exists m c bf bg and ex1 = Bdd.exists m c bf
+      and fa1 = Bdd.forall m c bf in
+      Bdd.reorder m;
+      let ae2 = Bdd.and_exists m c bf bg and ex2 = Bdd.exists m c bf
+      and fa2 = Bdd.forall m c bf in
+      Bdd.equal ae1 ae2 && Bdd.equal ex1 ex2 && Bdd.equal fa1 fa2
+      && Bdd.equal ae2 (Bdd.exists m c (Bdd.and_ m bf bg))
+      && table ~nvars ex2 = brute_quant ~ex:true ~nvars vs bf
+      && table ~nvars fa2 = brute_quant ~ex:false ~nvars vs bf)
+
+(* The pair swap against the generic [rename] oracle: a predicate over
+   current bits only moves up by one, one over next bits only moves down
+   by one — before and after sifting. *)
+let prop_bdd_swap_pairs =
+  QCheck.Test.make ~count:150 ~name:"bdd: swap_pairs = rename ±1 (current-only, next-only)"
+    (QCheck.pair (arbitrary_formula ~nvars) QCheck.bool) (fun (f, on_next) ->
+      let m = Bdd.create () in
+      let bit i = (2 * i) + if on_next then 1 else 0 in
+      let b = to_bdd ~remap:bit m f in
+      (* a second predicate over both copies gives sifting something to move *)
+      ignore (to_bdd ~remap:(fun i -> (2 * nvars) - 1 - i) m f);
+      let c = Bdd.cube m (List.init nvars bit) in
+      let shift = if on_next then -1 else 1 in
+      let check () = Bdd.equal (Bdd.swap_pairs m c b) (Bdd.rename m (fun v -> v + shift) b) in
+      let before = check () in
+      Bdd.reorder m;
+      before && check ())
 
 (* ---- generator: well-typed UNITY expressions ----------------------------- *)
 
@@ -584,6 +646,8 @@ let suite =
       prop_bdd_quantifier_duality;
       prop_bdd_sat_count;
       prop_bdd_relational_product;
+      prop_bdd_quant_cache_across_calls;
+      prop_bdd_swap_pairs;
       prop_expr_compile_agrees;
       prop_expr_compile_agrees_nat;
       prop_expr_typing_total;

@@ -86,16 +86,16 @@ let test_quantifiers_after_reorder () =
     let nvars = 8 in
     let f = Helpers.random_formula st m ~nvars ~depth:5 in
     let vs = [ 1; 4; 6 ] in
-    let ex_before = Helpers.truth_table (B.exists m vs f) ~nvars in
-    let fa_before = Helpers.truth_table (B.forall m vs f) ~nvars in
+    let ex_before = Helpers.truth_table (B.exists m (B.cube m vs) f) ~nvars in
+    let fa_before = Helpers.truth_table (B.forall m (B.cube m vs) f) ~nvars in
     B.reorder m;
     Alcotest.(check (list int)) "exists after reorder" ex_before
-      (Helpers.truth_table (B.exists m vs f) ~nvars);
+      (Helpers.truth_table (B.exists m (B.cube m vs) f) ~nvars);
     Alcotest.(check (list int)) "forall after reorder" fa_before
-      (Helpers.truth_table (B.forall m vs f) ~nvars);
+      (Helpers.truth_table (B.forall m (B.cube m vs) f) ~nvars);
     let g = Helpers.random_formula st m ~nvars ~depth:4 in
     Alcotest.(check bool) "and_exists = exists of and" true
-      (B.equal (B.and_exists m vs f g) (B.exists m vs (B.and_ m f g)))
+      (B.equal (B.and_exists m (B.cube m vs) f g) (B.exists m (B.cube m vs) (B.and_ m f g)))
   done
 
 let test_rename_after_reorder () =
@@ -107,10 +107,10 @@ let test_rename_after_reorder () =
   in
   let nvars = 2 * n in
   B.reorder m;
-  let up = B.rename m (fun b -> b + 1) (B.exists m (List.init n (fun k -> (2 * k) + 1)) f) in
+  let up = B.rename m (fun b -> b + 1) (B.exists m (B.cube m (List.init n (fun k -> (2 * k) + 1))) f) in
   let down = B.rename m (fun b -> b - 1) up in
   Alcotest.(check bool) "to_next/to_current round-trip" true
-    (B.equal down (B.exists m (List.init n (fun k -> (2 * k) + 1)) f));
+    (B.equal down (B.exists m (B.cube m (List.init n (fun k -> (2 * k) + 1))) f));
   ignore nvars
 
 let test_rename_non_monotone_fallback () =

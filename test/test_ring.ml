@@ -2,11 +2,14 @@
 
    Three pillars:
    - the token-ring family has a known closed-form reachable set (2n
-     states), so the sst loop through the new partitioned
-     [Stmt.image] is pinned exactly at a non-trivial size;
-   - on the whole examples corpus, the early-quantified [Stmt.sp]/[wp]
-     must coincide with the naive monolithic relational product against
-     [Stmt.trans] — before {e and} after a variable reorder;
+     states), so the sst loop through the frame-free [Stmt.sp] is
+     pinned exactly at a non-trivial size;
+   - on the whole examples corpus, the section-6 protocols, knowledge-
+     based statements re-instantiated at several candidate invariants and
+     array writes at unnormalised preconditions, the frame-free
+     [Stmt.sp]/[wp] must coincide with the naive monolithic relational
+     product against [Stmt.trans] — before {e and} after a variable
+     reorder;
    - the mirrored-counters instance separates reordering on from off
      under one node budget: the adversarial declaration order exhausts
      the budget, sifting completes and reproduces the agreement
@@ -74,48 +77,57 @@ let spec_names () =
 let naive_sp sp s p =
   let m = Space.manager sp in
   Space.to_current sp
-    (Bdd.and_exists m (Space.all_current_bits sp)
+    (Bdd.and_exists m (Space.current_cube sp)
        (Bdd.and_ m p (Space.domain sp))
        (Stmt.trans sp s))
 
 let naive_wp sp s p =
   let m = Space.manager sp in
-  Bdd.forall m (Space.all_next_bits sp)
+  Bdd.forall m (Space.next_cube sp)
     (Bdd.imp m (Stmt.trans sp s) (Space.to_next sp p))
+
+(* Check [Stmt.sp]/[Stmt.wp] of every statement against the monolithic
+   products at each pin, then force a reorder and check again: the cached
+   schedules, cubes and relations must survive a level permutation.
+   [exact] compares the raw BDDs; otherwise both sides are restricted to
+   the domain first. *)
+let check_against_monolithic ?(exact = false) label sp stmts pins =
+  let m = Space.manager sp in
+  let dom = Space.domain sp in
+  let norm p = if exact then p else Bdd.and_ m dom p in
+  let check_stmt s =
+    List.iter
+      (fun (tag, p) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: sp %s @ %s" label (Stmt.name s) tag)
+          true
+          (Bdd.equal (norm (Stmt.sp sp s p)) (norm (naive_sp sp s p)));
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: wp %s @ %s" label (Stmt.name s) tag)
+          true
+          (Bdd.equal (norm (Stmt.wp sp s p)) (norm (naive_wp sp s p))))
+      pins
+  in
+  List.iter check_stmt stmts;
+  Space.reorder sp;
+  List.iter check_stmt stmts
+
+let with_auto_reorder f =
+  let eng = Engine.create () in
+  Engine.set_reorder_mode eng (Some Engine.Reorder_auto);
+  Engine.use eng f
 
 let test_corpus_sp_wp_equivalence () =
   List.iter
     (fun name ->
       let ast = Parser.program_of_string (read_file ("../examples/specs/" ^ name)) in
-      let eng = Engine.create () in
-      Engine.set_reorder_mode eng (Some Engine.Reorder_auto);
-      Engine.use eng (fun () ->
+      with_auto_reorder (fun () ->
           let sp, kbp = Elaborate.program ast in
           if Kbp.is_standard kbp then begin
             let prog = Kbp.to_standard_program kbp in
-            let m = Space.manager sp in
-            let dom = Space.domain sp in
-            let on_dom p = Bdd.and_ m dom p in
             let pins = [ ("init", Program.init prog); ("si", Program.si prog) ] in
-            let check_stmt s =
-              List.iter
-                (fun (tag, p) ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s: sp %s @ %s" name (Stmt.name s) tag)
-                    true
-                    (Bdd.equal (on_dom (Stmt.sp sp s p)) (on_dom (naive_sp sp s p)));
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s: wp %s @ %s" name (Stmt.name s) tag)
-                    true
-                    (Bdd.equal (on_dom (Stmt.wp sp s p)) (on_dom (naive_wp sp s p))))
-                pins
-            in
-            List.iter check_stmt (Program.statements prog);
-            (* now force a reorder and re-check: the cached schedules and
-               relations must survive a level permutation *)
             let before = List.map (fun (tag, p) -> (tag, p, Program.sst prog p)) pins in
-            Space.reorder sp;
-            List.iter check_stmt (Program.statements prog);
+            check_against_monolithic name sp (Program.statements prog) pins;
             List.iter
               (fun (tag, p, sst_before) ->
                 Alcotest.(check bool)
@@ -125,6 +137,76 @@ let test_corpus_sp_wp_equivalence () =
               before
           end))
     (spec_names ())
+
+(* The paper's section-6 protocols at n = 2, both channels. *)
+let test_section6_sp_wp_equivalence () =
+  with_auto_reorder (fun () ->
+      List.iter
+        (fun (name, (prog, _)) ->
+          check_against_monolithic ~exact:true name (Program.space prog)
+            (Program.statements prog)
+            [ ("init", Program.init prog); ("si", Program.si prog) ])
+        (Helpers.section6_programs ()))
+
+(* Knowledge-based specs: every statement is re-instantiated through
+   [Stmt.with_guard_pred] at several candidate invariants, each copy
+   sharing its base statement's guard-independent schedule. *)
+let test_kbp_instances_sp_wp_equivalence () =
+  List.iter
+    (fun name ->
+      let ast = Parser.program_of_string (read_file ("../examples/specs/" ^ name)) in
+      with_auto_reorder (fun () ->
+          let sp, kbp = Elaborate.program ast in
+          if not (Kbp.is_standard kbp) then begin
+            let m = Space.manager sp in
+            let candidates =
+              [ ("domain", Space.domain sp); ("init", Kbp.init kbp) ]
+              @ (match Kbp.strongest_solution kbp with
+                | Some si -> [ ("solution", si) ]
+                | None -> [])
+            in
+            List.iter
+              (fun (ctag, si) ->
+                let prog = Kbp.instantiate kbp ~si in
+                check_against_monolithic ~exact:true
+                  (Printf.sprintf "%s[%s]" name ctag)
+                  sp (Program.statements prog)
+                  [ ("init", Program.init prog); ("si", si); ("¬si", Bdd.not_ m si) ])
+              candidates
+          end))
+    (spec_names ())
+
+(* Array writes over a non-power-of-two sort, against preconditions that
+   are not normalised: random predicates over the current bits, so they
+   include out-of-domain encodings. *)
+let test_array_writes_out_of_domain () =
+  with_auto_reorder (fun () ->
+      let sp = Space.create () in
+      let arr = Array.init 3 (fun k -> Space.nat_var sp (Printf.sprintf "a%d" k) ~max:2) in
+      let i = Space.nat_var sp "i" ~max:2 in
+      let b = Space.bool_var sp "b" in
+      let e = Expr.var in
+      let stmts =
+        [
+          Stmt.make ~name:"write" ~guard:Expr.(var b)
+            (Stmt.array_write arr ~index:(e i) (Expr.nat 1));
+          Stmt.make ~name:"copy"
+            ((i, Expr.(Ite (var i === nat 2, nat 0, var i +! nat 1)))
+            :: Stmt.array_write arr ~index:(e i) (e arr.(0)));
+          Stmt.make ~name:"flip" ~guard:Expr.(var i === nat 1) [ (b, Expr.(not_ (var b))) ];
+        ]
+      in
+      let m = Space.manager sp in
+      let st = Random.State.make [| 18 |] in
+      let nbits = 2 * List.length (Space.all_current_bits sp) in
+      let random_pred () =
+        Bdd.exists m (Space.next_cube sp) (Helpers.random_formula st m ~nvars:nbits ~depth:5)
+      in
+      let pins =
+        ("¬domain", Bdd.not_ m (Space.domain sp))
+        :: List.init 6 (fun k -> (Printf.sprintf "random%d" k, random_pred ()))
+      in
+      check_against_monolithic ~exact:true "array" sp stmts pins)
 
 (* ---- the reordering contrast ------------------------------------------------ *)
 
@@ -166,6 +248,12 @@ let suite =
     Alcotest.test_case "token ring: stability pins" `Quick test_token_ring_stable_counterexample;
     Alcotest.test_case "corpus: partitioned sp/wp = monolithic" `Slow
       test_corpus_sp_wp_equivalence;
+    Alcotest.test_case "section 6: partitioned sp/wp = monolithic" `Slow
+      test_section6_sp_wp_equivalence;
+    Alcotest.test_case "kbp instances: partitioned sp/wp = monolithic" `Slow
+      test_kbp_instances_sp_wp_equivalence;
+    Alcotest.test_case "array writes, unnormalised: sp/wp = monolithic" `Quick
+      test_array_writes_out_of_domain;
     Alcotest.test_case "mirror: reorder on/off contrast" `Slow test_mirror_contrast;
     Alcotest.test_case "mirror: small instance exact" `Quick test_mirror_small_exact;
   ]
