@@ -426,32 +426,7 @@ let solve_cmd =
       | `Fig2 -> build_figure2 ~strong:false
       | `Fig2s -> build_figure2 ~strong:true
     in
-    Format.printf "%a@.@." Kbp.pp kbp;
-    let sp = Kbp.space kbp in
-    let code = ref 0 in
-    (match Engine.with_budget limits (fun () -> Kbp.solutions kbp) with
-    | [] -> Format.printf "No solution: Ĝ(X) = X has no fixpoint (the KBP is not well-posed).@."
-    | sols ->
-        Format.printf "%d solution(s):@." (List.length sols);
-        List.iter (fun s -> Format.printf "  SI = %a@." (Space.pp_pred sp) s) sols
-    | exception Budget.Exhausted reason ->
-        Format.printf "Solution enumeration: budget exhausted (%s).@."
-          (Budget.reason_to_string reason);
-        code := Driver.exit_resource);
-    (match Kbp.solve ~budget:limits kbp with
-    | Kbp.Converged { si; steps } ->
-        Format.printf "Chaotic iteration converged in %d step(s) to %a@." steps
-          (Space.pp_pred sp) si
-    | Kbp.Diverged { orbit; _ } ->
-        Format.printf "Chaotic iteration diverges: cycle with period %d:@."
-          (List.length orbit);
-        List.iter (fun s -> Format.printf "  → %a@." (Space.pp_pred sp) s) orbit
-    | Kbp.Budget_exhausted { reason; steps; candidate } ->
-        Format.printf
-          "Chaotic iteration: budget exhausted (%s) after %d step(s); candidate X = %a@."
-          (Budget.reason_to_string reason) steps (Space.pp_pred sp) candidate;
-        code := Driver.exit_resource);
-    !code
+    Driver.render_solutions Format.std_formatter limits kbp
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve a knowledge-based protocol (Figures 1-2).")

@@ -121,6 +121,10 @@ let resolved_program kbp =
     match Kbp.strongest_solution kbp with
     | Some si -> Kbp.instantiate kbp ~si
     | None -> failwith "the KBP has no (unique strongest) solution"
+    | exception Kbp.Too_many_candidates { free; cap } ->
+        failwith
+          (Printf.sprintf "the KBP has %d free candidate states, past the 2^%d solver cap"
+             free cap)
 
 (* ---- check (batch) -------------------------------------------------------- *)
 
@@ -178,6 +182,42 @@ let stats ?sink opts sources =
 
 (* ---- solve (kpt solve-file) ------------------------------------------------ *)
 
+(* The KBP, its solutions (eq. 25) and the chaotic iteration, each run
+   under [limits]; an exhausted budget or the candidate cap degrades to
+   one line and exit 3. *)
+let render_solutions ppf limits kbp =
+  let sp = Kbp.space kbp in
+  let pp_pred = Space.pp_pred sp in
+  Format.fprintf ppf "%a@.@." Kbp.pp kbp;
+  let code = ref 0 in
+  (match Engine.with_budget limits (fun () -> Kbp.solutions kbp) with
+  | [] ->
+      Format.fprintf ppf "No solution: Ĝ(X) = X has no fixpoint (the KBP is not well-posed).@."
+  | sols ->
+      Format.fprintf ppf "%d solution(s):@." (List.length sols);
+      List.iter (fun s -> Format.fprintf ppf "  SI = %a@." pp_pred s) sols
+  | exception Budget.Exhausted reason ->
+      Format.fprintf ppf "Solution enumeration: budget exhausted (%s).@."
+        (Budget.reason_to_string reason);
+      code := exit_resource
+  | exception Kbp.Too_many_candidates { free; cap } ->
+      Format.fprintf ppf
+        "Solution enumeration: %d free candidate states exceed the 2^%d cap.@." free cap;
+      code := exit_resource);
+  (match Kbp.solve ~budget:limits kbp with
+  | Kbp.Converged { si; steps } ->
+      Format.fprintf ppf "Chaotic iteration converged in %d step(s) to %a@." steps pp_pred si
+  | Kbp.Diverged { orbit; _ } ->
+      Format.fprintf ppf "Chaotic iteration diverges: cycle with period %d:@."
+        (List.length orbit);
+      List.iter (fun s -> Format.fprintf ppf "  → %a@." pp_pred s) orbit
+  | Kbp.Budget_exhausted { reason; steps; candidate } ->
+      Format.fprintf ppf
+        "Chaotic iteration: budget exhausted (%s) after %d step(s); candidate X = %a@."
+        (Budget.reason_to_string reason) steps pp_pred candidate;
+      code := exit_resource);
+  !code
+
 let solve ?sink opts sources =
   scoped ?sink opts @@ fun ppf epf ->
   match sources with
@@ -185,7 +225,7 @@ let solve ?sink opts sources =
       Format.fprintf epf "error: solve needs a .unity file@.";
       2
   | (file, src) :: _ ->
-      with_loaded ~file ~src epf @@ fun (sp, kbp) ->
+      with_loaded ~file ~src epf @@ fun (_, kbp) ->
       let kbp =
         if not opts.slice then kbp
         else begin
@@ -197,32 +237,7 @@ let solve ?sink opts sources =
           sliced
         end
       in
-      Format.fprintf ppf "%a@.@." Kbp.pp kbp;
-      let code = ref 0 in
-      (match Engine.with_budget opts.limits (fun () -> Kbp.solutions kbp) with
-      | [] ->
-          Format.fprintf ppf
-            "No solution: Ĝ(X) = X has no fixpoint (the KBP is not well-posed).@."
-      | sols ->
-          Format.fprintf ppf "%d solution(s):@." (List.length sols);
-          List.iter (fun s -> Format.fprintf ppf "  SI = %a@." (Space.pp_pred sp) s) sols
-      | exception Budget.Exhausted reason ->
-          Format.fprintf ppf "Solution enumeration: budget exhausted (%s).@."
-            (Budget.reason_to_string reason);
-          code := exit_resource);
-      (match Kbp.solve ~budget:opts.limits kbp with
-      | Kbp.Converged { si; steps } ->
-          Format.fprintf ppf "Chaotic iteration converged in %d step(s) to %a@." steps
-            (Space.pp_pred sp) si
-      | Kbp.Diverged { orbit; _ } ->
-          Format.fprintf ppf "Chaotic iteration diverges: cycle with period %d.@."
-            (List.length orbit)
-      | Kbp.Budget_exhausted { reason; steps; candidate } ->
-          Format.fprintf ppf
-            "Chaotic iteration: budget exhausted (%s) after %d step(s); candidate X = %a@."
-            (Budget.reason_to_string reason) steps (Space.pp_pred sp) candidate;
-          code := exit_resource);
-      !code
+      render_solutions ppf opts.limits kbp
 
 (* ---- slice ----------------------------------------------------------------- *)
 

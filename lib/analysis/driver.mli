@@ -78,7 +78,8 @@ val compile_property : Space.t -> string -> Bdd.t
 val resolved_program : Kpt_core.Kbp.t -> Kpt_unity.Program.t
 (** The standard program of a standard [Kbp.t]; otherwise the KBP
     instantiated at its strongest solution.
-    @raise Failure when it has no unique strongest solution. *)
+    @raise Failure when it has no unique strongest solution, or too many
+    candidate states to enumerate ({!Kpt_core.Kbp.Too_many_candidates}). *)
 
 val check : ?sink:sink -> options -> (string * string) list -> outcome
 (** The batch form of [kpt check]: [(file, source)] pairs through
@@ -94,11 +95,16 @@ val stats : ?sink:sink -> options -> (string * string) list -> outcome
     several files are profiled on the pool and rendered in input order
     (a JSON array under [options.json]). *)
 
+val render_solutions : Format.formatter -> Budget.limits -> Kpt_core.Kbp.t -> int
+(** Print a KBP, its solutions ({!Kpt_core.Kbp.solutions}) and its
+    chaotic iteration (with a diverging orbit's sets), each under the
+    given limits.  Budget exhaustion, or a knowledge KBP past the
+    candidate cap, degrades to one line and code 3.  Shared by
+    [kpt solve] and [kpt solve-file]. *)
+
 val solve : ?sink:sink -> options -> (string * string) list -> outcome
-(** [kpt solve-file] on the first source: pretty-print the (optionally
-    sliced) KBP, enumerate the Ĝ fixpoints, then run the chaotic
-    iteration — budget exhaustion degrades to code 3 with a partial
-    result, exactly like the CLI. *)
+(** [kpt solve-file] on the first source: the (optionally sliced) KBP
+    through {!render_solutions}. *)
 
 val slice : ?sink:sink -> options -> (string * string) list -> outcome
 (** [kpt slice] on the first source, with respect to [options.wrt]. *)

@@ -86,7 +86,12 @@ let render_local sp ?care pred =
     let vars =
       List.filter (fun v -> V.mem (Space.idx v) support) (Space.vars sp)
     in
-    let combos = List.fold_left (fun acc v -> acc * Space.card v) 1 vars in
+    (* saturates at 257, so the product cannot wrap around *)
+    let combos =
+      List.fold_left
+        (fun acc v -> if acc > 256 || Space.card v > 256 then 257 else acc * Space.card v)
+        1 vars
+    in
     if combos > 256 then
       Printf.sprintf "(a predicate over %s)"
         (String.concat ", " (List.map Space.name vars))

@@ -110,75 +110,57 @@ let g_operator k x =
   Kpt_obs.incr c_g_apps;
   Pred.normalize k.space (Program.si (instantiate k ~si:x))
 
-(* Over-approximation of every state any solution can contain: closure of
-   the initial states under unconditional statement bodies.  States whose
-   unconditional execution is ill-formed contribute no transition (the
-   genuine guard would have to be false there in any legal instantiation). *)
+(* Over-approximation of every state any solution can contain: the
+   strongest invariant of the unguarded bodies, each restricted to where
+   it is defined.  A body that is undefined at a state contributes no
+   transition there (the genuine guard would have to be false there in
+   any legal instantiation). *)
 let universe k =
   let sp = k.space in
-  let stmts = k.bases in
-  let vars = Array.of_list (Space.vars sp) in
-  let code st =
-    let c = ref 0 in
-    Array.iteri (fun i v -> c := (!c * Space.card v) + st.(i)) vars;
-    !c
-  in
-  let seen = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let push st =
-    let c = code st in
-    if not (Hashtbl.mem seen c) then begin
-      let copy = Array.copy st in
-      Hashtbl.add seen c copy;
-      Queue.add copy queue
-    end
-  in
-  List.iter push (Space.states_of sp k.init);
-  while not (Queue.is_empty queue) do
-    Engine.checkpoint ();
-    let st = Queue.pop queue in
-    List.iter
-      (fun s -> match Stmt.exec sp s st with st' -> push st' | exception Stmt.Ill_formed _ -> ())
-      stmts
-  done;
-  Hashtbl.fold (fun _ st acc -> st :: acc) seen []
-
-let solutions ?(max_states = 22) k =
-  let sp = k.space in
   let m = Space.manager sp in
-  let init_states = Space.states_of sp k.init in
-  let init_codes =
-    List.map (fun st -> Array.to_list st) init_states
-  in
-  let free =
-    List.filter (fun st -> not (List.mem (Array.to_list st) init_codes)) (universe k)
-  in
-  let nfree = List.length free in
-  if nfree > max_states then
-    invalid_arg
-      (Printf.sprintf "Kbp.solutions: %d free candidate states exceed the 2^%d budget" nfree
-         max_states);
-  let free = Array.of_list free in
-  let base = Bdd.disj m (List.map (Space.pred_of_state sp) init_states) in
-  let found = ref [] in
-  for mask = 0 to (1 lsl nfree) - 1 do
-    Engine.checkpoint ();
-    let x = ref base in
-    for b = 0 to nfree - 1 do
-      if (mask lsr b) land 1 = 1 then x := Bdd.or_ m !x (Space.pred_of_state sp free.(b))
-    done;
-    Kpt_obs.incr c_candidates;
-    let candidate = Pred.normalize sp !x in
-    match g_operator k candidate with
-    | gx -> if Bdd.equal gx candidate then found := candidate :: !found
-    | exception Program.Ill_formed _ -> ()
-  done;
-  List.sort
-    (fun a b -> compare (Space.count_states_of sp a) (Space.count_states_of sp b))
-    !found
+  let total b = Stmt.with_guard_pred b (Bdd.not_ m (Stmt.totality_violation sp b)) in
+  Program.si
+    (Program.make_with_init_pred sp ~name:k.name ~init:k.init ~processes:k.processes
+       (List.map total k.bases))
 
-let strongest_solution ?max_states k =
-  let sols = solutions ?max_states k in
+exception Too_many_candidates of { free : int; cap : int }
+
+let max_free = 22
+
+(* A standard KBP's Ĝ ignores [X], so its only possible fixpoint is
+   Ĝ(init) itself.  Otherwise every candidate is [init] plus a subset of
+   the free states of the universe, tried exhaustively. *)
+let solutions k =
+  if is_standard k then
+    match g_operator k k.init with x -> [ x ] | exception Program.Ill_formed _ -> []
+  else begin
+    let sp = k.space in
+    let m = Space.manager sp in
+    let free =
+      Array.of_list (Space.states_of sp (Bdd.and_ m (universe k) (Bdd.not_ m k.init)))
+    in
+    let nfree = Array.length free in
+    if nfree > max_free then raise (Too_many_candidates { free = nfree; cap = max_free });
+    let found = ref [] in
+    for mask = 0 to (1 lsl nfree) - 1 do
+      Engine.checkpoint ();
+      let x = ref k.init in
+      for b = 0 to nfree - 1 do
+        if (mask lsr b) land 1 = 1 then x := Bdd.or_ m !x (Space.pred_of_state sp free.(b))
+      done;
+      Kpt_obs.incr c_candidates;
+      let candidate = Pred.normalize sp !x in
+      match g_operator k candidate with
+      | gx -> if Bdd.equal gx candidate then found := candidate :: !found
+      | exception Program.Ill_formed _ -> ()
+    done;
+    List.sort
+      (fun a b -> compare (Space.count_states_of sp a) (Space.count_states_of sp b))
+      !found
+  end
+
+let strongest_solution k =
+  let sols = solutions k in
   let sp = k.space in
   List.find_opt (fun x -> List.for_all (fun y -> Pred.holds_implies sp x y) sols) sols
 

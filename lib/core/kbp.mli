@@ -72,17 +72,30 @@ val g_operator : t -> Bdd.t -> Bdd.t
 (** [Ĝ(X) = sst_{P[X]}.init] — the operator whose fixpoints are the
     solutions of eq. 25. *)
 
-val solutions : ?max_states:int -> t -> Bdd.t list
-(** All solutions, by exhaustive enumeration of candidate invariants over
-    an over-approximation of the universe of ever-reachable states.
-    Results are normalised predicates, strongest first (by state count).
-    @raise Invalid_argument if the candidate space exceeds [2^max_states]
-    (default [max_states = 22]). *)
+val universe : t -> Bdd.t
+(** The over-approximation of every state a solution can contain: the
+    strongest invariant of the unguarded statement bodies, each
+    restricted to the states where it is defined
+    ({!Kpt_unity.Stmt.totality_violation}).  One symbolic [sst]. *)
 
-val strongest_solution : ?max_states:int -> t -> Bdd.t option
+exception Too_many_candidates of { free : int; cap : int }
+(** A knowledge KBP whose universe has [free] states outside [init],
+    more than the [cap] (22) that exhaustive enumeration of the [2^free]
+    candidate invariants is allowed. *)
+
+val solutions : t -> Bdd.t list
+(** All solutions.  A standard KBP ({!is_standard}) has exactly one,
+    [Ĝ(init)], or none when its instantiation is ill-formed.  Otherwise
+    by exhaustive enumeration of candidate invariants: [init] plus every
+    subset of the free states of the {!universe}.  Results are
+    normalised predicates, strongest first (by state count; ties in a
+    fixed order that follows {!Space.iter_states}, not hashing).
+    @raise Too_many_candidates past the 2^22 candidate cap. *)
+
+val strongest_solution : t -> Bdd.t option
 (** The solution implied by every other solution, if one exists — the
     paper's [SI] when the KBP is well-posed with a unique strongest
-    fixpoint. *)
+    fixpoint.  @raise Too_many_candidates as {!solutions}. *)
 
 type outcome =
   | Converged of { si : Bdd.t; steps : int }

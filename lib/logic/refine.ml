@@ -12,35 +12,11 @@ type failure = {
 
 type result = Simulates | Init_escapes of Space.state | Step_escapes of failure
 
-(* Explicit reachable states of a program (local copy to avoid a dependency
-   cycle with kpt_runs). *)
-let reachable prog =
-  let space = Program.space prog in
-  let vars = Array.of_list (Space.vars space) in
-  let code st =
-    let c = ref 0 in
-    Array.iteri (fun k v -> c := (!c * Space.card v) + st.(k)) vars;
-    !c
-  in
-  let seen = Hashtbl.create 1024 in
-  let queue = Queue.create () in
-  let push st =
-    if not (Hashtbl.mem seen (code st)) then begin
-      Hashtbl.add seen (code st) (Array.copy st);
-      Queue.add (Array.copy st) queue
-    end
-  in
-  List.iter push (Space.states_of space (Program.init prog));
-  while not (Queue.is_empty queue) do
-    let st = Queue.pop queue in
-    List.iter (fun s -> push (Stmt.exec space s st)) (Program.statements prog)
-  done;
-  (seen, code)
+let reachable prog = Space.states_of (Program.space prog) (Program.si prog)
 
 let check ~abstract ~concrete ~map =
   let csp = Program.space concrete in
   let asp = Program.space abstract in
-  let creach, _ = reachable concrete in
   let cinit = Space.states_of csp (Program.init concrete) in
   let init_escape =
     List.find_opt (fun st -> not (Space.holds_at asp (Program.init abstract) (map st))) cinit
@@ -49,32 +25,17 @@ let check ~abstract ~concrete ~map =
   | Some st -> Init_escapes st
   | None ->
       let astmts = Program.statements abstract in
-      let exception Found of failure in
-      (try
-         Hashtbl.iter
-           (fun _ st ->
-             let img = map st in
-             List.iter
-               (fun cs ->
-                 let st' = Stmt.exec csp cs st in
-                 let img' = map st' in
-                 if img' <> img then
-                   let matched =
-                     List.exists (fun as_ -> Stmt.exec asp as_ img = img') astmts
-                   in
-                   if not (matched) then
-                     raise
-                       (Found
-                          {
-                            at = Array.copy st;
-                            statement = Stmt.name cs;
-                            image_from = img;
-                            image_to = img';
-                          }))
-               (Program.statements concrete))
-           creach;
-         Simulates
-       with Found f -> Step_escapes f)
+      (* the first concrete step whose image no abstract statement makes *)
+      let escape st cs =
+        let img = map st in
+        let img' = map (Stmt.exec csp cs st) in
+        if img' = img || List.exists (fun as_ -> Stmt.exec asp as_ img = img') astmts then None
+        else Some { at = st; statement = Stmt.name cs; image_from = img; image_to = img' }
+      in
+      let stmts = Program.statements concrete in
+      match List.find_map (fun st -> List.find_map (escape st) stmts) (reachable concrete) with
+      | Some f -> Step_escapes f
+      | None -> Simulates
 
 let simulates ~abstract ~concrete ~map =
   match check ~abstract ~concrete ~map with Simulates -> true | _ -> false
@@ -82,15 +43,11 @@ let simulates ~abstract ~concrete ~map =
 let pull_back ~abstract ~concrete ~map p =
   let csp = Program.space concrete in
   let asp = Program.space abstract in
-  let m = Space.manager csp in
-  let creach, _ = reachable concrete in
-  let acc = ref (Bdd.fls m) in
-  Hashtbl.iter
-    (fun _ st ->
-      if Space.holds_at asp p (map st) then
-        acc := Bdd.or_ m !acc (Space.pred_of_state csp st))
-    creach;
-  !acc
+  Bdd.disj (Space.manager csp)
+    (List.filter_map
+       (fun st ->
+         if Space.holds_at asp p (map st) then Some (Space.pred_of_state csp st) else None)
+       (reachable concrete))
 
 let transfers_invariant ~abstract ~concrete ~map p =
   simulates ~abstract ~concrete ~map

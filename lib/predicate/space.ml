@@ -309,33 +309,50 @@ let pred_of_state sp st =
     (fun acc v -> Bdd.and_ sp.man acc (Bitvec.eq_const sp.man (cur_vec sp v) st.(v.vidx)))
     (Bdd.tru sp.man) (vars sp)
 
+(* The states of [p] in [iter_states] order, walked symbolically: each
+   variable in declaration order, and within it each bit from the most
+   significant down (low branch first), so values come out increasing.
+   Only branches where [p ∧ domain] stays satisfiable are entered, so the
+   cost is about two conjunctions per bit per state produced, never a
+   walk over the space.  The callback's array is reused, and the budget
+   is polled once per state produced. *)
+let walk_states sp p f =
+  let m = sp.man in
+  let vs = Array.of_list (vars sp) in
+  let n = Array.length vs in
+  let st = Array.make (max n 1) 0 in
+  let rec var i p =
+    if i = n then begin
+      Engine.checkpoint ();
+      f st
+    end
+    else bit i (vs.(i).vwidth - 1) 0 p
+  and bit i k value p =
+    if k < 0 then begin
+      st.(i) <- value;
+      var (i + 1) p
+    end
+    else begin
+      let b = 2 * (vs.(i).voffset + k) in
+      let lo = Bdd.and_ m p (Bdd.nvar m b) in
+      if not (Bdd.is_false lo) then bit i (k - 1) value lo;
+      let hi = Bdd.and_ m p (Bdd.var m b) in
+      if not (Bdd.is_false hi) then bit i (k - 1) (value lor (1 lsl k)) hi
+    end
+  in
+  let p = Bdd.and_ m p (domain sp) in
+  if not (Bdd.is_false p) then var 0 p
+
 let states_of sp p =
   let acc = ref [] in
-  iter_states sp (fun st -> if holds_at sp p st then acc := Array.copy st :: !acc);
+  walk_states sp p (fun st -> acc := Array.copy st :: !acc);
   List.rev !acc
 
-(* The first state of [p] in [iter_states] order, found symbolically: fix
-   each variable, in declaration order, to its least value that keeps [p]
-   satisfiable within the domain.  One BDD conjunction per value tried,
-   never a walk over the space. *)
 let first_state sp p =
-  let vs = vars sp in
-  let st = Array.make (max (List.length vs) 1) 0 in
-  let rec fix p = function
-    | [] -> Some st
-    | v :: rest ->
-        let rec least k =
-          let p' = Bdd.and_ sp.man p (Bitvec.eq_const sp.man (cur_vec sp v) k) in
-          if Bdd.is_false p' then least (k + 1)
-          else begin
-            st.(v.vidx) <- k;
-            fix p' rest
-          end
-        in
-        least 0
-  in
-  let p = Bdd.and_ sp.man p (domain sp) in
-  if Bdd.is_false p then None else fix p vs
+  let exception First of state in
+  match walk_states sp p (fun st -> raise (First (Array.copy st))) with
+  | () -> None
+  | exception First st -> Some st
 
 (* Symbolic state counting: a state predicate depends only on current
    (even) bits, so its exact model count over {e all} [2·nslots] bit

@@ -133,13 +133,16 @@ val holds_at : t -> Bdd.t -> state -> bool
 (** Evaluate a current-bit predicate at a state. *)
 
 val states_of : t -> Bdd.t -> state list
-(** All states satisfying a predicate (by enumeration; intended for small
-    spaces and for tests). *)
+(** All states satisfying a predicate, in {!iter_states} order.  Walked
+    symbolically (bit by bit, entering only branches where the predicate
+    stays satisfiable within the domain), so the cost is proportional to
+    the number of states produced — about two conjunctions per bit per
+    state — not to the size of the space.  Polls the engine budget once
+    per state. *)
 
 val first_state : t -> Bdd.t -> state option
-(** The first state satisfying a predicate in {!iter_states} order, or
-    [None].  Found symbolically (one conjunction per value tried), so it
-    costs what the BDDs cost, not the size of the space. *)
+(** The head of {!states_of}, or [None]: the same walk, stopped at its
+    first state. *)
 
 val count_states_exact : t -> Bdd.t -> Bigcount.t
 (** Exact number of states satisfying a predicate, computed {e
@@ -154,4 +157,6 @@ val pp_state : t -> Format.formatter -> state -> unit
 (** ["⟨x=1 y=true …⟩"]. *)
 
 val pp_pred : t -> Format.formatter -> Bdd.t -> unit
-(** Print a predicate as the set of its states (small spaces only). *)
+(** Print a predicate as the set of its states, in {!iter_states} order
+    (through {!states_of}, so the cost follows the number of states
+    printed, not the size of the space). *)

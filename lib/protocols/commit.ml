@@ -109,9 +109,8 @@ let blocking_witness t =
   let m = Space.manager t.space in
   let undecided = bp t Expr.(var t.decision === nat 0) in
   let stuck = Kpt_logic.Ctl.eg_fair t.prog undecided in
-  match Space.states_of t.space (Bdd.and_ m (Program.si t.prog) stuck) with
-  | [] -> None
-  | st :: _ -> Some st
+  Space.first_state t.space (Bdd.and_ m (Program.si t.prog) stuck)
+
 let unanimity t = bp t (Expr.conj (List.init t.n (fun i -> Expr.var t.votes.(i))))
 let commit_guard t = bp t (Expr.conj (List.init t.n (fun i -> Expr.(var t.responses.(i) === nat 1))))
 

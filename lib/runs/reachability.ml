@@ -1,24 +1,16 @@
 open Kpt_predicate
 open Kpt_unity
 
-let coder space =
-  let vars = Array.of_list (Space.vars space) in
-  fun st ->
-    let code = ref 0 in
-    Array.iteri (fun k v -> code := (!code * Space.card v) + st.(k)) vars;
-    !code
-
 let reachable prog =
   let space = Program.space prog in
-  let code = coder space in
+  (* keyed by the state array itself: structural hash and equality *)
   let seen = Hashtbl.create 1024 in
   let queue = Queue.create () in
   let push st =
-    let c = code st in
-    if not (Hashtbl.mem seen c) then begin
+    if not (Hashtbl.mem seen st) then begin
       (* one copy, shared by the table and the queue — neither mutates it *)
       let copy = Array.copy st in
-      Hashtbl.add seen c copy;
+      Hashtbl.add seen copy ();
       Queue.add copy queue
     end
   in
@@ -28,7 +20,7 @@ let reachable prog =
     let st = Queue.pop queue in
     List.iter (fun s -> push (Stmt.exec space s st)) stmts
   done;
-  Hashtbl.fold (fun _ st acc -> st :: acc) seen []
+  Hashtbl.fold (fun st () acc -> st :: acc) seen []
 
 let si_agrees prog =
   let space = Program.space prog in

@@ -15,7 +15,11 @@ open Kpt_unity
 
 val reachable : Program.t -> Space.state list
 (** Explicit breadth-first closure of the initial states under all
-    statements. *)
+    statements ({!Kpt_unity.Stmt.exec}), in no particular order.  The
+    visited set is keyed by the state arrays themselves, so it cannot
+    alias states at any space size.  This is the independent oracle the
+    symbolic [SI] is checked against: nothing here goes through
+    [Program.sst]. *)
 
 val si_agrees : Program.t -> bool
 (** Does the explicit reachable set coincide with the symbolic [SI]? *)

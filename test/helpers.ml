@@ -60,6 +60,16 @@ let truth_table bdd ~nvars =
   done;
   !sats
 
+(* The states of [p] by a filter over the whole space, in
+   [Space.iter_states] order: the reference the symbolic walk of
+   [Space.states_of] and [Space.first_state] is checked against (small
+   spaces only). *)
+let states_by_filter sp p =
+  let acc = ref [] in
+  Kpt_predicate.Space.iter_states sp (fun st ->
+      if Kpt_predicate.Space.holds_at sp p st then acc := Array.copy st :: !acc);
+  List.rev !acc
+
 (* A random BDD built from random formulas, for property tests. *)
 let rec random_formula st m ~nvars ~depth =
   let module B = Kpt_predicate.Bdd in
@@ -121,6 +131,19 @@ let section6_programs () =
     ("kbp", kbp ());
     ("auy", auy ());
   ]
+
+(* ---- the shipped specs ---------------------------------------------------------- *)
+
+(* Every [examples/specs/*.unity] and [examples/analysis/*.unity], as
+   (label, source) pairs in a fixed order. *)
+let shipped_specs () =
+  List.concat_map
+    (fun dir ->
+      Sys.readdir ("../" ^ dir) |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".unity")
+      |> List.sort compare
+      |> List.map (fun n -> (dir ^ "/" ^ n, slurp ("../" ^ dir ^ "/" ^ n))))
+    [ "examples/specs"; "examples/analysis" ]
 
 (* ---- the malformed-spec table ------------------------------------------------ *)
 

@@ -320,6 +320,55 @@ let test_solutions_naive_equiv () =
         sols)
     (example_kbps ())
 
+(* ---- the symbolic universe and the candidate cap ---------------------- *)
+
+let shipped_kbps () =
+  List.map
+    (fun (file, src) ->
+      (file, snd (Kpt_syntax.Elaborate.program (Kpt_syntax.Parser.program_of_string src))))
+    (Helpers.shipped_specs ())
+
+let test_universe_oracle () =
+  List.iter
+    (fun kbp ->
+      Alcotest.(check bool) (Kbp.name kbp ^ ": universe = explicit BFS") true
+        (Oracle_universe.agrees kbp))
+    (example_kbps () @ List.map snd (shipped_kbps ()))
+
+(* A standard KBP has exactly its one solution, SI, however many states
+   its universe holds: the shipped specs all exceed the 2^22 cap. *)
+let test_standard_kbp_skips_enumeration () =
+  List.iter
+    (fun (file, kbp) ->
+      if Kbp.is_standard kbp then
+        match Kbp.solutions kbp with
+        | [ si ] ->
+            Alcotest.(check bool) (file ^ ": the solution is SI") true
+              (Bdd.equal si (Program.si (Kbp.to_standard_program kbp)))
+        | sols -> Alcotest.failf "%s: %d solutions" file (List.length sols))
+    (shipped_kbps ())
+
+(* [x] counts to 30 under a knowledge guard: 30 free states, past the cap. *)
+let counter_kbp () =
+  let sp = Space.create () in
+  let x = Space.nat_var sp "x" ~max:30 in
+  Kbp.make sp ~name:"counter"
+    ~init:Expr.(var x === nat 0)
+    ~processes:[ Process.make "P" [ x ] ]
+    [
+      Kbp.kstmt ~name:"inc"
+        ~guard:(Kform.k "P" (Kform.base Expr.(var x <<< nat 30)))
+        [ (x, Expr.(var x +! nat 1)) ];
+    ]
+
+let test_candidate_cap () =
+  let kbp = counter_kbp () in
+  Alcotest.(check bool) "the universe is 0..30" true (Oracle_universe.agrees kbp);
+  match Kbp.solutions kbp with
+  | _ -> Alcotest.fail "31 candidate states enumerated past the 2^22 cap"
+  | exception Kbp.Too_many_candidates { free; cap } ->
+      Alcotest.(check (pair int int)) "free states, cap" (30, 22) (free, cap)
+
 let suite =
   [
     Alcotest.test_case "make validation" `Quick test_make_validation;
@@ -338,4 +387,8 @@ let suite =
     Alcotest.test_case "iterate = naive iterate" `Quick test_iterate_naive_equiv;
     Alcotest.test_case "solutions = brute force" `Quick test_solutions_naive_equiv;
     Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
+    Alcotest.test_case "universe = explicit BFS oracle" `Quick test_universe_oracle;
+    Alcotest.test_case "standard KBP: one solution, no enumeration" `Quick
+      test_standard_kbp_skips_enumeration;
+    Alcotest.test_case "knowledge KBP past the cap raises" `Quick test_candidate_cap;
   ]

@@ -201,22 +201,33 @@ let wide () =
 
 let seconds_since t0 = Int64.to_float (Int64.sub (Kpt_obs.now_ns ()) t0) /. 1e9
 
-(* Explicit enumeration ([Reachability] and [Kbp.universe] still walk
-   states through [Space.states_of]) must
-   stop at an armed deadline rather than wait minutes for the walk to
-   end. *)
+(* The explicit walk over the whole product space ([Space.iter_states])
+   must stop at an armed deadline rather than wait minutes for the walk
+   to end. *)
 let test_state_enumeration_honours_deadline () =
-  let sp, _, prog = wide () in
-  let si = Program.si prog in
+  let sp, _, _ = wide () in
   let limits = Budget.limits ~timeout_ns:(Budget.timeout_of_seconds 0.1) () in
   let t0 = Kpt_obs.now_ns () in
-  (match Engine.with_budget limits (fun () -> Space.states_of sp si) with
-  | _ -> Alcotest.fail "enumerating 2^30 states finished inside a 0.1 s deadline"
+  (match Engine.with_budget limits (fun () -> Space.iter_states sp ignore) with
+  | () -> Alcotest.fail "enumerating 2^30 states finished inside a 0.1 s deadline"
   | exception Budget.Exhausted (Budget.Timeout _) -> ());
   let elapsed = seconds_since t0 in
   Alcotest.(check bool)
     (Printf.sprintf "the deadline interrupted the walk (%.2fs)" elapsed)
     true (elapsed < 5.0)
+
+(* [Space.states_of] walks only the states it returns: the two states of
+   SI come out of the 2^30 space at once. *)
+let test_states_of_is_output_sensitive () =
+  let sp, _, prog = wide () in
+  let t0 = Kpt_obs.now_ns () in
+  let states = Space.states_of sp (Program.si prog) in
+  let elapsed = seconds_since t0 in
+  Alcotest.(check (list (list int))) "the two states of SI, x0 false first"
+    [ List.init 30 (fun _ -> 0); 1 :: List.init 29 (fun _ -> 0) ]
+    (List.map Array.to_list states);
+  Alcotest.(check bool) (Printf.sprintf "no walk over the space (%.2fs)" elapsed) true
+    (elapsed < 1.0)
 
 (* Fair leads-to never enumerates: on the same 2^30 space it costs what
    the BDDs of SI and q cost. *)
@@ -315,6 +326,8 @@ let suite =
     Alcotest.test_case "counterexample extraction" `Quick test_counterexamples;
     Alcotest.test_case "state enumeration honours a deadline" `Quick
       test_state_enumeration_honours_deadline;
+    Alcotest.test_case "states_of is output-sensitive" `Quick
+      test_states_of_is_output_sensitive;
     Alcotest.test_case "wide leads-to is decided symbolically" `Quick
       test_wide_leads_to_is_symbolic;
     Alcotest.test_case "leads-to consumes one fuel unit per round" `Quick test_leads_to_fuel;

@@ -443,8 +443,72 @@ let prop_counterexample_is_first_state =
       let m = Space.manager sp in
       let p = to_bdd ~remap:(fun i -> 2 * i) m fsyn in
       let bad = Bdd.and_ m (Program.si prog) (Bdd.not_ m p) in
-      let first = match Space.states_of sp bad with [] -> None | st :: _ -> Some st in
+      let first = match Helpers.states_by_filter sp bad with [] -> None | st :: _ -> Some st in
       Kpt_logic.Props.invariant_counterexample prog p = first)
+
+(* ---- the symbolic state walk ---------------------------------------------- *)
+
+(* Random small spaces mixing Booleans, bounded naturals (most of them
+   non-power-of-two) and enumerations, each with a seed for a random
+   predicate over its current bits — out-of-range encodings included. *)
+type vsort = Vbool | Vnat of int | Venum of int
+
+let pp_vsort = function
+  | Vbool -> "bool"
+  | Vnat k -> Printf.sprintf "nat(%d)" k
+  | Venum n -> Printf.sprintf "enum(%d)" n
+
+let arbitrary_space_pred =
+  QCheck.make
+    ~print:(fun (sorts, seed) ->
+      Printf.sprintf "[%s] seed %d" (String.concat "; " (List.map pp_vsort sorts)) seed)
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 4)
+           (oneof
+              [
+                return Vbool;
+                map (fun k -> Vnat k) (int_range 0 6);
+                map (fun n -> Venum n) (int_range 1 5);
+              ]))
+        int)
+
+let build_space_pred (sorts, seed) =
+  let sp = Space.create () in
+  List.iteri
+    (fun i sort ->
+      let name = Printf.sprintf "v%d" i in
+      ignore
+        (match sort with
+        | Vbool -> Space.bool_var sp name
+        | Vnat k -> Space.nat_var sp name ~max:k
+        | Venum n -> Space.enum_var sp name ~values:(Array.init n (Printf.sprintf "e%d"))))
+    sorts;
+  let m = Space.manager sp in
+  let bits = Array.of_list (Space.all_current_bits sp) in
+  let st = Random.State.make [| seed |] in
+  let rec go depth =
+    if depth = 0 then
+      match Random.State.int st 5 with
+      | 0 -> Bdd.tru m
+      | 1 -> Bdd.fls m
+      | _ -> Bdd.var m bits.(Random.State.int st (Array.length bits))
+    else
+      match Random.State.int st 4 with
+      | 0 -> Bdd.and_ m (go (depth - 1)) (go (depth - 1))
+      | 1 -> Bdd.or_ m (go (depth - 1)) (go (depth - 1))
+      | 2 -> Bdd.xor m (go (depth - 1)) (go (depth - 1))
+      | _ -> Bdd.not_ m (go (depth - 1))
+  in
+  (sp, go 4)
+
+let prop_states_of_equals_filter =
+  QCheck.Test.make ~count:200 ~name:"space: states_of = filter over iter_states, in order"
+    arbitrary_space_pred (fun syn ->
+      let sp, p = build_space_pred syn in
+      let filtered = Helpers.states_by_filter sp p in
+      Space.states_of sp p = filtered
+      && Space.first_state sp p = (match filtered with [] -> None | st :: _ -> Some st))
 
 let prop_unless_conjunction_sound =
   QCheck.Test.make ~count:40 ~name:"logic: appendix-8 conjunction is semantically sound"
@@ -591,6 +655,57 @@ let prop_kbp_standard_unique =
       QCheck.assume (Kpt_core.Kbp.is_standard kbp);
       List.length (Kpt_core.Kbp.solutions kbp) = 1)
 
+(* Random KBPs whose bodies can be undefined: a counter [n : nat(k)] and a
+   flag [a], two statements with random guards (knowledge or plain) and
+   bodies drawn from increments (which overflow at the top), resets and
+   flips.  The symbolic universe must equal the explicit BFS. *)
+type ubody = Uinc of int | Ureset | Uflip | Uset_top
+
+let pp_ubody = function
+  | Uinc c -> Printf.sprintf "n := n + %d" c
+  | Ureset -> "n := 0"
+  | Uflip -> "a := ~a"
+  | Uset_top -> "a := n = max"
+
+let arbitrary_universe_kbp =
+  let open QCheck.Gen in
+  let body = oneof [ map (fun c -> Uinc c) (int_range 1 2); oneofl [ Ureset; Uflip; Uset_top ] ] in
+  let stmt = pair body (oneofl [ GSelf; GKOther; GKNotOther; GPlain true ]) in
+  QCheck.make
+    ~print:(fun (k, stmts) ->
+      Printf.sprintf "nat(%d): %s" k
+        (String.concat " | "
+           (List.map (fun (b, g) -> pp_ubody b ^ " if " ^ pp_kguard g) stmts)))
+    (pair (int_range 1 5) (list_size (int_range 1 3) stmt))
+
+let build_universe_kbp (k, stmts) =
+  let open Kpt_core in
+  let sp = Space.create () in
+  let n = Space.nat_var sp "n" ~max:k in
+  let a = Space.bool_var sp "a" in
+  let guard = function
+    | GSelf -> Kform.base (Expr.var a)
+    | GKOther -> Kform.k "PA" (Kform.base Expr.(var n === nat 0))
+    | GKNotOther -> Kform.k "PN" (Kform.knot (Kform.base (Expr.var a)))
+    | GPlain v -> Kform.base (if v then Expr.tru else Expr.fls)
+  in
+  let assign = function
+    | Uinc c -> (n, Expr.(var n +! nat c))
+    | Ureset -> (n, Expr.nat 0)
+    | Uflip -> (a, Expr.(not_ (var a)))
+    | Uset_top -> (a, Expr.(var n === nat k))
+  in
+  Kbp.make sp ~name:"random_universe"
+    ~init:Expr.(var n === nat 0 &&& not_ (var a))
+    ~processes:[ Kpt_unity.Process.make "PA" [ a ]; Kpt_unity.Process.make "PN" [ n ] ]
+    (List.mapi
+       (fun i (b, g) -> Kbp.kstmt ~name:(Printf.sprintf "s%d" i) ~guard:(guard g) [ assign b ])
+       stmts)
+
+let prop_kbp_universe_equals_oracle =
+  QCheck.Test.make ~count:100 ~name:"kbp: symbolic universe = explicit BFS oracle"
+    arbitrary_universe_kbp (fun syn -> Oracle_universe.agrees (build_universe_kbp syn))
+
 (* ---- surface syntax: print ∘ parse round trip ----------------------------- *)
 
 let surface_expr_gen =
@@ -658,6 +773,7 @@ let suite =
       prop_ensures_implies_leadsto;
       prop_fair_avoid_equals_oracle;
       prop_counterexample_is_first_state;
+      prop_states_of_equals_filter;
       prop_unless_conjunction_sound;
       prop_s5_random_si;
       prop_k_conjunctive_random_si;
@@ -665,5 +781,6 @@ let suite =
       prop_kbp_solutions_are_fixpoints;
       prop_kbp_iterate_sound;
       prop_kbp_standard_unique;
+      prop_kbp_universe_equals_oracle;
       prop_surface_roundtrip;
     ]

@@ -189,6 +189,33 @@ let test_budget_degrades_to_kpt100 () =
   Alcotest.(check bool) "and nothing is an error" true
     (not (List.exists D.is_error ds))
 
+(* ---- KPT105 over a wide support ---------------------------------------------- *)
+
+(* [P] sees n booleans and the guard is K[P] of their disjunction.  The
+   rendered local predicate counts the support's valuations; at n = 62
+   that product once wrapped past max_int to a small number and the
+   minterm walk never ended. *)
+let wide_guard_spec n =
+  let bs = List.init n (Printf.sprintf "b%d") in
+  Printf.sprintf
+    "program wide_guard\nvar y, %s : bool\nprocesses\n  P = { %s }\ninit ~y\nassign\n  s: y := true if K[P](%s)\n"
+    (String.concat ", " bs) (String.concat ", " bs) (String.concat " \\/ " bs)
+
+let test_kpt105_wide_support () =
+  List.iter
+    (fun n ->
+      let file = Printf.sprintf "wide_guard%d.unity" n in
+      let ds = Lint.lint_source_semantic ~file (wide_guard_spec n) in
+      let summary =
+        Printf.sprintf "(a predicate over %s)"
+          (String.concat ", " (List.init n (Printf.sprintf "b%d")))
+      in
+      Alcotest.(check bool) (file ^ ": KPT105 summarises the support") true
+        (List.exists
+           (fun (d : D.t) -> d.D.code = "KPT105" && Helpers.contains ~affix:summary d.D.message)
+           ds))
+    [ 61; 62; 64 ]
+
 let suite =
   [
     Alcotest.test_case "KPT101/102 fire on the dead-statement spec" `Quick
@@ -203,4 +230,6 @@ let suite =
     Alcotest.test_case "lint --json golden" `Quick test_lint_json_golden;
     Alcotest.test_case "budget exhaustion degrades to KPT100" `Quick
       test_budget_degrades_to_kpt100;
+    Alcotest.test_case "KPT105 on a 62-boolean support terminates" `Quick
+      test_kpt105_wide_support;
   ]

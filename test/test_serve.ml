@@ -703,6 +703,68 @@ let test_malformed_table_served () =
         (Helpers.malformed_runs spec))
     (Helpers.malformed_specs ())
 
+(* ---- solve-file on every shipped spec ------------------------------------------ *)
+
+(* [x] counts to 30 under a knowledge guard: 30 free candidate states,
+   past the 2^22 cap of the exhaustive solver. *)
+let counter_spec =
+  "program counter\nvar x : nat(30)\nprocesses\n  P = { x }\ninit x = 0\nassign\n\
+  \  inc: x := x + 1 if K[P](x < 30)\n"
+
+(* Every shipped spec, and a knowledge KBP past the candidate cap, gets a
+   result frame byte-identical to the direct run: the standard specs
+   print their one solution, the capped KBP one line and exit 3. *)
+let test_solve_file_served () =
+  let runs =
+    List.map (fun spec -> (spec, None)) (Helpers.shipped_specs ())
+    @ [ (("counter.unity", counter_spec), Some Driver.exit_resource) ]
+  in
+  with_server ~tag:"solve-file" @@ fun socket ->
+  List.iteri
+    (fun i (((file, _) as spec), want) ->
+      let direct = Kpt_serve.Handler.dispatch Protocol.Solve Driver.default_options [ spec ] in
+      (match want with
+      | None -> Alcotest.(check int) (file ^ ": solve-file exits 0") 0 direct.Driver.code
+      | Some code ->
+          Alcotest.(check int) (file ^ ": solve-file exits 3") code direct.Driver.code;
+          Alcotest.(check bool) (file ^ ": the cap is one line") true
+            (Helpers.contains
+               ~affix:"\nSolution enumeration: 30 free candidate states exceed the 2^22 cap.\n"
+               direct.Driver.out));
+      let served =
+        result_exn (Client.roundtrip ~socket (mk_req ~id:(i + 1) Protocol.Solve [ spec ]))
+      in
+      check_outcome file direct served ~cached:false)
+    runs
+
+(* The padded KBP: 62 booleans pinned false in [init] around a 3-state
+   SI.  Solving it costs what its BDDs cost, not the 2^64-state space. *)
+let test_solve_file_padded () =
+  let pads = List.init 62 (fun i -> Printf.sprintf "p%d" i) in
+  let src =
+    Printf.sprintf
+      "program padded\nvar x0, x1, %s : bool\nprocesses\n  P = { x0 }\ninit ~x0 /\\ ~x1 /\\ %s\nassign\n  set: x0 := true if ~x0\n| tell: x1 := true if K[P](x0) /\\ ~x1\n"
+      (String.concat ", " pads)
+      (String.concat " /\\ " (List.map (( ^ ) "~") pads))
+  in
+  let path = Filename.temp_file "kpt-padded" ".unity" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc src);
+  let t0 = Unix.gettimeofday () in
+  let code, out, _ = Helpers.run_kpt [ "solve-file"; path ] in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Sys.remove path;
+  Alcotest.(check int) "solve-file exits 0" 0 code;
+  Alcotest.(check bool) (Printf.sprintf "under 1 s (%.2fs)" elapsed) true (elapsed < 1.0);
+  let state x0 x1 =
+    Printf.sprintf "⟨x0=%s x1=%s %s⟩" x0 x1
+      (String.concat " " (List.map (fun p -> p ^ "=false") pads))
+  in
+  let si =
+    Printf.sprintf "1 solution(s):\n  SI = {%s}\n"
+      (String.concat ", " [ state "false" "false"; state "true" "false"; state "true" "true" ])
+  in
+  Alcotest.(check bool) "the one 3-state SI" true (Helpers.contains ~affix:si out)
+
 (* ---- a mini chaos sweep ------------------------------------------------------- *)
 
 let test_chaos_mini_sweep () =
@@ -784,6 +846,10 @@ let suite =
       test_cli_transport_byte_identity;
     Alcotest.test_case "malformed specs: served replies match direct" `Quick
       test_malformed_table_served;
+    Alcotest.test_case "solve-file on every shipped spec: served = direct" `Quick
+      test_solve_file_served;
+    Alcotest.test_case "solve-file on the 64-boolean padded KBP" `Quick
+      test_solve_file_padded;
     Alcotest.test_case "mini chaos sweep against a spawned daemon" `Slow
       test_chaos_mini_sweep;
   ]
