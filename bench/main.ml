@@ -324,17 +324,7 @@ let scaling_rows :
     (string * int * int * Bigcount.t * int * float * float * float option) list ref =
   ref []
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_string s = Json.to_string (Json.String s)
 
 let write_json path =
   let oc = open_out path in
@@ -342,7 +332,7 @@ let write_json path =
   pf "{\n  \"benchmarks_ns_per_run\": {\n";
   List.iteri
     (fun i (name, ns) ->
-      pf "    \"%s\": %.1f%s\n" (json_escape name) ns
+      pf "    %s: %.1f%s\n" (json_string name) ns
         (if i = List.length !bench_ns - 1 then "" else ","))
     (List.rev !bench_ns);
   pf "  },\n  \"scaling_standard_protocol\": [\n";
@@ -350,9 +340,9 @@ let write_json path =
   List.iteri
     (fun i (family, n, a, total, reach, t_si, t_safe, t_live) ->
       pf
-        "    { \"family\": \"%s\", \"n\": %d, \"a\": %d, \"state_space\": %s, \
+        "    { \"family\": %s, \"n\": %d, \"a\": %d, \"state_space\": %s, \
          \"reachable\": %d, \"si_s\": %.4f, \"safety_s\": %.4f%s }%s\n"
-        (json_escape family) n a (Bigcount.to_string total) reach t_si t_safe
+        (json_string family) n a (Bigcount.to_string total) reach t_si t_safe
         (match t_live with Some t -> Printf.sprintf ", \"liveness_s\": %.4f" t | None -> "")
         (if i = List.length rows - 1 then "" else ","))
     rows;
@@ -372,7 +362,7 @@ let write_json path =
   let cs = Kpt_obs.counters () in
   List.iteri
     (fun i (name, v) ->
-      pf "    \"%s\": %d%s\n" (json_escape name) v
+      pf "    %s: %d%s\n" (json_string name) v
         (if i = List.length cs - 1 then "" else ","))
     cs;
   pf "  }\n}\n";

@@ -378,39 +378,6 @@ let experiments_cmd =
 
 (* ---- solve --------------------------------------------------------------- *)
 
-let build_figure1 () =
-  let sp = Space.create () in
-  let shared = Space.bool_var sp "shared" in
-  let x = Space.bool_var sp "x" in
-  let p0 = Process.make "P0" [ shared ] in
-  let p1 = Process.make "P1" [ shared; x ] in
-  Kbp.make sp ~name:"figure1"
-    ~init:Expr.(not_ (var shared) &&& not_ (var x))
-    ~processes:[ p0; p1 ]
-    [
-      Kbp.kstmt ~name:"s0"
-        ~guard:(Kform.k "P0" (Kform.knot (Kform.base (Expr.var x))))
-        [ (shared, Expr.tru) ];
-      Kbp.kstmt ~name:"s1" ~guard:(Kform.base (Expr.var shared))
-        [ (x, Expr.tru); (shared, Expr.fls) ];
-    ]
-
-let build_figure2 ~strong =
-  let sp = Space.create () in
-  let x = Space.bool_var sp "x" in
-  let y = Space.bool_var sp "y" in
-  let z = Space.bool_var sp "z" in
-  let p0 = Process.make "P0" [ y ] in
-  let p1 = Process.make "P1" [ z ] in
-  let init = if strong then Expr.(not_ (var y) &&& var x) else Expr.(not_ (var y)) in
-  Kbp.make sp ~name:"figure2" ~init ~processes:[ p0; p1 ]
-    [
-      Kbp.kstmt ~name:"s0" ~guard:(Kform.k "P0" (Kform.base (Expr.var x))) [ (y, Expr.tru) ];
-      Kbp.kstmt ~name:"s1"
-        ~guard:(Kform.k "P1" (Kform.knot (Kform.base (Expr.var y))))
-        [ (z, Expr.tru) ];
-    ]
-
 let solve_cmd =
   let model =
     Arg.(
@@ -422,9 +389,9 @@ let solve_cmd =
     with_trace trace @@ fun () ->
     let kbp =
       match model with
-      | `Fig1 -> build_figure1 ()
-      | `Fig2 -> build_figure2 ~strong:false
-      | `Fig2s -> build_figure2 ~strong:true
+      | `Fig1 -> Kpt_experiments.Experiments.figure1 ()
+      | `Fig2 -> Kpt_experiments.Experiments.figure2 ~strong:false
+      | `Fig2s -> Kpt_experiments.Experiments.figure2 ~strong:true
     in
     Driver.render_solutions Format.std_formatter limits kbp
   in

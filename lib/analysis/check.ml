@@ -94,67 +94,13 @@ let render_text ppf reports =
   | [], _ -> Format.fprintf ppf "%d file(s): no findings@." (List.length reports)
   | ds, _ -> Format.fprintf ppf "%d file(s): %s@." (List.length reports) (D.summary ds)
 
-(* JSON mirrors [Stats.to_json] conventions (and reuses it per file);
-   timings are excluded so the output is deterministic. *)
-let indent prefix s =
-  String.split_on_char '\n' s
-  |> List.map (fun l -> if l = "" then l else prefix ^ l)
-  |> String.concat "\n"
-
-let severity_counts diags =
-  List.fold_left
-    (fun (e, w, i) (d : D.t) ->
-      match d.D.severity with
-      | D.Error -> (e + 1, w, i)
-      | D.Warning -> (e, w + 1, i)
-      | D.Info -> (e, w, i + 1))
-    (0, 0, 0) diags
-
-let report_json r =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let e, w, i = severity_counts r.diags in
-  pf "  {\n";
-  pf "    \"file\": \"%s\",\n" (Stats.json_escape r.file);
-  pf "    \"status\": \"%s\",\n" (if failed r then "fail" else "ok");
-  pf "    \"findings\": { \"errors\": %d, \"warnings\": %d, \"infos\": %d },\n" e w i;
-  pf "    \"diagnostics\": [";
-  List.iteri
-    (fun i (d : D.t) ->
-      pf "%s\n      { \"code\": \"%s\", \"severity\": \"%s\", \"message\": \"%s\" }"
-        (if i = 0 then "" else ",")
-        (Stats.json_escape d.D.code)
-        (D.severity_label d.D.severity)
-        (Stats.json_escape d.D.message))
-    r.diags;
-  if r.diags <> [] then pf "\n    ";
-  pf "],\n";
-  (match r.stats with
-  | Some t ->
-      let s = String.trim (Stats.to_json ~timings:false t) in
-      pf "    \"stats\": %s\n" (String.trim (indent "    " s))
-  | None -> pf "    \"stats\": null\n");
-  pf "  }";
-  Buffer.contents b
-
+(* The JSON shape is [kpt lint --json]'s, from the same writer, plus each
+   file's stats. *)
 let render_json ppf reports =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  let all = List.concat_map (fun r -> r.diags) reports in
-  let e, w, i = severity_counts all in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"files\": %d,\n  \"errors\": %d,\n  \"warnings\": %d,\n  \"infos\": %d,\n"
-       (List.length reports) e w i);
-  Buffer.add_string b "  \"reports\": [";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b (if i = 0 then "\n" else ",\n");
-      Buffer.add_string b (report_json r))
-    reports;
-  if reports <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_string b "]\n}\n";
-  Format.fprintf ppf "%s" (Buffer.contents b)
+  Lint.render_json
+    ~stats:(List.map (fun r -> r.stats) reports)
+    ppf
+    (List.map (fun r -> (r.file, r.diags)) reports)
 
 (* ---- driver ----------------------------------------------------------------- *)
 

@@ -46,7 +46,10 @@ val reports :
     batch. *)
 
 val render_text : Format.formatter -> report list -> unit
+
 val render_json : Format.formatter -> report list -> unit
+(** The [kpt check --json] shape: {!Lint.render_json} with each file's
+    [stats] member. *)
 
 val run_sources :
   ?jobs:int ->

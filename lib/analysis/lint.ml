@@ -1,7 +1,4 @@
 open Kpt_syntax
-open Kpt_predicate
-open Kpt_unity
-open Kpt_core
 module S = Rw.S
 module D = Diagnostic
 
@@ -421,11 +418,12 @@ let lint_source_semantic ?budget ~file src =
       let ds = lint_loaded ~file loaded in
       List.sort D.compare (ds @ Semantic.analyse ~file ?budget spec)
 
-(* ---- JSON rendering (the [kpt lint --json] shape) -------------------------- *)
+(* ---- JSON rendering (the [kpt lint --json] and [kpt check --json] shape) --- *)
 
-(* Mirrors [Check.render_json] minus the per-file stats section, so the
-   two machine formats parse with the same code.  [Check] depends on this
-   module, so the (small) emitters live here rather than being shared. *)
+(* One writer for both machine formats, so they parse with the same code:
+   [Check] passes the per-file stats it computed and gets the extra
+   ["stats"] member; [kpt lint] passes none and the member is absent.
+   Timings are excluded, so the output is deterministic. *)
 let severity_counts diags =
   List.fold_left
     (fun (e, w, i) (d : D.t) ->
@@ -435,36 +433,53 @@ let severity_counts diags =
       | D.Info -> (e, w, i + 1))
     (0, 0, 0) diags
 
-let render_json ppf (reports : (string * D.t list) list) =
+let json_string s = Json.to_string (Json.String s)
+
+let stats_member (t : Stats.t option) =
+  match t with
+  | None -> "null"
+  | Some t ->
+      String.trim (Stats.to_json ~timings:false t)
+      |> String.split_on_char '\n'
+      |> List.map (fun l -> if l = "" then l else "    " ^ l)
+      |> String.concat "\n" |> String.trim
+
+let render_json ?stats ppf (reports : (string * D.t list) list) =
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let all = List.concat_map snd reports in
-  let e, w, i = severity_counts all in
+  let stats =
+    match stats with
+    | Some ss -> List.map (fun s -> Some s) ss
+    | None -> List.map (fun _ -> None) reports
+  in
+  let e, w, i = severity_counts (List.concat_map snd reports) in
   pf "{\n";
   pf "  \"files\": %d,\n  \"errors\": %d,\n  \"warnings\": %d,\n  \"infos\": %d,\n"
     (List.length reports) e w i;
   pf "  \"reports\": [";
   List.iteri
-    (fun n (file, ds) ->
+    (fun n ((file, ds), st) ->
       pf "%s\n" (if n = 0 then "" else ",");
       let e, w, i = severity_counts ds in
       pf "  {\n";
-      pf "    \"file\": \"%s\",\n" (Stats.json_escape file);
+      pf "    \"file\": %s,\n" (json_string file);
       pf "    \"status\": \"%s\",\n"
         (if List.exists D.is_error ds then "fail" else "ok");
       pf "    \"findings\": { \"errors\": %d, \"warnings\": %d, \"infos\": %d },\n" e w i;
       pf "    \"diagnostics\": [";
       List.iteri
         (fun j (d : D.t) ->
-          pf "%s\n      { \"code\": \"%s\", \"severity\": \"%s\", \"message\": \"%s\" }"
+          pf "%s\n      { \"code\": %s, \"severity\": \"%s\", \"message\": %s }"
             (if j = 0 then "" else ",")
-            (Stats.json_escape d.D.code)
+            (json_string d.D.code)
             (D.severity_label d.D.severity)
-            (Stats.json_escape d.D.message))
+            (json_string d.D.message))
         ds;
       if ds <> [] then pf "\n    ";
-      pf "]\n  }")
-    reports;
+      (match st with
+      | None -> pf "]\n  }"
+      | Some t -> pf "],\n    \"stats\": %s\n  }" (stats_member t)))
+    (List.combine reports stats);
   if reports <> [] then pf "\n  ";
   pf "]\n}\n";
   Format.fprintf ppf "%s" (Buffer.contents b)
@@ -506,323 +521,3 @@ let run_sources ?jobs ?(semantic = false) ?budget ?(json = false)
     | ds, _ -> Format.fprintf ppf "%s@." (D.summary ds)
   end;
   D.exit_code ~warn_error all
-
-(* ---- semantic granularity: in-memory programs and KBPs --------------------- *)
-
-module V = Rw.V
-
-type spol = SPos | SNeg | SBoth
-
-let sflip = function SPos -> SNeg | SNeg -> SPos | SBoth -> SBoth
-
-let of_vars vs = List.fold_left (fun acc v -> V.add (Space.idx v) acc) V.empty vs
-
-let vnames sp set =
-  String.concat ", "
-    (List.map (fun i -> Space.name (Rw.var_of_idx sp i)) (V.elements set))
-
-(* variable occurrences at negative (or mixed) polarity in an expression *)
-let expr_negated_vars e =
-  let acc = ref V.empty in
-  let grab e = acc := V.union !acc (of_vars (Expr.vars_of e)) in
-  let rec go pol (e : Expr.t) =
-    match e with
-    | Expr.Cbool _ | Expr.Cint _ -> ()
-    | Expr.Var _ -> if pol <> SPos then grab e
-    | Expr.Not a -> go (sflip pol) a
-    | Expr.And (a, b) | Expr.Or (a, b) ->
-        go pol a;
-        go pol b
-    | Expr.Imp (a, b) ->
-        go (sflip pol) a;
-        go pol b
-    | Expr.Iff (a, b) ->
-        go SBoth a;
-        go SBoth b
-    | Expr.Ite (c, t, f) ->
-        go SBoth c;
-        go pol t;
-        go pol f
-    | Expr.Eq (a, b) | Expr.Lt (a, b) | Expr.Le (a, b)
-    | Expr.Add (a, b) | Expr.Subsat (a, b) ->
-        (* a comparison's variables occur at the comparison's polarity *)
-        if pol <> SPos then begin
-          grab a;
-          grab b
-        end
-  in
-  go SPos e;
-  !acc
-
-(* knowledge operators of a Kform guard, with position polarity and the
-   negated reads of their bodies — the semantic mirror of {!Rw.kop} *)
-type skop = {
-  sagents : string list;
-  snegated : V.t;
-  sneg_position : bool;
-}
-
-let kform_ops guard =
-  let ops = ref [] in
-  let rec body_negs pol f acc =
-    match f with
-    | Kform.Base e ->
-        if pol = SPos then V.union acc (expr_negated_vars e)
-        else V.union acc (of_vars (Expr.vars_of e))
-    | Kform.Knot f -> body_negs (sflip pol) f acc
-    | Kform.Kand (a, b) | Kform.Kor (a, b) ->
-        body_negs pol b (body_negs pol a acc)
-    | Kform.Kimp (a, b) -> body_negs pol b (body_negs (sflip pol) a acc)
-    | Kform.K (_, f) | Kform.Ek (_, f) | Kform.Ck (_, f) | Kform.Dk (_, f) ->
-        (* nested operators get their own entry via [go] *)
-        body_negs pol f acc
-  in
-  let rec go pol f =
-    match f with
-    | Kform.Base _ -> ()
-    | Kform.Knot f -> go (sflip pol) f
-    | Kform.Kand (a, b) | Kform.Kor (a, b) ->
-        go pol a;
-        go pol b
-    | Kform.Kimp (a, b) ->
-        go (sflip pol) a;
-        go pol b
-    | Kform.K (p, body) -> op pol [ p ] body
-    | Kform.Ek (ps, body) | Kform.Ck (ps, body) | Kform.Dk (ps, body) ->
-        op pol ps body
-  and op pol agents body =
-    ops :=
-      {
-        sagents = agents;
-        snegated = body_negs SPos body V.empty;
-        sneg_position = pol <> SPos;
-      }
-      :: !ops;
-    go SPos body
-  in
-  go SPos guard;
-  List.rev !ops
-
-(* reads of the guard outside any knowledge operator *)
-let rec kform_plain_reads = function
-  | Kform.Base e -> of_vars (Expr.vars_of e)
-  | Kform.Knot f -> kform_plain_reads f
-  | Kform.Kand (a, b) | Kform.Kor (a, b) | Kform.Kimp (a, b) ->
-      V.union (kform_plain_reads a) (kform_plain_reads b)
-  | Kform.K _ | Kform.Ek _ | Kform.Ck _ | Kform.Dk _ -> V.empty
-
-let rec kform_all_reads = function
-  | Kform.Base e -> of_vars (Expr.vars_of e)
-  | Kform.Knot f -> kform_all_reads f
-  | Kform.Kand (a, b) | Kform.Kor (a, b) | Kform.Kimp (a, b) ->
-      V.union (kform_all_reads a) (kform_all_reads b)
-  | Kform.K (_, f) | Kform.Ek (_, f) | Kform.Ck (_, f) | Kform.Dk (_, f) ->
-      kform_all_reads f
-
-let init_vars sp init =
-  Rw.vars_of_support sp (Bdd.support (Space.manager sp) init)
-
-let usage_diags ?file sp ~init ~reads ~writes =
-  let iv = init_vars sp init in
-  let ds = ref [] in
-  List.iter
-    (fun v ->
-      let i = Space.idx v in
-      let read = V.mem i reads || V.mem i iv in
-      let written = V.mem i writes in
-      if (not read) && not written then
-        ds :=
-          D.warning ?file ~code:"KPT020"
-            (Printf.sprintf "variable %s is never used" (Space.name v))
-          :: !ds
-      else if written && not read then
-        ds :=
-          D.info ?file ~code:"KPT021"
-            (Printf.sprintf
-               "variable %s is write-only: it is assigned but never read or \
-                constrained by init"
-               (Space.name v))
-          :: !ds)
-    (Space.vars sp);
-  List.rev !ds
-
-let lint_program ?file prog =
-  let sp = Program.space prog in
-  let stmts = Program.statements prog in
-  let ds = ref [] in
-  let emit d = ds := d :: !ds in
-  List.iter
-    (fun (s : Stmt.t) ->
-      if
-        s.Stmt.assigns <> []
-        && List.for_all (fun (v, rhs) -> rhs = Expr.Var v) s.Stmt.assigns
-      then
-        emit
-          (D.warning ?file ~code:"KPT022"
-             (Printf.sprintf "%s assigns every target to itself (a no-op)"
-                (Stmt.name s)));
-      if Bdd.is_false (Stmt.guard_pred sp s) then
-        emit
-          (D.warning ?file ~code:"KPT024"
-             (Printf.sprintf
-                "guard of %s is unsatisfiable: the statement can never be selected"
-                (Stmt.name s))))
-    stmts;
-  let key (s : Stmt.t) =
-    (s.Stmt.guard, List.sort (fun (a, _) (b, _) -> compare a b) s.Stmt.assigns)
-  in
-  List.iteri
-    (fun n s ->
-      List.iteri
-        (fun m s' ->
-          if m > n && key s = key s' then
-            emit
-              (D.warning ?file ~code:"KPT023"
-                 (Printf.sprintf
-                    "%s duplicates %s (same guard and assignments)" (Stmt.name s')
-                    (Stmt.name s))))
-        stmts)
-    stmts;
-  let reads =
-    List.fold_left (fun acc s -> V.union acc (Rw.stmt_reads sp s)) V.empty stmts
-  in
-  let writes =
-    List.fold_left (fun acc s -> V.union acc (Rw.stmt_writes s)) V.empty stmts
-  in
-  List.sort D.compare
-    (List.rev !ds @ usage_diags ?file sp ~init:(Program.init prog) ~reads ~writes)
-
-let lint_kbp ?file kbp =
-  let sp = Kbp.space kbp in
-  let procs = Kbp.processes kbp in
-  let find_proc name = List.find_opt (fun p -> Process.name p = name) procs in
-  let ds = ref [] in
-  let emit d = ds := d :: !ds in
-  let attributed = ref [] in
-  let kstmts = Kbp.kstmts kbp in
-  List.iter
-    (fun (s : Kbp.kstmt) ->
-      let ops = kform_ops s.Kbp.kguard in
-      let writes = of_vars (List.map fst s.Kbp.kassigns) in
-      (* polarity (eq. 25, Figures 1-2) *)
-      List.iter
-        (fun op ->
-          let who = String.concat "," op.sagents in
-          if op.sneg_position then
-            emit
-              (D.warning ?file ~code:"KPT011"
-                 (Printf.sprintf
-                    "knowledge operator K[%s] in negative position in the guard \
-                     of %s: Ĝ need not be monotonic, so the KBP may be ill-posed \
-                     (eq. 25)"
-                    who s.Kbp.kname));
-          if not (V.is_empty op.snegated) then
-            emit
-              (D.warning ?file ~code:"KPT010"
-                 (Printf.sprintf
-                    "K[%s] in %s is applied to a negated fact (%s occurs under \
-                     negation): possibly ill-posed KBP (Figures 1-2)"
-                    who s.Kbp.kname
-                    (vnames sp op.snegated))))
-        ops;
-      (* locality (eq. 13) *)
-      List.iter
-        (fun op ->
-          List.iter
-            (fun a ->
-              if find_proc a = None then
-                emit
-                  (D.error ?file ~code:"KPT013"
-                     (Printf.sprintf
-                        "knowledge operator in %s refers to undeclared process %s"
-                        s.Kbp.kname a)))
-            op.sagents)
-        ops;
-      let agents =
-        List.concat_map (fun op -> op.sagents) ops
-        |> List.filter (fun a -> find_proc a <> None)
-        |> List.sort_uniq compare
-      in
-      (match agents with
-      | [ p ] ->
-          let proc = Option.get (find_proc p) in
-          let local = of_vars (Process.vars proc) in
-          let non_local = V.diff (kform_plain_reads s.Kbp.kguard) local in
-          if not (V.is_empty non_local) then
-            emit
-              (D.error ?file ~code:"KPT012"
-                 (Printf.sprintf
-                    "guard of %s mixes K[%s] with reads of %s, which %s cannot \
-                     observe (eq. 13)"
-                    s.Kbp.kname p (vnames sp non_local) p));
-          let foreign = V.diff writes local in
-          if not (V.is_empty foreign) then
-            emit
-              (D.warning ?file ~code:"KPT030"
-                 (Printf.sprintf
-                    "%s acts on %s's knowledge but writes %s, which %s cannot \
-                     access"
-                    s.Kbp.kname p (vnames sp foreign) p));
-          attributed := (p, writes, s.Kbp.kname) :: !attributed
-      | _ -> ());
-      (* hygiene *)
-      if
-        s.Kbp.kassigns <> []
-        && List.for_all (fun (v, rhs) -> rhs = Expr.Var v) s.Kbp.kassigns
-      then
-        emit
-          (D.warning ?file ~code:"KPT022"
-             (Printf.sprintf "%s assigns every target to itself (a no-op)"
-                s.Kbp.kname)))
-    kstmts;
-  (* interference between processes *)
-  let att = List.rev !attributed in
-  List.iteri
-    (fun n (p, w, _) ->
-      List.iteri
-        (fun m (q, w', name') ->
-          if m > n && p <> q then begin
-            let shared = V.inter w w' in
-            if not (V.is_empty shared) then
-              emit
-                (D.warning ?file ~code:"KPT031"
-                   (Printf.sprintf
-                      "interference at %s: %s is written on behalf of both %s and \
-                       %s"
-                      name' (vnames sp shared) p q))
-          end)
-        att)
-    att;
-  (* duplicates *)
-  let key (s : Kbp.kstmt) =
-    (s.Kbp.kguard, List.sort (fun (a, _) (b, _) -> compare a b) s.Kbp.kassigns)
-  in
-  List.iteri
-    (fun n s ->
-      List.iteri
-        (fun m s' ->
-          if m > n && key s = key s' then
-            emit
-              (D.warning ?file ~code:"KPT023"
-                 (Printf.sprintf "%s duplicates %s (same guard and assignments)"
-                    s'.Kbp.kname s.Kbp.kname)))
-        kstmts)
-    kstmts;
-  let reads =
-    List.fold_left
-      (fun acc (s : Kbp.kstmt) ->
-        let rhs =
-          List.fold_left
-            (fun acc (_, rhs) -> V.union acc (of_vars (Expr.vars_of rhs)))
-            V.empty s.Kbp.kassigns
-        in
-        V.union acc (V.union rhs (kform_all_reads s.Kbp.kguard)))
-      V.empty kstmts
-  in
-  let writes =
-    List.fold_left
-      (fun acc (s : Kbp.kstmt) -> V.union acc (of_vars (List.map fst s.Kbp.kassigns)))
-      V.empty kstmts
-  in
-  List.sort D.compare
-    (List.rev !ds @ usage_diags ?file sp ~init:(Kbp.init kbp) ~reads ~writes)

@@ -18,20 +18,18 @@
     - {e interference}: a variable written on behalf of two different
       processes, or written by a process that cannot access it.
 
-    [lint_kbp] / [lint_program] run the structural subset that makes
-    sense on in-memory values (no spans), so protocols built through the
-    OCaml API get the same checks the surface syntax does. *)
+    The passes work on the parsed {!Kpt_syntax.Ast.program}, so every
+    finding carries a source span.  Protocols built through the OCaml
+    API have no source; {!Semantic.analyse_program} checks those. *)
 
 open Kpt_syntax
-open Kpt_unity
-open Kpt_core
 
 val lint_ast : ?file:string -> Ast.program -> Diagnostic.t list
 (** All passes over a parsed program, sorted in document order. *)
 
 val lint_loaded :
   ?file:string ->
-  Ast.program option * (Kpt_predicate.Space.t * Kbp.t, Diagnostic.t) result ->
+  Ast.program option * (Kpt_predicate.Space.t * Kpt_core.Kbp.t, Diagnostic.t) result ->
   Diagnostic.t list
 (** The lint findings of an already loaded source ({!Diagnostic.load}'s
     result): {!lint_ast} over the AST when there is one, plus the load's
@@ -52,11 +50,18 @@ val lint_source_semantic :
     into [KPT103].  Never raises: a spec error the solver finds (a
     non-total assignment, say) is a [KPT003] diagnostic too. *)
 
-val render_json : Format.formatter -> (string * Diagnostic.t list) list -> unit
-(** The [kpt lint --json] shape: same top-level and per-file structure
-    as [kpt check --json] ([files]/[errors]/[warnings]/[infos] and
-    [reports] with [file]/[status]/[findings]/[diagnostics]), minus the
-    per-file [stats] section. *)
+val render_json :
+  ?stats:Stats.t option list ->
+  Format.formatter ->
+  (string * Diagnostic.t list) list ->
+  unit
+(** The JSON report writer of both [kpt lint --json] and [kpt check
+    --json]: [files]/[errors]/[warnings]/[infos] totals, then [reports]
+    with [file]/[status]/[findings]/[diagnostics] per file.  With
+    [~stats] (index-aligned with the reports) each report also gets a
+    [stats] member: {!Stats.to_json} without timings, or [null] for a
+    file that did not elaborate.  [kpt lint] passes no stats and the
+    member is absent. *)
 
 val run_sources :
   ?jobs:int ->
@@ -80,13 +85,3 @@ val run_sources :
     rendering but {e never} alters the exit code, which depends only on
     the findings: 1 iff any error, or any warning when
     [~warn_error:true]. *)
-
-val lint_kbp : ?file:string -> Kbp.t -> Diagnostic.t list
-(** Structural checks on an in-memory knowledge-based protocol:
-    K-polarity and locality over its {!Kform.t} guards, plus hygiene and
-    interference. *)
-
-val lint_program : ?file:string -> Program.t -> Diagnostic.t list
-(** Structural checks on a compiled standard program: hygiene (identity
-    assignments, duplicates, unused / write-only variables, statically
-    false guards). *)

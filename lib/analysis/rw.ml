@@ -154,18 +154,6 @@ let all_reads rw =
     (S.union rw.rhs_reads rw.guard_plain)
     rw.kops
 
-let cone stmts targets =
-  let rec fix c =
-    let c' =
-      List.fold_left
-        (fun acc (writes, reads) ->
-          if S.is_empty (S.inter writes acc) then acc else S.union acc reads)
-        c stmts
-    in
-    if S.equal c c' then c else fix c'
-  in
-  fix targets
-
 (* ---- semantic granularity ------------------------------------------------ *)
 
 module V = Set.Make (Int)

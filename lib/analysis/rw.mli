@@ -48,12 +48,6 @@ val of_stmt : vars:S.t -> Ast.stmt -> stmt_rw
 val all_reads : stmt_rw -> S.t
 (** [rhs_reads ∪ guard_plain ∪ every operator's kreads]. *)
 
-val cone : (S.t * S.t) list -> S.t -> S.t
-(** [cone stmts targets]: least set [C ⊇ targets] such that whenever a
-    statement's write set meets [C], its read set is included — the
-    variables that can influence [targets] through any statement chain
-    (cone of influence). *)
-
 (** {1 Semantic granularity} *)
 
 module V : Set.S with type elt = int
@@ -68,7 +62,10 @@ val stmt_reads : Space.t -> Stmt.t -> V.t
     ({!Stmt.Gpred}) contribute their BDD support. *)
 
 val program_cone : Program.t -> V.t -> V.t
-(** Cone of influence over a compiled program's statements. *)
+(** [program_cone prog targets]: least set [C ⊇ targets] such that
+    whenever a statement's write set meets [C], its read set is included
+    — the variables that can influence [targets] through any statement
+    chain (cone of influence). *)
 
 val kform_reads : Kpt_core.Kform.t -> V.t
 (** Every variable a knowledge guard reads, operator bodies included. *)

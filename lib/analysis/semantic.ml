@@ -167,6 +167,15 @@ let render_local sp ?care pred =
 
 (* ---- program-level passes (KPT101/102/104) -------------------------------- *)
 
+(* KPT102, also raised for the standard guards of a KBP whose Ĝ-iteration
+   diverges (see [analyse_kbp]) *)
+let unsat_guard ?file label =
+  D.warning ?file ~code:"KPT102" ~hint:"delete the statement, or repair the guard"
+    (Printf.sprintf
+       "guard of %s is unsatisfiable: no type-correct state at all satisfies \
+        it, reachable or not"
+       label)
+
 (* [stmts] are (label, guard predicate) pairs — concrete statements of a
    standard program, or a KBP's statements instantiated at the solved
    SI (whose knames the labels preserve). *)
@@ -180,13 +189,7 @@ let program_passes ?file sp ~stmts ~si =
       Engine.checkpoint ~fuel:1 ();
       let g = Bdd.and_ m g dom in
       if Bdd.is_false g then
-        emit
-          (D.warning ?file ~code:"KPT102"
-             ~hint:"delete the statement, or repair the guard"
-             (Printf.sprintf
-                "guard of %s is unsatisfiable: no type-correct state at all \
-                 satisfies it, reachable or not"
-                label))
+        emit (unsat_guard ?file label)
       else if Bdd.is_false (Bdd.and_ m g si) then
         emit
           (D.warning ?file ~code:"KPT101"
@@ -310,13 +313,7 @@ let analyse_kbp ?file kbp =
                 let lookup _ = raise Not_found in
                 let g = Kform.compile sp ~lookup ~si:dom s.Kbp.kguard in
                 if Bdd.is_false (Bdd.and_ m g dom) then
-                  Some
-                    (D.warning ?file ~code:"KPT102"
-                       ~hint:"delete the statement, or repair the guard"
-                       (Printf.sprintf
-                          "guard of %s is unsatisfiable: no type-correct state \
-                           at all satisfies it, reachable or not"
-                          s.Kbp.kname))
+                  Some (unsat_guard ?file s.Kbp.kname)
                 else None
               end
               else None)

@@ -100,24 +100,13 @@ let pp fmt t =
     t.spans;
   Format.fprintf fmt "@]"
 
-(* Renders with the same escaping discipline as the bench harness. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_string s = Json.to_string (Json.String s)
 
 let to_json ?(timings = true) t =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "{\n";
-  pf "  \"file\": \"%s\",\n" (json_escape t.file);
+  pf "  \"file\": %s,\n" (json_string t.file);
   pf "  \"kind\": \"%s\",\n" (kind t);
   pf "  \"variables\": %d,\n" t.variables;
   pf "  \"statements\": %d,\n" t.statements;
@@ -140,14 +129,14 @@ let to_json ?(timings = true) t =
   pf "  \"counters\": {\n";
   List.iteri
     (fun i (name, v) ->
-      pf "    \"%s\": %d%s\n" (json_escape name) v
+      pf "    %s: %d%s\n" (json_string name) v
         (if i = List.length t.counters - 1 then "" else ","))
     t.counters;
   if timings then begin
     pf "  },\n  \"timings_ns\": {\n";
     List.iteri
       (fun i (name, ns, _) ->
-        pf "    \"%s\": %Ld%s\n" (json_escape name) ns
+        pf "    %s: %Ld%s\n" (json_string name) ns
           (if i = List.length t.spans - 1 then "" else ","))
       t.spans;
     pf "  }\n"

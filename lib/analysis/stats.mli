@@ -45,7 +45,3 @@ val to_json : ?timings:bool -> t -> string
 (** Machine-readable profile.  [~timings:false] (default [true]) omits
     the [timings_ns] section — everything else is a deterministic
     function of the input file, which is what the golden test pins. *)
-
-val json_escape : string -> string
-(** The string-escaping discipline of {!to_json}, shared with the other
-    JSON emitters ({!Check}, the bench harness). *)

@@ -32,7 +32,7 @@ let figure1 () =
     ~init:Expr.(not_ (var shared) &&& not_ (var x))
     ~processes:[ p0; p1 ] [ s0; s1 ]
 
-let figure2 strong =
+let figure2 ~strong =
   let sp = Space.create () in
   let x = Space.bool_var sp "x" in
   let y = Space.bool_var sp "y" in
@@ -46,7 +46,7 @@ let figure2 strong =
       [ (z, Expr.tru) ]
   in
   let init = if strong then Expr.(not_ (var y) &&& var x) else Expr.(not_ (var y)) in
-  (sp, x, y, z, Kbp.make sp ~name:"figure2" ~init ~processes:[ p0; p1 ] [ s0; s1 ])
+  Kbp.make sp ~name:"figure2" ~init ~processes:[ p0; p1 ] [ s0; s1 ]
 
 (* ---- E1 ----------------------------------------------------------------- *)
 
@@ -65,8 +65,10 @@ let e1_figure1 fmt =
 
 let e2_figure2 fmt =
   header fmt "E2 · Figure 2: SI not monotonic in the initial condition";
-  let sp1, _, y1, z1, weak = figure2 false in
-  let sp2, x2, _, z2, strong = figure2 true in
+  let weak = figure2 ~strong:false and strong = figure2 ~strong:true in
+  let sp1 = Kbp.space weak and sp2 = Kbp.space strong in
+  let y1 = Space.find sp1 "y" and z1 = Space.find sp1 "z" in
+  let x2 = Space.find sp2 "x" and z2 = Space.find sp2 "z" in
   let si1 = match Kbp.solutions weak with [ s ] -> s | _ -> Bdd.fls (Space.manager sp1) in
   let si2 = match Kbp.solutions strong with [ s ] -> s | _ -> Bdd.fls (Space.manager sp2) in
   let ok1 =

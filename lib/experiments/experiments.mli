@@ -7,6 +7,14 @@
     Used by both [bench/main.exe] (which runs them all before the
     performance benchmarks) and the [kpt experiments] CLI command. *)
 
+val figure1 : unit -> Kpt_core.Kbp.t
+(** Figure 1's knowledge-based protocol: [s0] sets [shared] when [P0]
+    knows [¬x], [s1] sets [x] and clears [shared]. *)
+
+val figure2 : strong:bool -> Kpt_core.Kbp.t
+(** Figure 2's knowledge-based protocol over [x], [y], [z], under
+    [init = ¬y], or [¬y ∧ x] when [~strong:true]. *)
+
 val e1_figure1 : Format.formatter -> bool
 (** Figure 1: the KBP with no solution — exhaustive solver finds zero
     fixpoints of Ĝ; chaotic iteration exhibits a 2-cycle. *)

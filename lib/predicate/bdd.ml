@@ -252,7 +252,7 @@ let grow_sub m sub =
   sub.s_node <- nodes
 
 (* Insert an already-built node into its variable's subtable (used by the
-   swap and by [gc], where the node is known not to be present). *)
+   swap, where the node is known not to be present). *)
 let insert_node m n =
   let sub = m.subs.(n.var) in
   let lo = n.low.uid and hi = n.high.uid in
@@ -1299,27 +1299,6 @@ let stats m =
     spill_nodes = !spill;
     cache_slots = m.op_mask + 1;
   }
-
-let gc m ~roots =
-  clear_caches m;
-  let keep = Hashtbl.create (max 16 m.live) in
-  let rec mark n =
-    if (not (is_leaf n)) && not (Hashtbl.mem keep n.uid) then begin
-      Hashtbl.add keep n.uid n;
-      mark n.low;
-      mark n.high
-    end
-  in
-  List.iter mark roots;
-  for v = 0 to m.nvars - 1 do
-    let sub = m.subs.(v) in
-    sub.s_count <- 0;
-    sub.s_key <- Array.make initial_sub_slots 0;
-    sub.s_node <- Array.make initial_sub_slots m.t_false;
-    Hashtbl.reset sub.s_spill
-  done;
-  m.live <- 0;
-  Hashtbl.iter (fun _ n -> insert_node m n) keep
 
 let rec eval n valuation =
   if is_true n then true

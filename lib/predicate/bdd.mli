@@ -32,7 +32,7 @@ type manager
     {!cube}), and of {!swap_pairs}.  Every entry is keyed on uids, which
     keep their denotation across a level swap, so entries survive from
     one call to the next; the garbage collection that brackets every
-    reorder (and {!gc}, {!clear_caches}) empties the cache. *)
+    reorder (and {!clear_caches}) empties the cache. *)
 
 type t
 (** A BDD node.  Canonical: two nodes of the same manager denote the same
@@ -161,18 +161,6 @@ val size : manager -> t -> int
 
 val node_count : manager -> int
 (** Total nodes ever hash-consed in the manager. *)
-
-val live_count : manager -> int
-(** Nodes currently in the unique table (plus the two leaves). *)
-
-val gc : manager -> roots:t list -> unit
-(** Garbage-collect the unique table: every node not reachable from the
-    roots is dropped (operation caches are cleared too).  Root handles —
-    and any node reachable from them — remain valid and canonical; any
-    {e other} retained handle becomes stale: it still evaluates correctly
-    but is no longer hash-consed, so [equal] with newly built nodes may
-    return false.  Collect only at points where the set of live
-    predicates is known (e.g. between fixpoint computations). *)
 
 val sat_count_exact : manager -> nvars:int -> t -> Bigcount.t
 (** Exact number of satisfying assignments over variables [0..nvars-1];

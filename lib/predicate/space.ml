@@ -130,6 +130,8 @@ let value_name v k =
   | Tnat _ -> string_of_int k
   | Tenum vs -> vs.(k)
 
+let enum_labels v = match v.vtyp with Tenum vs -> Array.to_list vs | Tbool | Tnat _ -> []
+
 let current_bits v = List.init v.vwidth (fun k -> 2 * (v.voffset + k))
 let next_bits v = List.init v.vwidth (fun k -> (2 * (v.voffset + k)) + 1)
 

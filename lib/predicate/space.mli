@@ -67,6 +67,11 @@ val width : var -> int
 val value_name : var -> int -> string
 (** Human-readable value ("true", "3", enum label). *)
 
+val enum_labels : var -> string list
+(** The labels of an enumeration, in value order; [[]] for Booleans
+    and naturals.  Unlike a {!value_name} walk, this costs nothing for a
+    natural with a huge bound. *)
+
 val current_bits : var -> int list
 val next_bits : var -> int list
 val all_current_bits : t -> int list

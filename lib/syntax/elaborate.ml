@@ -14,17 +14,18 @@ let literal_table sp =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun v ->
-      (* enum variables are those whose value names are not bool/numeric *)
-      for k = 0 to Space.card v - 1 do
-        let name = Space.value_name v k in
-        if
-          name <> "true" && name <> "false"
-          && not (String.length name > 0 && name.[0] >= '0' && name.[0] <= '9')
-        then
-          match Hashtbl.find_opt tbl name with
-          | Some k' when k' <> k -> err "enum literal %s is ambiguous" name
-          | _ -> Hashtbl.replace tbl name k
-      done)
+      (* only enumerations have labels, so a huge [nat(k)] costs nothing;
+         labels spelled like a Boolean or a number are not literals *)
+      List.iteri
+        (fun k name ->
+          if
+            name <> "true" && name <> "false"
+            && not (String.length name > 0 && name.[0] >= '0' && name.[0] <= '9')
+          then
+            match Hashtbl.find_opt tbl name with
+            | Some k' when k' <> k -> err "enum literal %s is ambiguous" name
+            | _ -> Hashtbl.replace tbl name k)
+        (Space.enum_labels v))
     (Space.vars sp);
   tbl
 

@@ -20,9 +20,7 @@ type cache
     transition), keyed on the space they were compiled for.  The
     guard-independent part is shared across {!with_guard_pred} copies, so
     re-instantiating a knowledge-based protocol at a new candidate
-    invariant recompiles only the guards.  Cached BDDs count as retained
-    handles for {!Bdd.gc}: root them (e.g. via {!trans}) or rebuild the
-    statements after a collection. *)
+    invariant recompiles only the guards. *)
 
 type t = private {
   sname : string;

@@ -26,10 +26,12 @@ let slurp path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* The built CLI (a declared dependency of the test stanza), run to
-   completion from the test directory: [(exit code, stdout, stderr)]. *)
+   completion from the test directory: [(exit code, stdout, stderr)].
+   With [~kill_after] (seconds) a run still going by then is killed, so a
+   hang fails the test (exit 1000 + signal) instead of stalling it. *)
 let kpt_exe = "../bin/kpt.exe"
 
-let run_kpt args =
+let run_kpt ?kill_after args =
   let out = Filename.temp_file "kpt-cli" ".out" in
   let err = Filename.temp_file "kpt-cli" ".err" in
   let open_w path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
@@ -39,8 +41,17 @@ let run_kpt args =
   in
   Unix.close ofd;
   Unix.close efd;
+  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) kill_after in
+  let rec wait () =
+    match Unix.waitpid (if deadline = None then [] else [ Unix.WNOHANG ]) pid with
+    | 0, _ ->
+        if Unix.gettimeofday () > Option.get deadline then Unix.kill pid Sys.sigkill
+        else Unix.sleepf 0.01;
+        wait ()
+    | _, status -> status
+  in
   let code =
-    match snd (Unix.waitpid [] pid) with
+    match wait () with
     | Unix.WEXITED c -> c
     | Unix.WSIGNALED s | Unix.WSTOPPED s -> 1000 + s
   in

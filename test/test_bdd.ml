@@ -198,39 +198,6 @@ let test_size_caches () =
   let q = Bdd.and_ m (Bdd.var m 0) (Bdd.var m 1) in
   Alcotest.(check bool) "hash-consing survives clear_caches" true (Bdd.equal p q)
 
-let test_gc () =
-  let m = m () in
-  let st = Helpers.rng () in
-  (* create garbage and two roots *)
-  let root1 = Helpers.random_formula st m ~nvars:6 ~depth:5 in
-  let root2 = Helpers.random_formula st m ~nvars:6 ~depth:5 in
-  for _ = 1 to 50 do
-    ignore (Helpers.random_formula st m ~nvars:6 ~depth:5)
-  done;
-  let before = Bdd.live_count m in
-  let tt1 = Helpers.truth_table root1 ~nvars:6 in
-  Bdd.gc m ~roots:[ root1; root2 ];
-  let after = Bdd.live_count m in
-  Alcotest.(check bool) "gc frees nodes" true (after <= before);
-  (* roots survive semantically *)
-  Alcotest.(check (list int)) "root semantics preserved" tt1
-    (Helpers.truth_table root1 ~nvars:6);
-  (* and stay canonical: rebuilding an identical function finds the root *)
-  let rebuilt = Bdd.and_ m root1 root1 in
-  Alcotest.(check bool) "root still hash-consed" true (Bdd.equal rebuilt root1);
-  (* fresh structure is buildable and correct after gc *)
-  let fresh = Bdd.xor m (Bdd.var m 0) (Bdd.var m 5) in
-  Alcotest.(check int) "fresh node count" 3 (Bdd.size m fresh)
-
-let test_gc_empty_roots () =
-  let m = m () in
-  ignore (Bdd.and_ m (Bdd.var m 0) (Bdd.var m 1));
-  Bdd.gc m ~roots:[];
-  Alcotest.(check int) "only leaves remain" 2 (Bdd.live_count m);
-  (* the manager is still usable *)
-  let p = Bdd.or_ m (Bdd.var m 2) (Bdd.nvar m 3) in
-  Alcotest.(check bool) "rebuild works" false (Bdd.is_false p)
-
 (* The packed direct-mapped op-cache overwrites slots on collision; a
    2-slot manager forces collisions on essentially every operation, so any
    stale-hit bug (a lossy slot returned for the wrong operands) shows up as
@@ -361,8 +328,6 @@ let suite =
     Alcotest.test_case "implies" `Quick test_implies;
     Alcotest.test_case "conj/disj" `Quick test_conj_disj;
     Alcotest.test_case "size and caches" `Quick test_size_caches;
-    Alcotest.test_case "garbage collection" `Quick test_gc;
-    Alcotest.test_case "gc with no roots" `Quick test_gc_empty_roots;
     Alcotest.test_case "op-cache under forced collisions" `Quick test_opcache_collisions;
     Alcotest.test_case "op-cache clear mid-stream" `Quick test_opcache_clear_midstream;
     Alcotest.test_case "balanced conj/disj folds" `Quick test_balanced_folds;

@@ -4,7 +4,6 @@
 
 open Kpt_predicate
 open Kpt_unity
-open Kpt_core
 open Kpt_syntax
 open Kpt_analysis
 module D = Diagnostic
@@ -359,18 +358,8 @@ assign
         (Rw.S.elements k.Rw.kreads);
       Alcotest.(check bool) "not negated" true (Rw.S.is_empty k.Rw.negated_reads)
   | _ -> Alcotest.fail "expected one knowledge operator");
-  let stmts =
-    List.map
-      (fun s ->
-        let rw = Rw.of_stmt ~vars s in
-        (rw.Rw.writes, Rw.all_reads rw))
-      p.Ast.p_stmts
-  in
-  let cone = Rw.cone stmts (Rw.S.singleton "c") in
-  Alcotest.(check (list string)) "cone of c" [ "a"; "b"; "c"; "d" ]
-    (Rw.S.elements cone);
-  Alcotest.(check (list string)) "cone of d is d alone" [ "d" ]
-    (Rw.S.elements (Rw.cone stmts (Rw.S.singleton "d")))
+  Alcotest.(check (list string)) "all reads" [ "b"; "d" ]
+    (Rw.S.elements (Rw.all_reads rw))
 
 let test_program_cone () =
   let sp = Space.create () in
@@ -390,84 +379,10 @@ let test_program_cone () =
     (List.sort compare [ idx a; idx b; idx c ])
     (List.sort compare (Rw.V.elements cone))
 
-(* ---- the in-memory API: KBPs and compiled programs dogfood the linter ------ *)
+(* ---- protocols built through the OCaml API --------------------------------- *)
 
-let build_figure1 () =
-  let sp = Space.create () in
-  let shared = Space.bool_var sp "shared" in
-  let x = Space.bool_var sp "x" in
-  let p0 = Process.make "P0" [ shared ] in
-  let p1 = Process.make "P1" [ shared; x ] in
-  Kbp.make sp ~name:"figure1"
-    ~init:Expr.(not_ (var shared) &&& not_ (var x))
-    ~processes:[ p0; p1 ]
-    [
-      Kbp.kstmt ~name:"s0"
-        ~guard:(Kform.k "P0" (Kform.knot (Kform.base (Expr.var x))))
-        [ (shared, Expr.tru) ];
-      Kbp.kstmt ~name:"s1" ~guard:(Kform.base (Expr.var shared))
-        [ (x, Expr.tru); (shared, Expr.fls) ];
-    ]
-
-let test_lint_kbp_figure1 () =
-  let ds = Lint.lint_kbp (build_figure1 ()) in
-  (match List.map (fun (d : D.t) -> d.D.code) ds with
-  | [ "KPT010" ] -> ()
-  | other -> Alcotest.failf "expected [KPT010], got [%s]" (String.concat "; " other));
-  let d = List.hd ds in
-  Alcotest.(check bool) "names the culprit" true
-    (let msg = d.D.message in
-     let rec contains i =
-       i + 1 <= String.length msg
-       && ((i + 4 <= String.length msg && String.sub msg i 4 = "s0 i") || contains (i + 1))
-     in
-     contains 0)
-
-let test_lint_kbp_checks () =
-  let sp = Space.create () in
-  let x = Space.bool_var sp "x" in
-  let y = Space.bool_var sp "y" in
-  let p0 = Process.make "P0" [ x ] in
-  let p1 = Process.make "P1" [ x; y ] in
-  let kbp =
-    Kbp.make sp ~name:"k" ~init:(Expr.var x) ~processes:[ p0; p1 ]
-      [
-        (* K[P0] under negation: negative position *)
-        Kbp.kstmt ~name:"s0"
-          ~guard:(Kform.knot (Kform.k "P0" (Kform.base (Expr.var x))))
-          [ (x, Expr.tru) ];
-        (* writes y on P0's behalf *)
-        Kbp.kstmt ~name:"s1"
-          ~guard:(Kform.k "P0" (Kform.base (Expr.var x)))
-          [ (y, Expr.tru) ];
-        (* identity assignment *)
-        Kbp.kstmt ~name:"s2" ~guard:(Kform.base (Expr.var y)) [ (x, Expr.var x) ];
-      ]
-  in
-  let ds = Lint.lint_kbp kbp in
-  Alcotest.(check bool) "negative position" true (has "KPT011" ds);
-  Alcotest.(check bool) "foreign write" true (has "KPT030" ds);
-  Alcotest.(check bool) "identity" true (has "KPT022" ds)
-
-let test_lint_program_hygiene () =
-  let sp = Space.create () in
-  let a = Space.bool_var sp "a" in
-  let b = Space.bool_var sp "b" in
-  let prog =
-    Program.make sp ~name:"h" ~init:(Expr.var a)
-      [
-        Stmt.make ~name:"spin" [ (a, Expr.var a) ];
-        Stmt.make ~name:"dead" ~guard:Expr.(var a &&& not_ (var a)) [ (b, Expr.tru) ];
-        Stmt.make ~name:"c1" ~guard:(Expr.var a) [ (b, Expr.tru) ];
-        Stmt.make ~name:"c2" ~guard:(Expr.var a) [ (b, Expr.tru) ];
-      ]
-  in
-  let ds = Lint.lint_program prog in
-  Alcotest.(check bool) "identity" true (has "KPT022" ds);
-  Alcotest.(check bool) "statically false guard" true (has "KPT024" ds);
-  Alcotest.(check bool) "duplicate" true (has "KPT023" ds);
-  Alcotest.(check bool) "write-only b" true (has "KPT021" ds)
-
+(* The bundled §6 protocols have no source, so the AST lint cannot see
+   them; the semantic tier's program passes (KPT101/102/104) can. *)
 let test_bundled_protocols_clean () =
   let open Kpt_protocols in
   let params = { Seqtrans.n = 2; a = 2 } in
@@ -483,7 +398,7 @@ let test_bundled_protocols_clean () =
   in
   List.iter
     (fun (name, prog) ->
-      let ds = Lint.lint_program prog in
+      let ds = Semantic.analyse_program prog in
       let loud = List.filter (fun (d : D.t) -> d.D.severity <> D.Info) ds in
       Alcotest.(check (list string)) (name ^ " lints clean") [] (codes loud))
     progs
@@ -602,6 +517,57 @@ let test_malformed_table () =
         (Helpers.malformed_runs spec))
     (Helpers.malformed_specs ())
 
+(* A [nat(k)] bound far beyond any explicit walk: elaboration must not
+   touch its values one by one.  Every command finishes fast, on the CLI
+   and through the daemon's dispatch, because the spec only ever reaches
+   four states. *)
+let huge_bound_src =
+  {|program huge
+var x : nat(99999999999)
+var b : bool
+init x = 0 /\ ~b
+assign
+  s0: b := ~b
+| s1: x := 1 if b
+|}
+
+let test_huge_nat_bound () =
+  let file = Filename.temp_file "huge" ".unity" in
+  let oc = open_out_bin file in
+  output_string oc huge_bound_src;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let d = Driver.default_options in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  List.iter
+    (fun (args, cmd, opts) ->
+      let name = String.concat " " args in
+      let (code, out, _), secs =
+        timed (fun () -> Helpers.run_kpt ~kill_after:10. (args @ [ file ]))
+      in
+      Alcotest.(check int) (name ^ ": exit") 0 code;
+      if secs >= 1. then Alcotest.failf "%s took %.2f s" name secs;
+      if cmd = Kpt_serve.Protocol.Check then
+        Alcotest.(check bool) (name ^ ": four states") true
+          (Helpers.contains ~affix:"4 reachable state(s)" out);
+      let o, secs =
+        timed (fun () -> Kpt_serve.Handler.dispatch cmd opts [ (file, huge_bound_src) ])
+      in
+      Alcotest.(check int) (name ^ " (dispatch): exit") 0 o.Driver.code;
+      if secs >= 1. then Alcotest.failf "%s (dispatch) took %.2f s" name secs)
+    Kpt_serve.Protocol.
+      [
+        ([ "lint" ], Lint, d);
+        ([ "check" ], Check, d);
+        ([ "lint"; "--semantic" ], Lint, { d with semantic = true });
+        ([ "stats" ], Stats, d);
+        ([ "solve-file" ], Solve, d);
+      ]
+
 let suite =
   [
     Alcotest.test_case "figure 1: K of a negated fact" `Quick test_figure1_polarity;
@@ -624,10 +590,6 @@ let suite =
     Alcotest.test_case "rendering and exit codes" `Quick test_rendering;
     Alcotest.test_case "read/write sets + cone" `Quick test_rw_and_cone;
     Alcotest.test_case "semantic cone" `Quick test_program_cone;
-    Alcotest.test_case "lint_kbp: figure 1" `Quick test_lint_kbp_figure1;
-    Alcotest.test_case "lint_kbp: polarity, locality, hygiene" `Quick
-      test_lint_kbp_checks;
-    Alcotest.test_case "lint_program: hygiene" `Quick test_lint_program_hygiene;
     Alcotest.test_case "bundled protocols lint clean" `Quick
       test_bundled_protocols_clean;
     Alcotest.test_case "driver: --quiet x --warn-error matrix" `Quick test_flag_matrix;
@@ -635,4 +597,6 @@ let suite =
       test_unreadable_input_is_clean_error;
     Alcotest.test_case "malformed specs: one diagnostic on every command" `Quick
       test_malformed_table;
+    Alcotest.test_case "huge nat(k) bound: every command under 1 s" `Quick
+      test_huge_nat_bound;
   ]
