@@ -18,7 +18,7 @@ let unless prog p q =
   let space = Program.space prog in
   let m = Space.manager space in
   let si = Program.si prog in
-  let lhs = Bdd.conj m [ si; p; Bdd.not_ m q ] in
+  let lhs = Bdd.diff m (Bdd.and_ m si p) q in
   List.for_all
     (fun s -> Pred.holds_implies space lhs (Stmt.wp space s (Bdd.or_ m p q)))
     (Program.statements prog)
@@ -27,7 +27,7 @@ let ensures prog p q =
   let space = Program.space prog in
   let m = Space.manager space in
   let si = Program.si prog in
-  let lhs = Bdd.conj m [ si; p; Bdd.not_ m q ] in
+  let lhs = Bdd.diff m (Bdd.and_ m si p) q in
   unless prog p q
   && List.exists
        (fun s -> Pred.holds_implies space lhs (Stmt.wp space s q))
@@ -60,17 +60,19 @@ let fair_avoid prog q =
   let wp s y = Stmt.wp space s y in
   let ex y = List.fold_left (fun acc s -> Bdd.or_ m acc (wp s y)) (Bdd.fls m) stmts in
   (* E[z U target] for [target ⊆ z]: pre-images distribute over ∨, so
-     each step only needs the pre-image of the states it last added. *)
+     each step only needs the pre-image of the states it last added.
+     Neither the frontier nor [z0] builds a complement: both are one
+     [diff]. *)
   let eu z target steps =
     let rec grow reached frontier =
       Engine.checkpoint ();
       incr steps;
-      let fresh = Bdd.conj m [ z; ex frontier; Bdd.not_ m reached ] in
+      let fresh = Bdd.diff m (Bdd.and_ m z (ex frontier)) reached in
       if Bdd.is_false fresh then reached else grow (Bdd.or_ m reached fresh) fresh
     in
     grow target target
   in
-  let z0 = Bdd.and_ m (Program.si prog) (Bdd.not_ m q) in
+  let z0 = Bdd.diff m (Program.si prog) q in
   Kpt_obs.incr c_gfp_runs;
   if Kpt_obs.enabled () then
     Kpt_obs.emit "leadsto.gfp"
@@ -100,7 +102,7 @@ let leads_to prog p q =
   let space = Program.space prog in
   let m = Space.manager space in
   let danger = fair_avoid prog q in
-  let start = Bdd.conj m [ Program.si prog; p; Bdd.not_ m q ] in
+  let start = Bdd.diff m (Bdd.and_ m (Program.si prog) p) q in
   (* A fair run from a reachable p-state misses q iff it can reach, inside
      ¬q, a state that fairly avoids q; because every state of the avoiding
      run itself avoids q, it suffices that the start can avoid q, i.e. is
@@ -121,19 +123,17 @@ let holds prog = function
 let invariant_counterexample prog p =
   let space = Program.space prog in
   let m = Space.manager space in
-  Space.first_state space (Bdd.and_ m (Program.si prog) (Bdd.not_ m p))
+  Space.first_state space (Bdd.diff m (Program.si prog) p)
 
 let unless_counterexample prog p q =
   let space = Program.space prog in
   let m = Space.manager space in
   let si = Program.si prog in
-  let bad = Bdd.conj m [ si; p; Bdd.not_ m q ] in
+  let bad = Bdd.diff m (Bdd.and_ m si p) q in
   let rec scan = function
     | [] -> None
     | s :: rest -> (
-        let violating =
-          Bdd.and_ m bad (Bdd.not_ m (Stmt.wp space s (Bdd.or_ m p q)))
-        in
+        let violating = Bdd.diff m bad (Stmt.wp space s (Bdd.or_ m p q)) in
         match Space.first_state space violating with
         | Some st ->
             (* the image of a single state under a deterministic, total
@@ -148,7 +148,7 @@ let leads_to_counterexample prog p q =
   let space = Program.space prog in
   let m = Space.manager space in
   let danger = fair_avoid prog q in
-  Space.first_state space (Bdd.conj m [ Program.si prog; p; Bdd.not_ m q; danger ])
+  Space.first_state space (Bdd.diff m (Bdd.conj m [ Program.si prog; p; danger ]) q)
 
 let pp space fmt prop =
   let pr = Space.pp_pred space in

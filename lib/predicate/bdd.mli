@@ -90,6 +90,11 @@ val is_false : t -> bool
 
 val not_ : manager -> t -> t
 val and_ : manager -> t -> t -> t
+
+val diff : manager -> t -> t -> t
+(** [diff m a b] is [a ∧ ¬b], computed in one pass without building
+    [¬b]: the set difference every frontier of a fixpoint needs. *)
+
 val or_ : manager -> t -> t -> t
 val xor : manager -> t -> t -> t
 val imp : manager -> t -> t -> t
@@ -106,7 +111,8 @@ val disj : manager -> t list -> t
 (** n-ary disjunction ([fls] on the empty list), balanced like {!conj}. *)
 
 val implies : manager -> t -> t -> bool
-(** The everywhere operator applied to an implication: [[p ⇒ q]]. *)
+(** The everywhere operator applied to an implication: [[p ⇒ q]].
+    Decided by an early-exit containment walk that builds no node. *)
 
 val restrict : manager -> t -> int -> bool -> t
 (** Cofactor: fix variable [i] to the given polarity. *)
@@ -182,7 +188,11 @@ type stats = {
 val stats : manager -> stats
 (** Structural snapshot of a manager's tables.  The {e dynamic} side —
     op-cache hits/misses/stores, grow events, peak node count — is kept
-    in the process-global [Kpt_obs] counters (["bdd.*"]). *)
+    in the process-global [Kpt_obs] counters (["bdd.*"]).  The hottest
+    of them (op-cache hits, misses and stores, nodes created, the node
+    peak) are batched in the manager and flushed when the outermost
+    operation returns or raises, so they are exact between
+    operations. *)
 
 val any_sat : manager -> t -> (int * bool) list
 (** One satisfying partial assignment (variables not listed are

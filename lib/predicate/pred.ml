@@ -2,7 +2,7 @@ let man = Space.manager
 
 let valid sp p = Bdd.implies (man sp) (Space.domain sp) p
 let holds_implies sp p q = Bdd.implies (man sp) (Bdd.and_ (man sp) (Space.domain sp) p) q
-let equivalent sp p q = Bdd.is_true (Bdd.imp (man sp) (Space.domain sp) (Bdd.iff (man sp) p q))
+let equivalent sp p q = Bdd.implies (man sp) (Space.domain sp) (Bdd.iff (man sp) p q)
 let normalize sp p = Bdd.and_ (man sp) p (Space.domain sp)
 
 let complement_vars = Space.complement

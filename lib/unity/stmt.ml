@@ -22,6 +22,9 @@ type schedule = {
          its target's next bits (wp) *)
   q_cur : Bdd.cube; (* current bits of the assigned variables *)
   q_next : Bdd.cube; (* next bits of the assigned variables *)
+  q_nofit : Bdd.t;
+      (* ¬∃A'. U: the states where some right-hand side does not fit its
+         target's bits (wp) *)
 }
 
 (* Compiled-relation caches.  Each entry is keyed on the space it was
@@ -172,7 +175,7 @@ let trans sp s =
       let g = guard_pred sp s in
       Bdd.or_ m
         (Bdd.and_ m g (update_frame sp s))
-        (Bdd.and_ m (Bdd.not_ m g) (identity sp)))
+        (Bdd.diff m (identity sp) g))
     (fun v -> s.cache.c_trans <- v)
 
 let build_schedule sp s =
@@ -192,13 +195,19 @@ let build_schedule sp s =
   let quantified_after i =
     List.filter (fun b -> Option.value (Hashtbl.find_opt last b) ~default:0 = i) cur_bits
   in
+  let q_parts =
+    List.mapi
+      (fun i (v, c) -> (c, Bdd.cube m (quantified_after i), Bdd.cube m (Space.next_bits v)))
+      parts
+  in
   {
-    q_parts =
-      List.mapi
-        (fun i (v, c) -> (c, Bdd.cube m (quantified_after i), Bdd.cube m (Space.next_bits v)))
-        parts;
+    q_parts;
     q_cur = Bdd.cube m cur_bits;
     q_next = Bdd.cube m (List.concat_map (fun (v, _) -> Space.next_bits v) assigned);
+    (* each update owns its target's next bits, so ∃A'. U is the
+       conjunction of the per-update projections *)
+    q_nofit =
+      Bdd.not_ m (Bdd.conj m (List.map (fun (c, _, nxt) -> Bdd.exists m nxt c) q_parts));
   }
 
 let schedule sp s =
@@ -210,7 +219,8 @@ let schedule sp s =
    conjoin the updates one by one, ∃-quantifying each assigned current
    bit as soon as no remaining update reads it, then move the assigned
    next bits back onto their current bits — the unassigned variables
-   never leave their current bits.  Skip branch: [p ∧ ¬g] as it is. *)
+   never leave their current bits.  Skip branch: [p ∧ ¬g] as it is,
+   one [diff]. *)
 let sp space s p =
   Kpt_obs.incr c_eq_images;
   let m = Space.manager space in
@@ -224,30 +234,34 @@ let sp space s p =
         Bdd.and_exists m cur acc c)
       (Bdd.and_ m pd g) sched.q_parts
   in
-  Bdd.or_ m (Bdd.swap_pairs m sched.q_next fire) (Bdd.and_ m pd (Bdd.not_ m g))
+  Bdd.or_ m (Bdd.swap_pairs m sched.q_next fire) (Bdd.diff m pd g)
 
-(* wp through the same partition.  With [A] the assigned variables and
-   [U = ⋀ v∈A :: v' = rhs_v]:
+(* wp through the same partition, with no complement on the path.  With
+   [A] the assigned variables and [U = ⋀ v∈A :: v' = rhs_v]:
 
-     wp = ite(g, ¬∃A'. (¬p)[A := A'] ∧ U, p)
+     wp = ite(g, (∃A'. p[A := A'] ∧ U) ∨ nofit, p),  nofit = ¬∃A'. U
 
    i.e. the substitution [p[A := rhs]] when the guard holds, [p] when it
-   does not.  [(¬p)[A := A']] is a pair swap on the assigned bits only,
-   and each update owns exactly its target's next bits, so those are
-   quantified right after it. *)
+   does not.  This is the complement form [ite(g, ¬∃A'. (¬p)[A := A'] ∧
+   U, p)] exactly: [Bitvec.eq] zero-extends and each update owns exactly
+   its target's next bits, so [U] has one solution in [A'] where every
+   right-hand side fits its target's bits — there ∃ and ∀ agree — and
+   none elsewhere, where ∀ is vacuously true and [nofit] holds.
+   [p[A := A']] is a pair swap on the assigned bits only, and each
+   update's next bits are quantified right after it. *)
 let wp space s p =
   let m = Space.manager space in
   let g = guard_pred space s in
   let sched = schedule space s in
-  let bad =
+  let good =
     List.fold_left
       (fun acc (c, _, nxt) ->
         Kpt_obs.incr c_eq_steps;
         Bdd.and_exists m nxt acc c)
-      (Bdd.swap_pairs m sched.q_cur (Bdd.not_ m p))
+      (Bdd.swap_pairs m sched.q_cur p)
       sched.q_parts
   in
-  Bdd.ite m g (Bdd.not_ m bad) p
+  Bdd.ite m g (Bdd.or_ m good sched.q_nofit) p
 
 let unchanged space s =
   let m = Space.manager space in

@@ -75,7 +75,12 @@ val wp : Space.t -> t -> Bdd.t -> Bdd.t
 (** Weakest precondition ([= wlp], §5): states whose unique successor
     satisfies the postcondition — [ite(g, p[A := rhs], p)] for the
     assigned variables [A], through the same update partition as
-    {!sp}. *)
+    {!sp}.  No complement is built: the fire branch is
+    [(∃A'. p[A := A'] ∧ U) ∨ nofit], where [U] conjoins the updates and
+    [nofit = ¬∃A'. U] (built once per statement) holds exactly where
+    some right-hand side does not fit its target's bits — there the
+    statement has no successor and wp holds vacuously, as in the
+    complement form [¬∃A'. (¬p)[A := A'] ∧ U]. *)
 
 val unchanged : Space.t -> t -> Bdd.t
 (** States the statement maps to themselves (used for fixed points). *)

@@ -223,6 +223,16 @@ let test_opcache_collisions () =
       Helpers.truth_table (Bdd.ite m c a b) ~nvars:5
     in
     Alcotest.(check (list int)) "ite under collisions" (f big st2) (f tiny st1)
+  done;
+  (* diff and the containment test borrow the and/imp tags (z = 1) *)
+  for _ = 1 to 30 do
+    let f m st =
+      let a = Helpers.random_formula st m ~nvars:5 ~depth:4 in
+      let b = Helpers.random_formula st m ~nvars:5 ~depth:4 in
+      ignore (Bdd.and_ m a b, Bdd.imp m a b);
+      (Helpers.truth_table (Bdd.diff m a b) ~nvars:5, Bdd.implies m a b)
+    in
+    Alcotest.(check (pair (list int) bool)) "diff/implies under collisions" (f big st2) (f tiny st1)
   done
 
 let test_opcache_clear_midstream () =

@@ -41,6 +41,58 @@ let test_counters_snapshot_sorted_and_reset () =
   Alcotest.(check bool) "still in the registry" true
     (List.mem_assoc "test.obs.reset" (Kpt_obs.counters ()))
 
+(* The BDD hot counters sit in manager fields during an operation and
+   are flushed when the outermost one ends, so between operations
+   [bdd.nodes.created] moves exactly as the manager's uid count. *)
+let c_created = Kpt_obs.counter "bdd.nodes.created"
+
+let check_nodes_counted msg m f =
+  let c0 = Kpt_obs.value c_created and u0 = Bdd.node_count m in
+  f ();
+  let made = Bdd.node_count m - u0 in
+  Alcotest.(check bool) (msg ^ ": made nodes") true (made > 0);
+  Alcotest.(check int) (msg ^ ": every node counted") made (Kpt_obs.value c_created - c0);
+  Alcotest.(check bool) (msg ^ ": peak covers them") true
+    (Kpt_obs.value (Kpt_obs.counter "bdd.nodes.peak") >= Bdd.node_count m)
+
+(* ⋀ (x_i ∨ y_i) with every x above every y has 2^n nodes; its even and
+   odd halves have 2^(n/2) each, so their conjunction outgrows a small
+   node ceiling long after it starts. *)
+let test_counters_flushed_on_budget () =
+  let m = Bdd.create () in
+  let n = 16 in
+  let half r =
+    Bdd.conj m
+      (List.filter_map
+         (fun i -> if i mod 2 = r then Some (Bdd.or_ m (Bdd.var m i) (Bdd.var m (n + i))) else None)
+         (List.init n Fun.id))
+  in
+  let a = half 0 and b = half 1 in
+  check_nodes_counted "budget trips mid-and_" m (fun () ->
+      match Engine.with_budget (Budget.limits ~max_nodes:1000 ()) (fun () -> Bdd.and_ m a b) with
+      | _ -> Alcotest.fail "the node ceiling did not trip"
+      | exception Budget.Exhausted _ -> ())
+
+let test_counters_var_cube () =
+  let m = Bdd.create () in
+  check_nodes_counted "var" m (fun () -> ignore (Bdd.var m 3));
+  check_nodes_counted "nvar" m (fun () -> ignore (Bdd.nvar m 5));
+  check_nodes_counted "cube" m (fun () -> ignore (Bdd.cube m [ 0; 2; 4; 6 ]))
+
+(* x_i ⇔ y_i with the x block above the y block is exponential; sifting
+   interleaves the blocks, minting nodes as it swaps levels. *)
+let test_counters_explicit_reorder () =
+  let m = Bdd.create () in
+  let n = 6 in
+  let f =
+    Bdd.conj m (List.init n (fun i -> Bdd.iff m (Bdd.var m (2 * i)) (Bdd.var m ((2 * n) + (2 * i)))))
+  in
+  let runs = Kpt_obs.counter "bdd.reorder.runs" in
+  let r0 = Kpt_obs.value runs in
+  check_nodes_counted "explicit reorder" m (fun () -> Bdd.reorder m);
+  Alcotest.(check int) "one sifting pass" (r0 + 1) (Kpt_obs.value runs);
+  Alcotest.(check bool) "sifting shrank the predicate" true (Bdd.size m f < 1 lsl n)
+
 (* The hot-path contract of the domain-safe rework: bumping a counter is
    a bounds-checked array store in the domain-local context — no
    allocation, even though the storage is now per-domain. *)
@@ -325,6 +377,11 @@ let suite =
     Alcotest.test_case "snapshot is sorted; reset keeps the registry" `Quick
       test_counters_snapshot_sorted_and_reset;
     Alcotest.test_case "counter bumps allocate nothing" `Quick test_incr_allocates_nothing;
+    Alcotest.test_case "bdd counters flushed when a budget trips mid-and_" `Quick
+      test_counters_flushed_on_budget;
+    Alcotest.test_case "bdd counters count var, nvar and cube" `Quick test_counters_var_cube;
+    Alcotest.test_case "bdd counters count an explicit reorder" `Quick
+      test_counters_explicit_reorder;
     Alcotest.test_case "metric contexts isolate and merge" `Quick
       test_ctx_isolation_and_merge;
     Alcotest.test_case "sink is per-context" `Quick test_ctx_sink_is_per_context;

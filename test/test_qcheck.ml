@@ -209,6 +209,74 @@ let prop_bdd_swap_pairs =
       Bdd.reorder m;
       before && check ())
 
+(* The one-pass difference and the containment test against the
+   operators they replace: [diff a b] is the very node [a ∧ ¬b], and
+   [implies] answers [is_true (a ⇒ b)] — before and after sifting, so
+   the z = 1 cache entries they share with [and]/[imp] survive a level
+   permutation. *)
+let prop_bdd_diff_implies =
+  let nvars = 8 in
+  QCheck.Test.make ~count:200 ~name:"bdd: diff a b == a ∧ ¬b, implies = is_true (a ⇒ b), across a sift"
+    (QCheck.pair (arbitrary_formula ~nvars) (arbitrary_formula ~nvars)) (fun (f, g) ->
+      let m = Bdd.create () in
+      let a = to_bdd m f and b = to_bdd m g in
+      let check () =
+        let d = Bdd.diff m a b in
+        Bdd.equal d (Bdd.and_ m a (Bdd.not_ m b))
+        && Bdd.equal (Bdd.diff m b a) (Bdd.and_ m b (Bdd.not_ m a))
+        && Bdd.implies m a b = Bdd.is_true (Bdd.imp m a b)
+        && Bdd.implies m b a = Bdd.is_true (Bdd.imp m b a)
+        && Bdd.implies m d a
+        && Bdd.implies m (Bdd.and_ m a b) b
+      in
+      let before = check () in
+      Bdd.reorder m;
+      before && check ())
+
+(* ---- wp without complements ----------------------------------------------- *)
+
+(* A space with out-of-domain states — [k : nat(2)] spends two bits on
+   three values — and targets whose right-hand sides may not fit their
+   bits: [n : nat(3)] under [n := n + 1] at n = 3 or [n := 7], and [k]
+   under [k := k + 1] at the out-of-domain k = 3. *)
+let wp_stmt (gi, rn, rk, rb) =
+  let sp = Space.create () in
+  let n = Space.nat_var sp "n" ~max:3 in
+  let k = Space.nat_var sp "k" ~max:2 in
+  let b = Space.bool_var sp "b" in
+  let open Expr in
+  let vn = var n and vk = var k and vb = var b in
+  let guard = [| tru; vb; vn <<< vk; not_ vb &&& (vn === nat 3); vk === nat 3 |].(gi) in
+  let assign v choices r = Option.map (fun i -> (v, choices.(i))) r in
+  let assigns =
+    List.filter_map Fun.id
+      [
+        assign n [| vn +! nat 1; nat 7; vk +! vn; Ite (vb, vn +! nat 1, vk) |] rn;
+        assign k [| vk +! nat 1; vn; nat 3; vn -! vk |] rk;
+        assign b [| not_ vb; vn === vk; vb ||| (vk <<< vn) |] rb;
+      ]
+  in
+  (sp, Stmt.make ~name:"s" ~guard assigns)
+
+let prop_wp_equals_complement_form =
+  let choice =
+    QCheck.(
+      quad (int_bound 4) (option (int_bound 3)) (option (int_bound 3)) (option (int_bound 2)))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"stmt: wp = complement form (overflowing rhs, out-of-domain states), across a sift"
+    (QCheck.pair choice (arbitrary_formula ~nvars:5)) (fun (c, f) ->
+      let sp, s = wp_stmt c in
+      let m = Space.manager sp in
+      let cur = Array.of_list (Space.all_current_bits sp) in
+      assert (Array.length cur = 5);
+      (* a predicate over every bit pattern, not only the domain's *)
+      let p = to_bdd ~remap:(fun i -> cur.(i)) m f in
+      let check () = Bdd.equal (Stmt.wp sp s p) (Oracle_wp.complement sp s p) in
+      let before = check () in
+      Space.reorder sp;
+      before && check ())
+
 (* ---- generator: well-typed UNITY expressions ----------------------------- *)
 
 (* A fixed test space: two bounded nats and two booleans. *)
@@ -763,6 +831,8 @@ let suite =
       prop_bdd_relational_product;
       prop_bdd_quant_cache_across_calls;
       prop_bdd_swap_pairs;
+      prop_bdd_diff_implies;
+      prop_wp_equals_complement_form;
       prop_expr_compile_agrees;
       prop_expr_compile_agrees_nat;
       prop_expr_typing_total;

@@ -117,6 +117,29 @@ let test_wp_concrete () =
           (Space.holds_at sp q succ) (Space.holds_at sp w st))
   done
 
+(* A right-hand side that does not fit its target's bits leaves the
+   statement no successor where the guard holds, so wp holds there
+   vacuously: [n := n + 1] on [n : nat(3)] overflows two bits at n = 3
+   only, [n := 7] everywhere. *)
+let test_wp_overflowing_rhs () =
+  let sp, x, _, _ = space () in
+  let m = Space.manager sp in
+  let at3 = Bitvec.eq_const m (Space.cur_vec sp x) 3 in
+  let inc = Stmt.make ~name:"inc" [ (x, Expr.(var x +! nat 1)) ] in
+  let seven = Stmt.make ~name:"seven" [ (x, Expr.nat 7) ] in
+  Alcotest.(check bool) "wp.(x := x+1).false = (x = 3)" true
+    (Bdd.equal (Stmt.wp sp inc (Bdd.fls m)) at3);
+  Alcotest.(check bool) "wp.(x := 7).false = true" true
+    (Bdd.is_true (Stmt.wp sp seven (Bdd.fls m)));
+  List.iter
+    (fun s ->
+      let p = Pred.random (Helpers.rng ()) sp in
+      Alcotest.(check bool)
+        (Stmt.name s ^ ": wp = complement form")
+        true
+        (Bdd.equal (Stmt.wp sp s p) (Oracle_wp.complement sp s p)))
+    [ inc; seven ]
+
 let test_unchanged () =
   let sp, x, _, _ = space () in
   let s = incr_stmt x in
@@ -175,6 +198,7 @@ let suite =
     Alcotest.test_case "sp = brute-force image" `Quick test_sp_brute_force;
     Alcotest.test_case "wp/sp galois" `Quick test_wp_galois;
     Alcotest.test_case "wp pointwise" `Quick test_wp_concrete;
+    Alcotest.test_case "wp where a rhs overflows its target" `Quick test_wp_overflowing_rhs;
     Alcotest.test_case "unchanged" `Quick test_unchanged;
     Alcotest.test_case "totality violation" `Quick test_totality_violation;
     Alcotest.test_case "exec out of range" `Quick test_exec_out_of_range;
