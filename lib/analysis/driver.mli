@@ -1,22 +1,24 @@
 (** String-returning command drivers — the single implementation behind
     both the [kpt] CLI and the [kpt serve] daemon.
 
-    Each function here is one CLI command body (the batch form of
-    [kpt check], [kpt lint], [kpt stats], [kpt solve-file], [kpt slice])
-    refactored to {e return} its rendered output instead of printing it:
-    the CLI prints the strings, the daemon ships them over the wire, and
+    Each function here is one CLI command body ([kpt check] in both
+    forms, [kpt lint], [kpt stats], [kpt solve], [kpt solve-file],
+    [kpt slice], [kpt verify], [kpt matrix]) written to {e return} its
+    rendered output instead of printing it: the CLI prints the strings,
+    the daemon ships them over the wire (the file commands), and
     byte-identity between the two is structural rather than pinned by
     sampling.
 
     {b Per-request scoping.}  Every call runs under a fresh {!Engine.t}
     ({!Kpt_obs.Ctx.reset} on its zeroed context, belt and braces), arms
     its budget {e at call time} (so a [--timeout] deadline is relative
-    to request start, never to daemon start or engine creation), applies
-    the requested reorder policy as the process default for the duration
-    (restored afterwards — pool-task engines follow the default), and
-    merges the engine's metrics into the caller's context before
-    returning.  Nothing armed, counted or hooked for one call is visible
-    to the next — the warm-engine invariant the serve tests pin. *)
+    to request start, never to daemon start or engine creation), pins
+    the requested reorder policy on that engine — never the process
+    default, which other requests may be reading; {!Kpt_par} forwards
+    it to its per-task engines — and merges the engine's metrics into
+    the caller's context before returning.  Nothing armed, counted or
+    hooked for one call is visible to the next — the warm-engine
+    invariant the serve tests pin. *)
 
 open Kpt_predicate
 
@@ -83,8 +85,22 @@ val resolved_program : Kpt_core.Kbp.t -> Kpt_unity.Program.t
 
 val check : ?sink:sink -> options -> (string * string) list -> outcome
 (** The batch form of [kpt check]: [(file, source)] pairs through
-    {!Check.run_sources}.  (The built-in-protocol form stays in the
-    CLI.) *)
+    {!Check.run_sources}.  The built-in-protocol form is
+    {!check_protocol}. *)
+
+val check_protocol :
+  ?sink:sink ->
+  options ->
+  Kpt_protocols.Builtin.t ->
+  n:int ->
+  a:int ->
+  lossy:bool ->
+  fault:Kpt_fault.Model.t option ->
+  outcome
+(** [kpt check <protocol>]: the protocol at horizon [n], alphabet [a],
+    on the channel [fault] (else [lossy]) selects; its reachable states,
+    (34), and (35)@k for every [k < n], under [options.limits].  Exit 1
+    when a property fails, 2 for [lossy]/[fault] without a channel. *)
 
 val lint : ?sink:sink -> options -> (string * string) list -> outcome
 (** [kpt lint] via {!Lint.run_sources}; [options.semantic] adds the
@@ -95,16 +111,36 @@ val stats : ?sink:sink -> options -> (string * string) list -> outcome
     several files are profiled on the pool and rendered in input order
     (a JSON array under [options.json]). *)
 
-val render_solutions : Format.formatter -> Budget.limits -> Kpt_core.Kbp.t -> int
-(** Print a KBP, its solutions ({!Kpt_core.Kbp.solutions}) and its
-    chaotic iteration (with a diverging orbit's sets), each under the
-    given limits.  Budget exhaustion, or a knowledge KBP past the
-    candidate cap, degrades to one line and code 3.  Shared by
-    [kpt solve] and [kpt solve-file]. *)
+val solve_model : ?sink:sink -> options -> (unit -> Kpt_core.Kbp.t) -> outcome
+(** [kpt solve MODEL]: build the KBP in the request's engine; print it,
+    its solutions ({!Kpt_core.Kbp.solutions}) and its chaotic iteration,
+    each under [options.limits].  Exhaustion, or a knowledge KBP past
+    the candidate cap, degrades to one line and code 3. *)
 
 val solve : ?sink:sink -> options -> (string * string) list -> outcome
-(** [kpt solve-file] on the first source: the (optionally sliced) KBP
-    through {!render_solutions}. *)
+(** [kpt solve-file] on the first source: the (optionally sliced) KBP,
+    rendered as by {!solve_model}. *)
 
 val slice : ?sink:sink -> options -> (string * string) list -> outcome
 (** [kpt slice] on the first source, with respect to [options.wrt]. *)
+
+val verify :
+  ?sink:sink ->
+  options ->
+  file:string ->
+  src:string ->
+  invariants:string list ->
+  stables:string list ->
+  leadstos:string list ->
+  outcome
+(** [kpt verify]: [invariant P], [stable P] and [P ↦ Q] (given as
+    ["P ; Q"]) on the spec's program (a KBP's at its strongest
+    solution), sliced to the properties under [options.slice], under
+    [options.limits].  Exit 1 when one fails or does not compile. *)
+
+val matrix : ?sink:sink -> options -> faults:Kpt_fault.Model.t list -> outcome
+(** [kpt matrix]: {!Resilience.run} over the [faults] columns (all of
+    {!Kpt_fault.Matrix.default_faults} when empty) under
+    [options.limits] per cell, as text or, under [options.json], the
+    JSON the CI golden pins.  Exit 1 when a cell errored, else 3 when
+    one was exhausted. *)

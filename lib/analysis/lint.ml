@@ -294,18 +294,17 @@ let hygiene_pass env (p : Ast.program) (stmts : (int * Ast.stmt * Rw.stmt_rw) li
     stmts;
   List.rev !ds
 
-(* ---- pass: nat(k) range --------------------------------------------------- *)
+(* ---- pass: nat(k) range (comparisons and assignments) -------------------- *)
+
+(* [Some k] when [v] (or each element of array [v]) is a [nat(k)] *)
+let nat_of env v =
+  match Hashtbl.find_opt env.var_ty v with
+  | Some (Ast.Tnat k | Ast.Tarray (Ast.Tnat k, _)) -> Some k
+  | _ -> None
 
 let nat_bound env (e : Ast.expr) =
-  let bound = function
-    | Ast.Tnat k -> Some k
-    | Ast.Tarray (Ast.Tnat k, _) -> Some k
-    | _ -> None
-  in
   match e.Ast.expr with
-  | Ast.Eident v | Ast.Eindex (v, _) ->
-      Option.bind (Hashtbl.find_opt env.var_ty v) (fun ty ->
-          Option.map (fun k -> (v, k)) (bound ty))
+  | Ast.Eident v | Ast.Eindex (v, _) -> Option.map (fun k -> (v, k)) (nat_of env v)
   | _ -> None
 
 let range_pass env (p : Ast.program) (stmts : (int * Ast.stmt * Rw.stmt_rw) list) =
@@ -348,12 +347,36 @@ let range_pass env (p : Ast.program) (stmts : (int * Ast.stmt * Rw.stmt_rw) list
     | Ast.Ege (a, b) -> check span (false, true) a b; walk a; walk b
     | Ast.Eknow (_, a) | Ast.Egroup (_, _, a) -> walk a
   in
+  (* a constant past [k] assigned to a [nat(k)] target leaves the range
+     whenever the statement fires: it is not total, and the solver
+     rejects the program.  A guard that folds to false never fires. *)
+  let assign label (s : Ast.stmt) =
+    if
+      List.compare_lengths s.Ast.s_targets s.Ast.s_exprs = 0
+      && Option.bind s.Ast.s_guard (fold env) <> Some (CB false)
+    then
+      List.iter2
+        (fun (Ast.Tvar v | Ast.Tindex (v, _)) (e : Ast.expr) ->
+          match (nat_of env v, fold env e) with
+          | Some k, Some (CN n) when n > k ->
+              ds :=
+                D.error ?file:env.file ~span:e.Ast.espan ~code:"KPT027"
+                  ~hint:"a nat(k) variable holds 0..k; widen its range or change the value"
+                  (Printf.sprintf
+                     "%s assigns %d to %s : nat(%d), outside its range — the statement \
+                      is not total"
+                     label n v k)
+                :: !ds
+          | _ -> ())
+        s.Ast.s_targets s.Ast.s_exprs
+  in
   walk p.Ast.p_init;
   List.iter
-    (fun (_, (s : Ast.stmt), _) ->
+    (fun (i, (s : Ast.stmt), _) ->
       List.iter walk s.Ast.s_exprs;
       List.iter (function Ast.Tindex (_, i) -> walk i | Ast.Tvar _ -> ()) s.Ast.s_targets;
-      Option.iter walk s.Ast.s_guard)
+      Option.iter walk s.Ast.s_guard;
+      assign (stmt_label i s) s)
     stmts;
   List.rev !ds
 

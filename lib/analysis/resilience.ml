@@ -14,12 +14,24 @@ let params = { Seqtrans.n = 2; a = 2 }
 let forall n f = List.for_all f (List.init n Fun.id)
 let forall2 n a f = forall n (fun k -> forall a (fun alpha -> f k alpha))
 
-(* Transmit carries the paper's full obligation set: the spec (34)-(35),
-   the ack invariant (54), the knowledge discharge obligations (61)-(62)
-   — the proposed knowledge values of (50)-(51) must be sound — and
-   their stability (55)-(56).  The discharge rows are where
-   ⊥-detectability earns its keep: an undetectably corrupted register
-   satisfies the {e proposed} K_R value while falsifying the fact. *)
+(* Every channel protocol of the built-in table carries its spec pair. *)
+let spec_pair (t : Builtin.instance) =
+  let safety = Builtin.safety t in
+  [
+    { Matrix.prop = "safety (34)"; check = (fun () -> Program.invariant t.prog safety) };
+    {
+      Matrix.prop = "liveness (35)";
+      check = (fun () -> forall params.Seqtrans.n (fun k -> Builtin.liveness_holds t ~k));
+    };
+  ]
+
+(* Transmit, the standard protocol, carries the paper's full obligation
+   set: the spec (34)-(35), the ack invariant (54), the knowledge
+   discharge obligations (61)-(62) — the proposed knowledge values of
+   (50)-(51) must be sound — and their stability (55)-(56).  The
+   discharge rows are where ⊥-detectability earns its keep: an
+   undetectably corrupted register satisfies the {e proposed} K_R value
+   while falsifying the fact. *)
 let transmit =
   let { Seqtrans.n; a } = params in
   {
@@ -27,77 +39,42 @@ let transmit =
     build =
       (fun fault ->
         let st = Seqtrans.standard ~fault params in
-        let prog = st.Seqtrans.sprog in
-        let inv p = Program.invariant prog p in
-        [
-          { Matrix.prop = "safety (34)"; check = (fun () -> inv (Seqtrans.spec_safety st)) };
-          {
-            Matrix.prop = "liveness (35)";
-            check = (fun () -> forall n (fun k -> Seqtrans.spec_liveness_holds st ~k));
-          };
-          {
-            Matrix.prop = "ack invariant (54)";
-            check = (fun () -> forall (n + 1) (fun k -> inv (Seqtrans.inv54 st ~k)));
-          };
-          {
-            Matrix.prop = "K_R discharge (61)";
-            check = (fun () -> forall2 n a (fun k alpha -> inv (Seqtrans.inv61 st ~k ~alpha)));
-          };
-          {
-            Matrix.prop = "K_S K_R discharge (62)";
-            check = (fun () -> forall n (fun k -> inv (Seqtrans.inv62 st ~k)));
-          };
-          {
-            Matrix.prop = "stability (55)";
-            check = (fun () -> forall n (fun k -> Seqtrans.stable55_holds st ~k));
-          };
-          {
-            Matrix.prop = "stability (56)";
-            check =
-              (fun () -> forall2 n a (fun k alpha -> Seqtrans.stable56_holds st ~k ~alpha));
-          };
-        ])
+        let inv p = Program.invariant st.sprog p in
+        spec_pair { Builtin.prog = st.sprog; j = st.j; ws = st.ws; xs = st.xs }
+        @ [
+            {
+              Matrix.prop = "ack invariant (54)";
+              check = (fun () -> forall (n + 1) (fun k -> inv (Seqtrans.inv54 st ~k)));
+            };
+            {
+              Matrix.prop = "K_R discharge (61)";
+              check = (fun () -> forall2 n a (fun k alpha -> inv (Seqtrans.inv61 st ~k ~alpha)));
+            };
+            {
+              Matrix.prop = "K_S K_R discharge (62)";
+              check = (fun () -> forall n (fun k -> inv (Seqtrans.inv62 st ~k)));
+            };
+            {
+              Matrix.prop = "stability (55)";
+              check = (fun () -> forall n (fun k -> Seqtrans.stable55_holds st ~k));
+            };
+            {
+              Matrix.prop = "stability (56)";
+              check =
+                (fun () -> forall2 n a (fun k alpha -> Seqtrans.stable56_holds st ~k ~alpha));
+            };
+          ]);
   }
 
-(* The other builders carry their spec pair. *)
-let spec_pair ~safety ~liveness prog =
-  [
-    { Matrix.prop = "safety (34)"; check = (fun () -> Program.invariant prog safety) };
-    {
-      Matrix.prop = "liveness (35)";
-      check = (fun () -> forall params.Seqtrans.n (fun k -> liveness ~k));
-    };
-  ]
-
-let abp =
-  {
-    Matrix.subject = "abp";
-    build =
-      (fun fault ->
-        let t = Abp.make ~fault params in
-        spec_pair ~safety:(Abp.safety t) ~liveness:(Abp.liveness_holds t) t.Abp.prog);
-  }
-
-let stenning =
-  {
-    Matrix.subject = "stenning";
-    build =
-      (fun fault ->
-        let t = Stenning.make ~fault params in
-        spec_pair ~safety:(Stenning.safety t) ~liveness:(Stenning.liveness_holds t)
-          t.Stenning.prog);
-  }
-
-let window =
-  {
-    Matrix.subject = "window";
-    build =
-      (fun fault ->
-        let t = Window.make ~fault ~window:2 params in
-        spec_pair ~safety:(Window.safety t) ~liveness:(Window.liveness_holds t)
-          t.Window.prog);
-  }
-
-let subjects = [ transmit; abp; stenning; window ]
+(* the standard protocol's row is [transmit] *)
+let subjects =
+  transmit
+  :: List.filter_map
+       (fun (b : Builtin.t) ->
+         match b.build with
+         | Builtin.On_channel build when b.name <> "standard" ->
+             Some { Matrix.subject = b.name; build = (fun fault -> spec_pair (build fault params)) }
+         | _ -> None)
+       Builtin.all
 
 let run ?budget ?faults () = Matrix.run ?budget ?faults subjects

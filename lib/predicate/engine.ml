@@ -8,7 +8,7 @@
    own engine and the main domain can fold the numbers back in after the
    join. *)
 
-type reorder_mode = Reorder_off | Reorder_auto | Reorder_manual
+type reorder_mode = Reorder_off | Reorder_auto
 
 type t = {
   eid : int;

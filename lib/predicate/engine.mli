@@ -65,9 +65,6 @@ val spans : t -> (string * int64 * int) list
 type reorder_mode =
   | Reorder_off  (** static variable order (the historical behaviour) *)
   | Reorder_auto  (** sifting triggered by node-growth thresholds *)
-  | Reorder_manual
-      (** no automatic triggers; callers invoke {!Space.reorder} at
-          chosen quiescent points *)
 
 val set_default_reorder_mode : reorder_mode -> unit
 (** Set the process-wide default (initially {!Reorder_off}).  Read by

@@ -47,12 +47,8 @@ type t = {
 let create ?engine () =
   let eng = match engine with Some e -> e | None -> Engine.current () in
   (* The engine decides the reordering policy (see {!Engine.reorder_mode}):
-     [Reorder_auto] arms the manager's growth-triggered sifting;
-     [Reorder_manual] leaves triggering to explicit {!reorder} calls. *)
-  let auto = match Engine.reorder_mode eng with
-    | Engine.Reorder_auto -> true
-    | Engine.Reorder_off | Engine.Reorder_manual -> false
-  in
+     [Reorder_auto] arms the manager's growth-triggered sifting. *)
+  let auto = Engine.reorder_mode eng = Engine.Reorder_auto in
   {
     man = Bdd.create ~reorder:auto ();
     eng;

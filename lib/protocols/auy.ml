@@ -100,16 +100,7 @@ let make ({ Seqtrans.n; a } as params) =
   in
   { prog; space = sp; params; bits_per_element = bpe; xs; ws; i; j; bit; wire; turn; acc }
 
-let safety t =
-  let { Seqtrans.n; _ } = t.params in
-  Expr.compile_bool t.space
-    (Expr.conj
-       (List.init n (fun k ->
-            Expr.((var t.j >>> nat k) ==> (var t.ws.(k) === var t.xs.(k))))))
-
-let liveness_holds t ~k =
-  Kpt_logic.Props.leads_to t.prog
-    (Expr.compile_bool t.space Expr.(var t.j === nat k))
-    (Expr.compile_bool t.space Expr.(var t.j >>> nat k))
+let safety t = Seqtrans.safety t.space ~j:t.j ~ws:t.ws ~xs:t.xs
+let liveness_holds t ~k = Seqtrans.liveness_holds t.prog ~j:t.j ~k
 
 let messages_per_element t = t.bits_per_element

@@ -69,6 +69,18 @@ let env sp ?up ?corrupt_to ch ~name model =
   Kpt_fault.Inject.env sp ~slot:ch.slot ~avail:ch.avail ~bot:ch.codec.bot ?up ?corrupt_to
     ~name model
 
+(* One crash flag for the whole network: every direction stops together.
+   It is declared after the builder's own variables, and its crash
+   statement comes after every direction's statements. *)
+let network sp model directions =
+  let up = if model.Kpt_fault.Model.crash then Some (Space.bool_var sp "net_up") else None in
+  let envs = List.map (fun (name, ch) -> env sp ?up ch ~name model) directions in
+  let crash =
+    match up with Some u -> [ Kpt_fault.Inject.crash_stmt ~name:"net" u ] | None -> []
+  in
+  ( List.concat_map (fun e -> e.Kpt_fault.Inject.statements) envs @ crash,
+    match up with Some u -> [ Expr.var u ] | None -> [] )
+
 (* The shared [?lossy] / [?fault] resolution of the protocol builders:
    an explicit fault model wins; otherwise [~lossy] selects between the
    two historical channels (lossy = the paper's §6.3 channel,

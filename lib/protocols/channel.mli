@@ -89,6 +89,12 @@ val env :
     [deliver_stmt] + [drop_stmt] pair (names [env_dlv_NAME] /
     [env_drop_NAME]). *)
 
+val network : Space.t -> Kpt_fault.Model.t -> (string * t) list -> Stmt.t list * Expr.t list
+(** The environment of a whole network: {!env} of every named direction
+    in order, sharing one [net_up] crash flag when [model] crashes
+    (declared here; its [env_crash_net] statement comes last), and the
+    extra init conjuncts ([net_up], or none). *)
+
 val resolve_fault : lossy:bool -> Kpt_fault.Model.t option -> Kpt_fault.Model.t
 (** The builders' shared parameter resolution: an explicit [?fault]
     wins; otherwise [~lossy] selects {!Kpt_fault.Model.lossy} or

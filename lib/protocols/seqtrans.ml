@@ -7,6 +7,20 @@ let check_params { n; a } =
   if n < 2 then invalid_arg "Seqtrans: horizon n must be ≥ 2";
   if a < 2 then invalid_arg "Seqtrans: alphabet size a must be ≥ 2 (no a priori knowledge)"
 
+(* ---- the specification (34)-(35), shared by every §6 protocol ---------- *)
+
+let safety sp ~j ~ws ~xs =
+  Expr.compile_bool sp
+    (Expr.conj
+       (List.init (Array.length ws) (fun k ->
+            Expr.((var j >>> nat k) ==> (var ws.(k) === var xs.(k))))))
+
+let liveness_holds prog ~j ~k =
+  let sp = Program.space prog in
+  Kpt_logic.Props.leads_to prog
+    (Expr.compile_bool sp Expr.(var j === nat k))
+    (Expr.compile_bool sp Expr.(var j >>> nat k))
+
 (* ---- the standard protocol (Figure 4) ---------------------------------- *)
 
 type standard = {
@@ -68,17 +82,7 @@ let standard ?(lossy = true) ?fault ({ n; a } as params) =
       ~guard:(not_ (disj (List.init a zp_is_j)))
       [ Channel.transmit ack [ var j ]; Channel.receive data zp ]
   in
-  (* one crash flag for the whole network: both directions stop together *)
-  let up =
-    if fault.Kpt_fault.Model.crash then Some (Space.bool_var sp "net_up") else None
-  in
-  let denv = Channel.env sp ?up data ~name:"data" fault in
-  let aenv = Channel.env sp ?up ack ~name:"ack" fault in
-  let env =
-    denv.Kpt_fault.Inject.statements @ aenv.Kpt_fault.Inject.statements
-    @ (match up with Some u -> [ Kpt_fault.Inject.crash_stmt ~name:"net" u ] | None -> [])
-  in
-  let fault_init = match up with Some u -> [ Expr.var u ] | None -> [] in
+  let env, fault_init = Channel.network sp fault [ ("data", data); ("ack", ack) ] in
   let init =
     conj
       ([
@@ -104,18 +108,8 @@ let standard ?(lossy = true) ?fault ({ n; a } as params) =
   { sprog = prog; sspace = sp; sparams = params; xs; ws; y; i; j; z; zp; data; ack }
 
 let bp st e = Expr.compile_bool st.sspace e
-
-let spec_safety st =
-  let { n; _ } = st.sparams in
-  bp st
-    (Expr.conj
-       (List.init n (fun k ->
-            Expr.((var st.j >>> nat k) ==> (var st.ws.(k) === var st.xs.(k))))))
-
-let spec_liveness_holds st ~k =
-  Kpt_logic.Props.leads_to st.sprog
-    (bp st Expr.(var st.j === nat k))
-    (bp st Expr.(var st.j >>> nat k))
+let spec_safety st = safety st.sspace ~j:st.j ~ws:st.ws ~xs:st.xs
+let spec_liveness_holds st ~k = liveness_holds st.sprog ~j:st.j ~k
 
 (* z ≥ k with z ≠ ⊥ : z ≤ n ∧ z ≥ k. *)
 let z_ge st k =
@@ -261,17 +255,8 @@ let abstract_kbp ({ n; a } as params) =
 
 let abp st e = Expr.compile_bool st.aspace e
 
-let a_spec_safety st =
-  let { n; _ } = st.aparams in
-  abp st
-    (Expr.conj
-       (List.init n (fun k ->
-            Expr.((var st.aj >>> nat k) ==> (var st.aws.(k) === var st.axs.(k))))))
-
-let a_spec_liveness_holds st ~k =
-  Kpt_logic.Props.leads_to st.aprog
-    (abp st Expr.(var st.aj === nat k))
-    (abp st Expr.(var st.aj >>> nat k))
+let a_spec_safety st = safety st.aspace ~j:st.aj ~ws:st.aws ~xs:st.axs
+let a_spec_liveness_holds st ~k = liveness_holds st.aprog ~j:st.aj ~k
 
 let a_kr st ~k ~alpha = abp st (Expr.var st.kr.(k).(alpha))
 

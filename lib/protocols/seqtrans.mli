@@ -33,6 +33,20 @@ type params = { n : int; a : int }
 (** Horizon (elements transmitted) and alphabet size.  [n ≥ 2], [a ≥ 2]
     required ([a ≥ 2] is the paper's "no a priori information" proviso). *)
 
+(** {1 The specification (§6)}
+
+    The one definition of the spec every §6 protocol implements, over
+    its receiver index [j = |w|], delivered sequence [ws] and input
+    [xs]; the per-protocol names are aliases. *)
+
+val safety : Space.t -> j:Space.var -> ws:Space.var array -> xs:Space.var array -> Bdd.t
+(** Eq. 34, [invariant w ⊑ x], at the bounded horizon [n = |ws|]:
+    [⋀ k < n : j > k ⇒ w_k = x_k]. *)
+
+val liveness_holds : Program.t -> j:Space.var -> k:int -> bool
+(** Eq. 35 instance [|w| = k ↦ |w| > k]: does [j = k ↦ j > k] hold
+    under fair leads-to? *)
+
 (** {1 The standard protocol (Figure 4)} *)
 
 type standard = {
@@ -58,13 +72,13 @@ val standard : ?lossy:bool -> ?fault:Kpt_fault.Model.t -> params -> standard
     (a single shared crash flag when the model crashes). *)
 
 val spec_safety : standard -> Bdd.t
-(** Eq. 34 at the bounded horizon: [⋀ k < n : j > k ⇒ w_k = x_k]. *)
+(** {!safety} (eq. 34) of the standard protocol. *)
 
 val spec_liveness_holds : standard -> k:int -> bool
-(** Eq. 35 instance: does [j = k ↦ j > k] hold semantically (fair
-    leads-to)?  True for every [k < n] on the duplicating-only channel;
-    {e false} on the lossy channel — which is exactly why the paper must
-    assume St-3/St-4. *)
+(** {!liveness_holds} (eq. 35) of the standard protocol.  True for
+    every [k < n] on the duplicating-only channel; {e false} on the
+    lossy channel — which is exactly why the paper must assume
+    St-3/St-4. *)
 
 val inv54 : standard -> k:int -> Bdd.t
 (** Eq. 54: [z ≥ k ⇒ j ≥ k] (with [z ≠ ⊥] implicit in [z ≥ k]). *)
@@ -117,12 +131,12 @@ val abstract_kbp : params -> abstract
 (** Build the Figure-3 program in the weaker interpretation. *)
 
 val a_spec_safety : abstract -> Bdd.t
-(** Eq. 34 for the abstract protocol. *)
+(** {!safety} (eq. 34) of the abstract protocol. *)
 
 val a_spec_liveness_holds : abstract -> k:int -> bool
-(** Eq. 35 instance, semantic fair leads-to (holds: the oracles fire
-    under UNITY fairness, which is the canonical channel satisfying
-    Kbp-1/Kbp-2). *)
+(** {!liveness_holds} (eq. 35) of the abstract protocol (holds: the
+    oracles fire under UNITY fairness, which is the canonical channel
+    satisfying Kbp-1/Kbp-2). *)
 
 (** {2 Predicate shorthands used by the proof replay} *)
 

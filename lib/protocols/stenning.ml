@@ -67,17 +67,7 @@ let make ?(lossy = true) ?fault ({ Seqtrans.n; a } as params) =
       ~guard:((var j === nat 0) &&& not_ (disj (List.init a zp_is_j)))
       [ Channel.receive data zp ]
   in
-  (* one crash flag for the whole network: both directions stop together *)
-  let up =
-    if fault.Kpt_fault.Model.crash then Some (Space.bool_var sp "net_up") else None
-  in
-  let denv = Channel.env sp ?up data ~name:"data" fault in
-  let aenv = Channel.env sp ?up ack ~name:"ack" fault in
-  let env =
-    denv.Kpt_fault.Inject.statements @ aenv.Kpt_fault.Inject.statements
-    @ (match up with Some u -> [ Kpt_fault.Inject.crash_stmt ~name:"net" u ] | None -> [])
-  in
-  let fault_init = match up with Some u -> [ Expr.var u ] | None -> [] in
+  let env, fault_init = Channel.network sp fault [ ("data", data); ("ack", ack) ] in
   let init =
     conj
       ([
@@ -102,14 +92,5 @@ let make ?(lossy = true) ?fault ({ Seqtrans.n; a } as params) =
   in
   { prog; space = sp; params; xs; ws; y; i; j; z; zp; data; ack }
 
-let safety t =
-  let { Seqtrans.n; _ } = t.params in
-  Expr.compile_bool t.space
-    (Expr.conj
-       (List.init n (fun k ->
-            Expr.((var t.j >>> nat k) ==> (var t.ws.(k) === var t.xs.(k))))))
-
-let liveness_holds t ~k =
-  Kpt_logic.Props.leads_to t.prog
-    (Expr.compile_bool t.space Expr.(var t.j === nat k))
-    (Expr.compile_bool t.space Expr.(var t.j >>> nat k))
+let safety t = Seqtrans.safety t.space ~j:t.j ~ws:t.ws ~xs:t.xs
+let liveness_holds t ~k = Seqtrans.liveness_holds t.prog ~j:t.j ~k

@@ -53,23 +53,12 @@ let make ?(lossy = true) ?fault ~window ({ Seqtrans.n; a } as params) =
       (Stmt.array_write ws ~index:(var j) (nat alpha) @ [ (j, var j +! nat 1) ])
   in
   let rcv_ack = Stmt.make ~name:"rcv_ack" [ Channel.transmit ack [ var j ] ] in
-  (* one crash flag for the whole network: every cell and the ack
-     direction stop together *)
-  let up =
-    if fault.Kpt_fault.Model.crash then Some (Space.bool_var sp "net_up") else None
+  (* each network cell is a channel direction whose ⊥ is [a] *)
+  let cell k =
+    ( string_of_int k,
+      { Channel.codec = Channel.nat_codec ~max:(a - 1); slot = slots.(k); avail = avails.(k) } )
   in
-  let cell_envs =
-    List.init n (fun k ->
-        Kpt_fault.Inject.env sp ~slot:slots.(k) ~avail:avails.(k) ~bot:a ?up
-          ~name:(string_of_int k) fault)
-  in
-  let aenv = Channel.env sp ?up ack ~name:"ack" fault in
-  let env =
-    List.concat_map (fun e -> e.Kpt_fault.Inject.statements) cell_envs
-    @ aenv.Kpt_fault.Inject.statements
-    @ (match up with Some u -> [ Kpt_fault.Inject.crash_stmt ~name:"net" u ] | None -> [])
-  in
-  let fault_init = match up with Some u -> [ Expr.var u ] | None -> [] in
+  let env, fault_init = Channel.network sp fault (List.init n cell @ [ ("ack", ack) ]) in
   let init =
     conj
       ([ var i === nat 0; var j === nat 0; var z === nat acodec.Channel.bot ]
@@ -90,17 +79,8 @@ let make ?(lossy = true) ?fault ~window ({ Seqtrans.n; a } as params) =
   in
   { prog; space = sp; params; window; xs; ws; i; j; z; slots; avails; ack }
 
-let safety t =
-  let { Seqtrans.n; _ } = t.params in
-  Expr.compile_bool t.space
-    (Expr.conj
-       (List.init n (fun k ->
-            Expr.((var t.j >>> nat k) ==> (var t.ws.(k) === var t.xs.(k))))))
-
-let liveness_holds t ~k =
-  Kpt_logic.Props.leads_to t.prog
-    (Expr.compile_bool t.space Expr.(var t.j === nat k))
-    (Expr.compile_bool t.space Expr.(var t.j >>> nat k))
+let safety t = Seqtrans.safety t.space ~j:t.j ~ws:t.ws ~xs:t.xs
+let liveness_holds t ~k = Seqtrans.liveness_holds t.prog ~j:t.j ~k
 
 let in_flight t st =
   let { Seqtrans.n; a } = t.params in

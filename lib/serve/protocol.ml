@@ -69,12 +69,10 @@ type request = {
 let reorder_to_string = function
   | Engine.Reorder_auto -> "auto"
   | Engine.Reorder_off -> "off"
-  | Engine.Reorder_manual -> "manual"
 
 let reorder_of_string = function
   | "auto" -> Some Engine.Reorder_auto
   | "off" -> Some Engine.Reorder_off
-  | "manual" -> Some Engine.Reorder_manual
   | _ -> None
 
 (* 0 = unset for the numeric options, so the encoding needs no nulls *)

@@ -13,7 +13,8 @@
     Spec {e sources} travel in the request (the daemon never reads the
     filesystem), so the daemon may run in any directory and the cache
     key can cover the exact bytes verified.  [0] means "unset" for the
-    numeric options.
+    numeric options; ["reorder"] is ["auto"] or ["off"], and any other
+    value makes the request malformed.
 
     {b Responses} (daemon → client), one frame per line; [event] frames
     stream before the final [result]/[error] frame of the same [id]:

@@ -99,49 +99,22 @@ let rec random_formula st m ~nvars ~depth =
     | 4 -> B.iff m (sub ()) (sub ())
     | _ -> B.not_ m (sub ())
 
-(* The ten section-6 programs [kpt check <protocol> --horizon 2] runs —
-   standard, abp, stenning and window on the duplicating and the lossy
-   channel, plus kbp and auy — each built afresh, with its receiver
-   counter [j] (the (35) target is [j > k]). *)
+(* The ten section-6 programs [kpt check <protocol> --horizon 2] runs:
+   every built-in, a channel protocol once on the duplicating and once on
+   the lossy channel ([NAME-dup], [NAME-lossy]), each built afresh. *)
 let section6_programs () =
   let open Kpt_protocols in
   let params = { Seqtrans.n = 2; a = 2 } in
-  let std lossy =
-    let st = Seqtrans.standard ~lossy params in
-    (st.Seqtrans.sprog, st.Seqtrans.j)
-  in
-  let abp lossy =
-    let t = Abp.make ~lossy params in
-    (t.Abp.prog, t.Abp.j)
-  in
-  let stenning lossy =
-    let t = Stenning.make ~lossy params in
-    (t.Stenning.prog, t.Stenning.j)
-  in
-  let window lossy =
-    let t = Window.make ~lossy ~window:2 params in
-    (t.Window.prog, t.Window.j)
-  in
-  let kbp () =
-    let ab = Seqtrans.abstract_kbp params in
-    (ab.Seqtrans.aprog, ab.Seqtrans.aj)
-  in
-  let auy () =
-    let t = Auy.make params in
-    (t.Auy.prog, t.Auy.j)
-  in
-  [
-    ("standard-dup", std false);
-    ("standard-lossy", std true);
-    ("abp-dup", abp false);
-    ("abp-lossy", abp true);
-    ("stenning-dup", stenning false);
-    ("stenning-lossy", stenning true);
-    ("window-dup", window false);
-    ("window-lossy", window true);
-    ("kbp", kbp ());
-    ("auy", auy ());
-  ]
+  List.concat_map
+    (fun (b : Builtin.t) ->
+      match b.build with
+      | Builtin.No_channel build -> [ (b.name, build params) ]
+      | Builtin.On_channel build ->
+          [
+            (b.name ^ "-dup", build Kpt_fault.Model.duplicating params);
+            (b.name ^ "-lossy", build Kpt_fault.Model.lossy params);
+          ])
+    Builtin.all
 
 (* ---- the shipped specs ---------------------------------------------------------- *)
 

@@ -304,6 +304,32 @@ assign
   in
   check_codes "comparisons at the bound are fine" [] (lint ok)
 
+(* A constant past the range assigned to a nat(k) scalar or array
+   element is an error; at the bound, computed, or under a guard that
+   folds to false it is not. *)
+let test_nat_range_assignment () =
+  let src =
+    {|program assign_rng
+var n : nat(2)
+var a : nat(1)[2]
+var b : bool
+init n = 0 /\ a[0] = 0 /\ a[1] = 0 /\ b
+assign
+  s: n := 3 if b
+| t: a[n], n := 2, 2 if n < 2
+| u: n := 1 + 1
+| v: n := 5 if false
+|}
+  in
+  let ds = lint src in
+  (match List.filter (fun (d : D.t) -> d.D.code = "KPT027") ds with
+  | [ s; t ] ->
+      Alcotest.(check bool) "an error" true (s.D.severity = D.Error);
+      check_span "n := 3 span" src ~line:7 "3 if" s;
+      check_span "a[n] := 2 span" src ~line:8 "2, 2" t
+  | other -> Alcotest.failf "expected two KPT027, got %d" (List.length other));
+  Alcotest.(check int) "exit code" 1 (D.exit_code ds)
+
 (* ---- syntax errors surface as diagnostics, never exceptions ---------------- *)
 
 let test_syntax_errors_are_diagnostics () =
@@ -468,8 +494,9 @@ let test_unreadable_input_is_clean_error () =
    command: exit 1, never an exception, and the one error carries the
    same code and line:col everywhere — bar the documented KPT103 upgrade
    of an unsatisfiable init under [--semantic].  [non_total] loads, so
-   the two syntactic commands, plain lint and slice, accept it; every
-   command that solves it reports the solver's KPT003. *)
+   slice, which never builds the program, accepts it; plain lint flags
+   its constant assignment statically (KPT027), and every command that
+   solves it reports the solver's KPT003. *)
 let solver_only = "examples/malformed/non_total.unity"
 
 (* [file:line:col: error[KPTnnn]: ], the rendering minus the message *)
@@ -497,12 +524,15 @@ let test_malformed_table () =
         (fun (label, cmd, opts, sources) ->
           let name = file ^ " / " ^ label in
           let o = Kpt_serve.Handler.dispatch cmd opts sources in
-          let syntactic = loads && (label = "lint" || label = "slice") in
+          let syntactic = loads && label = "slice" in
           Alcotest.(check int) (name ^ ": exit") (if syntactic then 0 else 1) o.Driver.code;
           let printed = o.Driver.out ^ o.Driver.err in
           if cmd = Kpt_serve.Protocol.Check then
             Alcotest.(check bool) (name ^ ": FAIL line") true
               (Helpers.contains ~affix:(file ^ ": FAIL — does not elaborate; ") printed)
+          else if loads && label = "lint" then
+            Alcotest.(check bool) (name ^ ": KPT027 line") true
+              (Helpers.contains ~affix:(file ^ ":7:11: error[KPT027]: ") printed)
           else if not syntactic then begin
             let upgraded =
               opts.Driver.semantic
@@ -585,6 +615,7 @@ let suite =
       test_identity_and_duplicate;
     Alcotest.test_case "constant guards" `Quick test_constant_guards;
     Alcotest.test_case "nat range comparisons" `Quick test_nat_range;
+    Alcotest.test_case "nat range assignments" `Quick test_nat_range_assignment;
     Alcotest.test_case "syntax errors as diagnostics" `Quick
       test_syntax_errors_are_diagnostics;
     Alcotest.test_case "rendering and exit codes" `Quick test_rendering;

@@ -187,7 +187,9 @@ let test_chained_sst_equals_frontier () =
       true
       (Bdd.equal (Program.sst prog init) (Oracle_sst.frontier prog init))
   in
-  List.iter (fun (name, (prog, _)) -> check name prog) (Helpers.section6_programs ());
+  List.iter
+    (fun (name, { Kpt_protocols.Builtin.prog; _ }) -> check name prog)
+    (Helpers.section6_programs ());
   List.iter
     (fun (fam : Kpt_gen.Family.t) ->
       for size = 1 to 4 do

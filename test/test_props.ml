@@ -264,7 +264,7 @@ let test_leads_to_fuel () =
    channels where there is one — for the (35) target [j > k]. *)
 let test_fair_avoid_matches_oracle_on_protocols () =
   List.iter
-    (fun (name, (prog, j)) ->
+    (fun (name, { Kpt_protocols.Builtin.prog; j; _ }) ->
       let sp = Program.space prog in
       for k = 0 to 1 do
         let q = bp sp Expr.(var j >>> nat k) in
@@ -296,7 +296,7 @@ let test_gfp_sweeps_pinned () =
   in
   let sweeps = Kpt_obs.counter "leadsto.gfp.sweeps" in
   List.iter
-    (fun (name, (prog, j)) ->
+    (fun (name, { Kpt_protocols.Builtin.prog; j; _ }) ->
       let sp = Program.space prog in
       List.iteri
         (fun k want ->

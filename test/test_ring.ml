@@ -138,7 +138,7 @@ let test_corpus_sp_wp_equivalence () =
 let test_section6_sp_wp_equivalence () =
   with_auto_reorder (fun () ->
       List.iter
-        (fun (name, (prog, _)) ->
+        (fun (name, { Kpt_protocols.Builtin.prog; _ }) ->
           check_against_monolithic ~exact:true name (Program.space prog)
             (Program.statements prog)
             [ ("init", Program.init prog); ("si", Program.si prog) ])
