@@ -159,8 +159,12 @@ let read_file path =
 
 (* Every user-supplied input is read here: an unreadable path (a
    directory, a permission error) is [error: PATH: msg] and exit 1.
-   Open errors already name the path; read errors do not. *)
+   Open errors already name the path; read errors do not.  A directory
+   opens fine and only fails on the length query, with an errno
+   ("Value too large …") that does not say what is wrong. *)
 let read_source path =
+  if Sys.file_exists path && Sys.is_directory path then
+    raise (Sys_error (path ^ ": is a directory"));
   try (path, read_file path)
   with Sys_error msg ->
     let prefix = path ^ ": " in
@@ -416,9 +420,13 @@ let check_cmd =
 
 (* ---- simulate -------------------------------------------------------------- *)
 
+(* The built-in entry a standalone command runs, for its parameter
+   check. *)
+let builtin name = Option.get (Builtin.find name)
+
 let simulate_cmd =
   let run n a lossy seed steps =
-    let params = { Seqtrans.n; a } in
+    Driver.with_params Format.err_formatter (builtin "standard") ~n ~a @@ fun params ->
     let st = Seqtrans.standard ~lossy params in
     let prog = st.Seqtrans.sprog in
     let sp = st.Seqtrans.sspace in
@@ -463,7 +471,8 @@ let proof_cmd =
     Arg.(value & flag & info [ "tree" ] ~doc:"Print the full derivation tree of each liveness theorem.")
   in
   let run which n a lossy tree =
-    let params = { Seqtrans.n; a } in
+    let name = match which with `Kbp -> "kbp" | `Std -> "standard" in
+    Driver.with_params Format.err_formatter (builtin name) ~n ~a @@ fun params ->
     let thms =
       match which with
       | `Kbp -> Seqtrans_proofs.replay_abstract (Seqtrans.abstract_kbp params)

@@ -336,6 +336,15 @@ let verify ?sink opts ~file ~src ~invariants ~stables ~leadstos =
 
 (* ---- check <protocol> -------------------------------------------------------- *)
 
+let with_params epf (b : Kpt_protocols.Builtin.t) ~n ~a f =
+  let params = { Kpt_protocols.Seqtrans.n; a } in
+  match b.params_error params with
+  | Some constraint_ ->
+      Format.fprintf epf "error: %s: %s (got --horizon %d --alphabet %d)@." b.label constraint_ n
+        a;
+      2
+  | None -> f params
+
 let check_protocol ?sink opts (b : Kpt_protocols.Builtin.t) ~n ~a ~lossy ~fault =
   let open Kpt_protocols in
   scoped ?sink opts @@ fun ppf epf ->
@@ -349,8 +358,8 @@ let check_protocol ?sink opts (b : Kpt_protocols.Builtin.t) ~n ~a ~lossy ~fault 
   | Builtin.No_channel _ when fault <> None -> no_channel "--fault"
   | Builtin.No_channel _ when lossy -> no_channel "--lossy"
   | build ->
+      with_params epf b ~n ~a @@ fun params ->
       budgeted ppf opts.limits @@ fun () ->
-      let params = { Seqtrans.n; a } in
       let t = match build with On_channel f -> f model params | No_channel f -> f params in
       let safety = Builtin.safety t in
       let blurb =

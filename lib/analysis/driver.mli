@@ -88,6 +88,17 @@ val check : ?sink:sink -> options -> (string * string) list -> outcome
     {!Check.run_sources}.  The built-in-protocol form is
     {!check_protocol}. *)
 
+val with_params :
+  Format.formatter ->
+  Kpt_protocols.Builtin.t ->
+  n:int ->
+  a:int ->
+  (Kpt_protocols.Seqtrans.params -> int) ->
+  int
+(** [with_params epf b ~n ~a f] runs [f] on the parameters when [b]
+    accepts them.  Otherwise it prints one [error: LABEL: CONSTRAINT]
+    line to [epf] and returns the usage-error exit code 2. *)
+
 val check_protocol :
   ?sink:sink ->
   options ->
@@ -100,7 +111,8 @@ val check_protocol :
 (** [kpt check <protocol>]: the protocol at horizon [n], alphabet [a],
     on the channel [fault] (else [lossy]) selects; its reachable states,
     (34), and (35)@k for every [k < n], under [options.limits].  Exit 1
-    when a property fails, 2 for [lossy]/[fault] without a channel. *)
+    when a property fails, 2 for [lossy]/[fault] without a channel or
+    for parameters the protocol rejects (see {!with_params}). *)
 
 val lint : ?sink:sink -> options -> (string * string) list -> outcome
 (** [kpt lint] via {!Lint.run_sources}; [options.semantic] adds the

@@ -81,11 +81,8 @@ type manager = {
   t_false : t;
   (* dynamic-reordering state *)
   mutable auto_reorder : bool;
-  mutable reorder_threshold : int; (* next_uid that arms [reorder_pending] *)
-  mutable reorder_pending : bool;
-  mutable reordered : bool; (* perm has ever left the identity *)
+  mutable reorder_threshold : int; (* [live] at which the next outermost entry sifts *)
   mutable op_depth : int; (* public operations in flight *)
-  mutable ro_streak : int; (* consecutive abort-and-retry restarts *)
   mutable in_reorder : bool;
   mutable ro_mark : int; (* next_uid at reorder entry; max_int outside *)
   mutable ro_excess : int; (* logically dead nodes still in the table *)
@@ -153,10 +150,7 @@ let create ?(cache_size = 1 lsl 14) ?(reorder = false) () =
     t_false;
     auto_reorder = reorder;
     reorder_threshold = default_reorder_threshold;
-    reorder_pending = false;
-    reordered = false;
     op_depth = 0;
-    ro_streak = 0;
     in_reorder = false;
     ro_mark = max_int;
     ro_excess = 0;
@@ -335,9 +329,10 @@ let iter_table m f =
    cache (whose result pointers would otherwise pin dead trees), force a
    major collection, and re-insert the survivors.  A node strongly
    reachable anywhere — an external handle, a Space/Program cache, the
-   operands of an aborted in-flight operation — survives together with
-   its cofactors, because node fields are strong references; an
-   unreachable tree is reclaimed and its weak slots empty out.  Survivors
+   operands of the operation whose entry triggered the sift — survives
+   together with its cofactors, because node fields are strong
+   references; an unreachable tree is reclaimed and its weak slots empty
+   out.  Survivors
    return with uid and fields untouched, so [mk] can never mint a
    duplicate of a handle that is still alive: physical equality keeps
    meaning semantic equality.  Collected uids simply retire ([next_uid]
@@ -498,15 +493,6 @@ let cache_add m op x y z r =
   end
   else Hashtbl.replace m.op_spill (op, x, y, z) r
 
-(* Raised by the allocator when the table outgrows the reorder threshold
-   in the middle of a public operation: the recursion's cofactor state
-   assumes a frozen order, so the operation is unwound to its outermost
-   entry, the manager reorders there, and the operation retries — the
-   abort-and-retry scheme of the classic packages.  Everything already
-   computed survives: op-cache entries are uid-keyed and denotation-
-   stable, and per-call memo tables are rebuilt by the retry. *)
-exception Restart_for_reorder
-
 let fresh_node m var low high =
   let n = { uid = m.next_uid; var; low; high } in
   m.next_uid <- m.next_uid + 1;
@@ -518,13 +504,6 @@ let fresh_node m var low high =
     p_retain m high
   end;
   m.k_nodes <- m.k_nodes + 1;
-  if m.auto_reorder && (not m.in_reorder) && m.live + 2 >= m.reorder_threshold then begin
-    m.reorder_pending <- true;
-    (* mid-operation: unwind to the outermost public entry and retry
-       there (the node just built is discarded before table insertion,
-       so the manager stays consistent) *)
-    if m.op_depth > 0 then raise Restart_for_reorder
-  end;
   (* Amortised budget check: the node ceiling (and, between fixpoint
      rounds, the deadline) must bite even inside one pathological apply,
      but a per-node check would tax every allocation — every 4096 nodes
@@ -622,7 +601,6 @@ let swap_levels m l =
   m.invperm.(l + 1) <- u;
   m.perm.(u) <- l + 1;
   m.perm.(v) <- l;
-  m.reordered <- true;
   (* re-register the independent movers first so the dependents' cofactor
      lookups can share them, then rewrite the dependents *)
   let dependents =
@@ -742,7 +720,6 @@ let sift_group m st g =
   done
 
 let reorder_now m =
-  m.reorder_pending <- false;
   if m.nvars > 2 then begin
     Kpt_obs.incr c_ro_runs;
     let before = m.live in
@@ -796,15 +773,8 @@ let reorder_now m =
   end;
   (* Back off geometrically so a workload that keeps growing re-sifts at
      ever coarser intervals instead of thrashing; the basis is the live
-     table size, which after the exit sweep counts only reachable nodes.
-     Under abort-and-retry pressure the threshold must grow regardless:
-     the entry sweep cleared the op cache, so a restarted operation
-     recomputes from scratch and would livelock if sifting kept handing
-     it the same headroom it already outgrew — each consecutive restart
-     doubles the ceiling instead. *)
-  let base = max (2 * (m.live + 2)) default_reorder_threshold in
-  m.reorder_threshold <-
-    (if m.ro_streak > 0 then max base (2 * m.reorder_threshold) else base)
+     table size, which after the exit sweep counts only reachable nodes. *)
+  m.reorder_threshold <- max (2 * (m.live + 2)) default_reorder_threshold
 
 (* Move the hot counters into the current metric context.  The peak is
    exact at flush time because [next_uid] only grows: it is the uid
@@ -828,34 +798,30 @@ let flush m =
     m.k_stores <- 0
   end
 
-(* Public-operation guard: an auto-triggered reorder must never run while
-   an apply/quantify recursion is mid-flight (its local cofactor state
-   assumes a frozen order), so triggers only {e arm a flag} and the flag
-   is honoured at the entry of the outermost public operation.  Leaving
-   the outermost operation — by return, by a restart, or by any other
+(* Public-operation guard, and the one place an automatic sift is
+   decided.  A reorder must never run while an apply/quantify recursion
+   is mid-flight (its local cofactor state assumes a frozen order), so
+   the threshold is tested at the entry of the outermost public
+   operation only: an operation that crosses it finishes in the order it
+   started with, and the next one sifts first.  Nodes are freed only
+   inside [reorder_now], so [live] cannot drop back below the threshold
+   in between.  Leaving the outermost operation — by return or by an
    exception (a [Budget.Exhausted] from [fresh_node]) — flushes the hot
    counters, nodes the entry reorder made included. *)
 let enter m =
-  if m.op_depth = 0 && m.reorder_pending && not m.in_reorder then reorder_now m;
+  if m.op_depth = 0 && m.auto_reorder && m.live + 2 >= m.reorder_threshold then reorder_now m;
   m.op_depth <- m.op_depth + 1
 
 let leave m =
   m.op_depth <- m.op_depth - 1;
   if m.op_depth = 0 then flush m
 
-let rec guarded m f =
+let guarded m f =
   enter m;
   match f () with
   | r ->
       leave m;
-      if m.op_depth = 0 then m.ro_streak <- 0;
       r
-  | exception Restart_for_reorder when m.op_depth = 1 ->
-      (* outermost public operation: honour the pending reorder (at the
-         re-entry below, where the depth is 0 again) and run [f] afresh *)
-      m.ro_streak <- m.ro_streak + 1;
-      leave m;
-      guarded m f
   | exception e ->
       leave m;
       raise e
@@ -868,12 +834,9 @@ let reorder m =
 
 let set_auto_reorder m ?threshold on =
   m.auto_reorder <- on;
-  (match threshold with
+  match threshold with
   | Some th -> m.reorder_threshold <- max 16 th
-  | None -> ());
-  if on && m.live + 2 >= m.reorder_threshold then m.reorder_pending <- true
-
-let level_of_var m v = posv m v
+  | None -> ()
 
 let var m i =
   assert (0 <= i && i < leaf_level);
@@ -1300,8 +1263,6 @@ let size _m root =
   go root;
   Hashtbl.length seen
 
-let node_count m = m.next_uid
-
 (* Exact model counting: the classic per-node recurrence over the node
    {e ranks} — each support variable's index must be < [nvars], but its
    level can be anywhere in the order, so levels are first compressed to
@@ -1336,42 +1297,6 @@ let sat_count_exact m ~nvars root =
   in
   Bigcount.shift_left (go root) (rank root)
 
-let sat_count m ~nvars root = Bigcount.to_float (sat_count_exact m ~nvars root)
-
-let any_sat _m root =
-  if is_false root then raise Not_found;
-  let rec go acc n =
-    if is_leaf n then List.rev acc
-    else if is_false n.low then go ((n.var, true) :: acc) n.high
-    else go ((n.var, false) :: acc) n.low
-  in
-  go [] root
-
-let iter_sat m ~vars root f =
-  let vars = List.sort_uniq compare vars in
-  let vars = List.stable_sort (fun a b -> compare (posv m a) (posv m b)) vars in
-  let asg = Hashtbl.create 16 in
-  let lookup i = Hashtbl.find asg i in
-  let rec go vs n =
-    if is_false n then ()
-    else
-      match vs with
-      | [] ->
-          assert (is_true n);
-          f lookup
-      | v :: rest ->
-          assert (pos m n >= posv m v);
-          let branch b =
-            Hashtbl.replace asg v b;
-            let n' = if n.var = v then if b then n.high else n.low else n in
-            go rest n'
-          in
-          branch false;
-          branch true;
-          Hashtbl.remove asg v
-  in
-  go vars root
-
 let live_count m = m.live + 2
 
 type stats = {
@@ -1404,11 +1329,3 @@ let rec eval n valuation =
   else if is_false n then false
   else if valuation n.var then eval n.high valuation
   else eval n.low valuation
-
-let pp _m fmt root =
-  let rec go fmt n =
-    if is_true n then Format.fprintf fmt "T"
-    else if is_false n then Format.fprintf fmt "F"
-    else Format.fprintf fmt "(v%d ? %a : %a)" n.var go n.high go n.low
-  in
-  go fmt root

@@ -13,8 +13,12 @@
     sits at level [i] of the order (smaller indices nearer the root), but
     the manager may {e reorder} — permute the variable/level map — either
     on demand ({!reorder}) or automatically ({!set_auto_reorder}).
-    Reordering is semantics-transparent: nodes are rewritten in place, so
-    every handle keeps denoting the same Boolean function and canonicity
+    Either way a reorder runs only between operations, never inside one:
+    an automatic sift is decided at the entry of an outermost operation,
+    so an operation that grows the table past the threshold finishes in
+    the order it started with and the next one sifts first.  Reordering
+    is semantics-transparent: nodes are rewritten in place, so every
+    handle keeps denoting the same Boolean function and canonicity
     (semantic equality = physical equality) is preserved throughout. *)
 
 type manager
@@ -54,14 +58,11 @@ val reorder : manager -> unit
 
 val set_auto_reorder : manager -> ?threshold:int -> bool -> unit
 (** Enable or disable automatic reordering.  When enabled, a sifting pass
-    is triggered at the entry of the next top-level operation after the
-    node count crosses [threshold] (default 2{^16}); after each pass the
-    threshold doubles away from the surviving node count, so a workload
-    that keeps growing re-sifts at geometrically coarser intervals. *)
-
-val level_of_var : manager -> int -> int
-(** Current level (position in the variable order, 0 = root) of a
-    variable index.  Identity until the first reordering. *)
+    runs at the entry of the first top-level operation that finds the
+    live node count at or past [threshold] (default 2{^16}); after each
+    pass the threshold doubles away from the surviving node count, so a
+    workload that keeps growing re-sifts at geometrically coarser
+    intervals. *)
 
 val clear_caches : manager -> unit
 (** Empty the operation cache (the unique table is kept, so existing
@@ -165,16 +166,9 @@ val depends_on : manager -> t -> int -> bool
 val size : manager -> t -> int
 (** Number of distinct internal nodes reachable from the root. *)
 
-val node_count : manager -> int
-(** Total nodes ever hash-consed in the manager. *)
-
 val sat_count_exact : manager -> nvars:int -> t -> Bigcount.t
 (** Exact number of satisfying assignments over variables [0..nvars-1];
     correct at any size (no float rounding past 2{^53}, no overflow). *)
-
-val sat_count : manager -> nvars:int -> t -> float
-(** Number of satisfying assignments over variables [0..nvars-1], as the
-    nearest float — a lossy convenience view of {!sat_count_exact}. *)
 
 type stats = {
   nodes_created : int;  (** uids allocated over the manager's lifetime *)
@@ -194,17 +188,5 @@ val stats : manager -> stats
     operation returns or raises, so they are exact between
     operations. *)
 
-val any_sat : manager -> t -> (int * bool) list
-(** One satisfying partial assignment (variables not listed are
-    don't-care).  @raise Not_found on the false predicate. *)
-
-val iter_sat : manager -> vars:int list -> t -> ((int -> bool) -> unit) -> unit
-(** [iter_sat m ~vars p f] calls [f] once per total assignment to [vars]
-    satisfying [p]; the callback receives a lookup function.  [vars] must
-    be sorted ascending and contain the support of [p]. *)
-
 val eval : t -> (int -> bool) -> bool
 (** Evaluate the predicate at a point given as a variable valuation. *)
-
-val pp : manager -> Format.formatter -> t -> unit
-(** Structural printer (if-then-else normal form), for debugging. *)

@@ -118,13 +118,6 @@ let to_string x =
     Buffer.contents b
   end
 
-let to_float x =
-  let acc = ref 0.0 in
-  for i = Array.length x - 1 downto 0 do
-    acc := (!acc *. float_of_int base) +. float_of_int x.(i)
-  done;
-  !acc
-
 let to_int x =
   let rec go acc i =
     if i < 0 then Some acc

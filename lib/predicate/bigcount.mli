@@ -1,13 +1,12 @@
 (** Exact non-negative big integers for model counting.
 
-    [Bdd.sat_count] used to compute counts as [float] powers of two,
+    Model counts used to be computed as [float] powers of two,
     which silently loses precision above 2{^53} satisfying assignments
     and overflows to [infinity] near 1024 variables — state spaces the
     scaling harness already reaches.  This module is the exact
     replacement: an arbitrary-precision unsigned integer with just the
     operations counting needs (no division, no subtraction), rendered as
-    an exact decimal string.  The [float] view survives as a lossy
-    convenience. *)
+    an exact decimal string. *)
 
 type t
 (** An arbitrary-precision non-negative integer.  Values are immutable
@@ -42,10 +41,6 @@ val equal : t -> t -> bool
 val to_string : t -> string
 (** Exact decimal rendering (no exponent, no rounding): the string is a
     valid arbitrary-precision JSON number. *)
-
-val to_float : t -> float
-(** Nearest float; [infinity] beyond the float range.  This is the lossy
-    view the old [sat_count] returned. *)
 
 val to_int : t -> int option
 (** [Some n] iff the value fits a native [int]. *)

@@ -31,7 +31,6 @@ type t = {
   byname : (string, var) Hashtbl.t;
   mutable gen : int; (* bumped on each declaration *)
   mutable c_domain : Bdd.t option;
-  mutable c_domain_next : Bdd.t option;
   mutable c_identity : Bdd.t option;
   mutable c_cur_bits : int list option;
   mutable c_next_bits : int list option;
@@ -57,7 +56,6 @@ let create ?engine () =
     byname = Hashtbl.create 16;
     gen = 0;
     c_domain = None;
-    c_domain_next = None;
     c_identity = None;
     c_cur_bits = None;
     c_next_bits = None;
@@ -98,7 +96,6 @@ let declare sp name typ =
      complements, which are generation-checked on lookup *)
   sp.gen <- sp.gen + 1;
   sp.c_domain <- None;
-  sp.c_domain_next <- None;
   sp.c_identity <- None;
   sp.c_cur_bits <- None;
   sp.c_next_bits <- None;
@@ -197,21 +194,6 @@ let domain sp =
              (vars sp))
       in
       sp.c_domain <- Some d;
-      d
-
-let domain_next sp =
-  match sp.c_domain_next with
-  | Some d -> d
-  | None ->
-      let d =
-        Bdd.conj sp.man
-          (List.filter_map
-             (fun v ->
-               if card v = 1 lsl v.vwidth then None
-               else Some (range_constraint sp (next_vec sp v) v))
-             (vars sp))
-      in
-      sp.c_domain_next <- Some d;
       d
 
 (* The identity transition relation: every next-bit copy equals its

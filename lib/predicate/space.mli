@@ -102,8 +102,6 @@ val domain : t -> Bdd.t
     non-power-of-two cardinalities contribute).  Cached; invalidated by
     later declarations. *)
 
-val domain_next : t -> Bdd.t
-
 val identity : t -> Bdd.t
 (** The identity transition relation [⋀ v :: v' = v] over current × next
     bits — the skip branch of every guarded statement.  Cached; later

@@ -20,13 +20,15 @@ let log2_exact a =
   let rec go b v = if v = a then Some b else if v > a then None else go (b + 1) (v * 2) in
   go 0 1
 
+let params_error ({ Seqtrans.a; _ } as params) =
+  match Seqtrans.params_error params with
+  | Some _ as e -> e
+  | None when log2_exact a = None -> Some "alphabet size must be a power of two ≥ 2"
+  | None -> None
+
 let make ({ Seqtrans.n; a } as params) =
-  if n < 2 then invalid_arg "Auy.make: need n ≥ 2";
-  let bpe =
-    match log2_exact a with
-    | Some b when b >= 1 -> b
-    | _ -> invalid_arg "Auy.make: alphabet size must be a power of two ≥ 2"
-  in
+  Option.iter (fun e -> invalid_arg ("Auy.make: " ^ e)) (params_error params);
+  let bpe = Option.get (log2_exact a) in
   let sp = Space.create () in
   let xs = Array.init n (fun k -> Space.nat_var sp (Printf.sprintf "x%d" k) ~max:(a - 1)) in
   let i = Space.nat_var sp "i" ~max:(n - 1) in

@@ -28,8 +28,12 @@ type t = {
   acc : Space.var;   (** receiver's partial element *)
 }
 
+val params_error : Seqtrans.params -> string option
+(** The constraint the parameters break, if any: {!Seqtrans.params_error},
+    and an alphabet size that is a power of two. *)
+
 val make : Seqtrans.params -> t
-(** @raise Invalid_argument if the alphabet size is not a power of two. *)
+(** @raise Invalid_argument on a {!params_error}. *)
 
 val safety : t -> Bdd.t
 (** Eq. 34 for the AUY instance. *)

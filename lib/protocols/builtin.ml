@@ -7,7 +7,12 @@ type build =
   | On_channel of (Kpt_fault.Model.t -> Seqtrans.params -> instance)
   | No_channel of (Seqtrans.params -> instance)
 
-type t = { name : string; label : string; build : build }
+type t = {
+  name : string;
+  label : string;
+  build : build;
+  params_error : Seqtrans.params -> string option;
+}
 
 let all =
   let standard fault p =
@@ -29,13 +34,14 @@ let all =
     let t = Window.make ~fault ~window:2 p in
     { prog = t.prog; j = t.j; ws = t.ws; xs = t.xs }
   in
+  let entry name label build = { name; label; build; params_error = Seqtrans.params_error } in
   [
-    { name = "standard"; label = "standard"; build = On_channel standard };
-    { name = "kbp"; label = "knowledge-based"; build = No_channel kbp };
-    { name = "abp"; label = "alternating-bit"; build = On_channel abp };
-    { name = "stenning"; label = "stenning"; build = On_channel stenning };
-    { name = "auy"; label = "auy"; build = No_channel auy };
-    { name = "window"; label = "sliding-window(2)"; build = On_channel window };
+    entry "standard" "standard" (On_channel standard);
+    entry "kbp" "knowledge-based" (No_channel kbp);
+    entry "abp" "alternating-bit" (On_channel abp);
+    entry "stenning" "stenning" (On_channel stenning);
+    { (entry "auy" "auy" (No_channel auy)) with params_error = Auy.params_error };
+    entry "window" "sliding-window(2)" (On_channel window);
   ]
 
 let find name = List.find_opt (fun b -> b.name = name) all

@@ -22,6 +22,8 @@ type t = {
   name : string;  (** the [kpt check] argument *)
   label : string;  (** the name in the [checking …] header *)
   build : build;
+  params_error : Seqtrans.params -> string option;
+      (** the constraint on [n], [a] that [build] would reject, if any *)
 }
 
 val all : t list

@@ -3,9 +3,13 @@ open Kpt_unity
 
 type params = { n : int; a : int }
 
-let check_params { n; a } =
-  if n < 2 then invalid_arg "Seqtrans: horizon n must be ≥ 2";
-  if a < 2 then invalid_arg "Seqtrans: alphabet size a must be ≥ 2 (no a priori knowledge)"
+let params_error { n; a } =
+  if n < 2 then Some "horizon n must be ≥ 2"
+  else if a < 2 then Some "alphabet size a must be ≥ 2 (no a priori knowledge)"
+  else None
+
+let check_params params =
+  Option.iter (fun e -> invalid_arg ("Seqtrans: " ^ e)) (params_error params)
 
 (* ---- the specification (34)-(35), shared by every §6 protocol ---------- *)
 

@@ -33,6 +33,10 @@ type params = { n : int; a : int }
 (** Horizon (elements transmitted) and alphabet size.  [n ≥ 2], [a ≥ 2]
     required ([a ≥ 2] is the paper's "no a priori information" proviso). *)
 
+val params_error : params -> string option
+(** The constraint above that the parameters break, if any.  The
+    builders below raise [Invalid_argument] on it. *)
+
 (** {1 The specification (§6)}
 
     The one definition of the spec every §6 protocol implements, over

@@ -18,7 +18,7 @@ type t = {
 
 let make ?(lossy = true) ?fault ({ Seqtrans.n; a } as params) =
   let fault = Channel.resolve_fault ~lossy fault in
-  if n < 2 || a < 2 then invalid_arg "Stenning.make: need n ≥ 2 and a ≥ 2";
+  Option.iter (fun e -> invalid_arg ("Stenning.make: " ^ e)) (Seqtrans.params_error params);
   let sp = Space.create () in
   let xs = Array.init n (fun k -> Space.nat_var sp (Printf.sprintf "x%d" k) ~max:(a - 1)) in
   let y = Space.nat_var sp "y" ~max:(a - 1) in

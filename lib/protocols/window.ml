@@ -19,7 +19,7 @@ type t = {
 let make ?(lossy = true) ?fault ~window ({ Seqtrans.n; a } as params) =
   let fault = Channel.resolve_fault ~lossy fault in
   if window < 1 then invalid_arg "Window.make: window must be ≥ 1";
-  if n < 2 || a < 2 then invalid_arg "Window.make: need n ≥ 2 and a ≥ 2";
+  Option.iter (fun e -> invalid_arg ("Window.make: " ^ e)) (Seqtrans.params_error params);
   let sp = Space.create () in
   let xs = Array.init n (fun k -> Space.nat_var sp (Printf.sprintf "x%d" k) ~max:(a - 1)) in
   let i = Space.nat_var sp "i" ~max:n in

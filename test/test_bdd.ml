@@ -133,48 +133,6 @@ let test_support () =
   let q = Bdd.or_ m (Bdd.var m 0) (Bdd.nvar m 0) in
   Alcotest.(check bool) "tautology support empty" false (Bdd.depends_on m q 0)
 
-let test_sat_count () =
-  let m = m () in
-  let st = Helpers.rng () in
-  for _ = 1 to 40 do
-    let p = Helpers.random_formula st m ~nvars:6 ~depth:4 in
-    let expected = List.length (Helpers.truth_table p ~nvars:6) in
-    Alcotest.(check int) "sat_count" expected
-      (int_of_float (Bdd.sat_count m ~nvars:6 p))
-  done
-
-let test_any_sat () =
-  let m = m () in
-  let st = Helpers.rng () in
-  for _ = 1 to 40 do
-    let p = Helpers.random_formula st m ~nvars:6 ~depth:4 in
-    if Bdd.is_false p then
-      Alcotest.check_raises "any_sat on false" Not_found (fun () ->
-          ignore (Bdd.any_sat m p))
-    else begin
-      let partial = Bdd.any_sat m p in
-      let lookup i = match List.assoc_opt i partial with Some b -> b | None -> false in
-      Alcotest.(check bool) "any_sat satisfies" true (Bdd.eval p lookup)
-    end
-  done
-
-let test_iter_sat () =
-  let m = m () in
-  let st = Helpers.rng () in
-  for _ = 1 to 20 do
-    let p = Helpers.random_formula st m ~nvars:5 ~depth:4 in
-    let got = ref [] in
-    Bdd.iter_sat m ~vars:[ 0; 1; 2; 3; 4 ] p (fun lookup ->
-        let code = ref 0 in
-        for i = 0 to 4 do
-          if lookup i then code := !code lor (1 lsl i)
-        done;
-        got := !code :: !got);
-    Alcotest.(check (list int)) "iter_sat enumerates truth table"
-      (Helpers.truth_table p ~nvars:5)
-      (List.sort compare !got)
-  done
-
 let test_implies () =
   let m = m () in
   let a = Bdd.var m 0 and b = Bdd.var m 1 in
@@ -332,9 +290,6 @@ let suite =
     Alcotest.test_case "rename" `Quick test_rename;
     Alcotest.test_case "rename roundtrip" `Quick test_rename_roundtrip;
     Alcotest.test_case "support" `Quick test_support;
-    Alcotest.test_case "sat_count" `Quick test_sat_count;
-    Alcotest.test_case "any_sat" `Quick test_any_sat;
-    Alcotest.test_case "iter_sat" `Quick test_iter_sat;
     Alcotest.test_case "implies" `Quick test_implies;
     Alcotest.test_case "conj/disj" `Quick test_conj_disj;
     Alcotest.test_case "size and caches" `Quick test_size_caches;

@@ -45,6 +45,31 @@ let test_cli_golden () =
     (Helpers.slurp "golden/builtin_cli.txt")
     (String.concat "" (List.map render runs))
 
+(* Parameters a built-in rejects are a usage error: one [error:] line
+   naming the constraint, exit 2, nothing on stdout — never the exit-125
+   trap an escaped [Invalid_argument] reaches. *)
+let test_bad_params_are_usage_errors () =
+  List.iter
+    (fun (args, constraint_) ->
+      let code, out, err = Helpers.run_kpt args in
+      let cmd = String.concat " " args in
+      Alcotest.(check int) (cmd ^ ": exit 2") 2 code;
+      Alcotest.(check string) (cmd ^ ": no stdout") "" out;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: one error line naming %S (got %S)" cmd constraint_ err)
+        true
+        (String.starts_with ~prefix:"error: " err
+        && String.index err '\n' = String.length err - 1
+        && Helpers.contains ~affix:constraint_ err))
+    [
+      ([ "check"; "standard"; "--horizon"; "1" ], "horizon n must be ≥ 2");
+      ([ "check"; "window"; "--horizon"; "1" ], "horizon n must be ≥ 2");
+      ([ "check"; "auy"; "--alphabet"; "3" ], "power of two");
+      ([ "check"; "stenning"; "--alphabet"; "1" ], "alphabet size a must be ≥ 2");
+      ([ "simulate"; "--horizon"; "1" ], "horizon n must be ≥ 2");
+      ([ "proof"; "standard"; "--horizon"; "1" ], "horizon n must be ≥ 2");
+    ]
+
 (* ---- the table against the benchmark's expectations ------------------------------ *)
 
 let expected_file = "../perfbench/expected/protocols.json"
@@ -84,6 +109,8 @@ let test_table_matches_perfbench () =
 let suite =
   [
     Alcotest.test_case "check <protocol>, solve and verify golden" `Quick test_cli_golden;
+    Alcotest.test_case "bad built-in parameters are usage errors (exit 2)" `Quick
+      test_bad_params_are_usage_errors;
     Alcotest.test_case "table reproduces perfbench/expected/protocols.json" `Quick
       test_table_matches_perfbench;
   ]

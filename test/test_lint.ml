@@ -485,7 +485,9 @@ let test_unreadable_input_is_clean_error () =
       Alcotest.(check bool)
         (cmd ^ " DIR: error names the path")
         true
-        (Helpers.contains ~affix:("error: " ^ dir ^ ": ") err))
+        (Helpers.contains ~affix:("error: " ^ dir ^ ": ") err);
+      Alcotest.(check bool) (cmd ^ " DIR: says it is a directory") true
+        (Helpers.contains ~affix:"is a directory" err))
     [ "lint"; "check"; "stats"; "solve-file"; "slice"; "parse"; "verify" ]
 
 (* ---- the malformed-spec table ------------------------------------------------ *)

@@ -47,13 +47,14 @@ let test_counters_snapshot_sorted_and_reset () =
 let c_created = Kpt_obs.counter "bdd.nodes.created"
 
 let check_nodes_counted msg m f =
-  let c0 = Kpt_obs.value c_created and u0 = Bdd.node_count m in
+  let created () = (Bdd.stats m).Bdd.nodes_created in
+  let c0 = Kpt_obs.value c_created and u0 = created () in
   f ();
-  let made = Bdd.node_count m - u0 in
+  let made = created () - u0 in
   Alcotest.(check bool) (msg ^ ": made nodes") true (made > 0);
   Alcotest.(check int) (msg ^ ": every node counted") made (Kpt_obs.value c_created - c0);
   Alcotest.(check bool) (msg ^ ": peak covers them") true
-    (Kpt_obs.value (Kpt_obs.counter "bdd.nodes.peak") >= Bdd.node_count m)
+    (Kpt_obs.value (Kpt_obs.counter "bdd.nodes.peak") >= created ())
 
 (* ⋀ (x_i ∨ y_i) with every x above every y has 2^n nodes; its even and
    odd halves have 2^(n/2) each, so their conjunction outgrows a small
@@ -269,10 +270,7 @@ let test_satcount_exact_vs_brute () =
     let expected = brute_count ~nvars p in
     (match Bigcount.to_int (Bdd.sat_count_exact m ~nvars p) with
     | Some n -> Alcotest.(check int) "exact count = brute force" expected n
-    | None -> Alcotest.fail "count of a <=12-var predicate overflowed int");
-    Alcotest.(check (float 0.0)) "float view agrees exactly at small sizes"
-      (float_of_int expected)
-      (Bdd.sat_count m ~nvars p)
+    | None -> Alcotest.fail "count of a <=12-var predicate overflowed int")
   done;
   (* one larger instance near the satellite's 20-var bound *)
   let nvars = 18 in
@@ -294,13 +292,9 @@ let test_satcount_beyond_float_precision () =
   let exact = Bdd.sat_count_exact m ~nvars p in
   Alcotest.(check string) "2^63 + 1, bit-exact" "9223372036854775809"
     (Bigcount.to_string exact);
-  Alcotest.(check bool) "the float view rounds it off" true
-    (Bdd.sat_count m ~nvars p = 9.223372036854775808e18);
   (* 2^2000 overflows the float range entirely; the exact count is a
      603-digit number *)
   let exact_huge = Bdd.sat_count_exact m ~nvars:2000 (Bdd.tru m) in
-  Alcotest.(check bool) "float overflows to infinity" true
-    (Bdd.sat_count m ~nvars:2000 (Bdd.tru m) = infinity);
   Alcotest.(check int) "the exact count has 603 digits" 603
     (String.length (Bigcount.to_string exact_huge));
   Alcotest.(check bool) "and equals 2^2000" true

@@ -137,7 +137,7 @@ let prop_bdd_sat_count =
         let env i = (code lsr i) land 1 = 1 in
         if Bdd.eval b env then incr brute
       done;
-      int_of_float (Bdd.sat_count m ~nvars b) = !brute)
+      Bigcount.to_int (Bdd.sat_count_exact m ~nvars b) = Some !brute)
 
 let prop_bdd_relational_product =
   QCheck.Test.make ~count:150 ~name:"bdd: and_exists = exists ∘ and"

@@ -79,6 +79,36 @@ let test_auto_trigger () =
   let runs = List.assoc_opt "bdd.reorder.runs" (Kpt_obs.Ctx.counters ctx) in
   Alcotest.(check bool) "auto reorder ran" true (match runs with Some r -> r > 0 | None -> false)
 
+(* The trigger is tested only at the entry of an outermost operation:
+   an operation that grows the table past the threshold finishes in the
+   order it started with, and the next operation sifts before it runs. *)
+let test_sift_waits_for_the_next_entry () =
+  let ctx = Kpt_obs.Ctx.create () in
+  let runs () =
+    Option.value ~default:0 (List.assoc_opt "bdd.reorder.runs" (Kpt_obs.Ctx.counters ctx))
+  in
+  Kpt_obs.Ctx.use ctx (fun () ->
+      let m = B.create () in
+      let n = 11 in
+      let half r =
+        B.conj m
+          (List.filter_map
+             (fun i -> if i mod 2 = r then Some (B.iff m (B.var m i) (B.var m (n + i))) else None)
+             (List.init n Fun.id))
+      in
+      let a = half 0 and b = half 1 in
+      let threshold = (B.stats m).B.live_nodes + 1000 in
+      B.set_auto_reorder m ~threshold true;
+      (* one operation: the separated blocks give a ∧ b a 2^n waist *)
+      let f = B.and_ m a b in
+      Alcotest.(check bool) "the operation crossed the threshold" true
+        ((B.stats m).B.live_nodes >= threshold);
+      Alcotest.(check int) "no sift inside the crossing operation" 0 (runs ());
+      let g = B.not_ m f in
+      Alcotest.(check int) "the next outermost entry sifts" 1 (runs ());
+      Alcotest.(check bool) "the result is still the complement" true
+        (B.eval g (fun i -> i = 0) && not (B.eval g (fun _ -> true))))
+
 let test_quantifiers_after_reorder () =
   let st = Helpers.rng () in
   for _case = 1 to 10 do
@@ -129,28 +159,25 @@ let test_rename_non_monotone_fallback () =
 let test_counting_after_reorder () =
   let st = Helpers.rng () in
   for _case = 1 to 10 do
-    let m = B.create () in
+    let sp = Space.create () in
+    let m = Space.manager sp in
     let nvars = 8 in
+    let bs = Array.init nvars (fun i -> Space.bool_var sp (Printf.sprintf "b%d" i)) in
     let f = Helpers.random_formula st m ~nvars ~depth:5 in
-    let count = List.length (Helpers.truth_table f ~nvars) in
-    B.reorder m;
-    Alcotest.(check int) "sat_count_exact after reorder" count
-      (match Bigcount.to_int (B.sat_count_exact m ~nvars f) with Some n -> n | None -> -1);
-    (* iter_sat enumerates the same set *)
-    let seen = ref [] in
-    B.iter_sat m ~vars:(List.init nvars Fun.id) f (fun lookup ->
-        let code = ref 0 in
-        for i = 0 to nvars - 1 do
-          if lookup i then code := !code lor (1 lsl i)
-        done;
-        seen := !code :: !seen);
-    Alcotest.(check (list int)) "iter_sat after reorder" (Helpers.truth_table f ~nvars)
-      (List.sort compare !seen);
-    if not (B.is_false f) then begin
-      let asg = B.any_sat m f in
-      Alcotest.(check bool) "any_sat satisfies" true
-        (B.eval f (fun i -> match List.assoc_opt i asg with Some b -> b | None -> false))
-    end
+    (* the same function over the state variables' current bits *)
+    let p = B.rename m (fun i -> List.hd (Space.current_bits bs.(i))) f in
+    let models = Helpers.truth_table f ~nvars in
+    Space.reorder sp;
+    Alcotest.(check (option int)) "sat_count_exact after reorder" (Some (List.length models))
+      (Bigcount.to_int (B.sat_count_exact m ~nvars f));
+    (* the symbolic state walk enumerates the same set on the sifted
+       space, and first_state is its head *)
+    let states = Space.states_of sp p in
+    let code s = Array.fold_right (fun b acc -> (2 * acc) + b) s 0 in
+    Alcotest.(check (list int)) "states_of after reorder" models
+      (List.sort compare (List.map code states));
+    Alcotest.(check bool) "first_state after reorder" true
+      (Space.first_state sp p = match states with [] -> None | s :: _ -> Some s)
   done
 
 let test_space_counting_after_reorder () =
@@ -199,6 +226,8 @@ let suite =
     Alcotest.test_case "canonicity after reorder (rebuild)" `Quick test_reorder_canonicity_rebuild;
     Alcotest.test_case "sifting shrinks the mirrored function" `Quick test_reorder_shrinks_mirrored;
     Alcotest.test_case "auto-trigger fires and is correct" `Quick test_auto_trigger;
+    Alcotest.test_case "auto sift waits for the next outermost entry" `Quick
+      test_sift_waits_for_the_next_entry;
     Alcotest.test_case "quantifiers after reorder" `Quick test_quantifiers_after_reorder;
     Alcotest.test_case "pair rename after reorder" `Quick test_rename_after_reorder;
     Alcotest.test_case "non-monotone rename fallback" `Quick test_rename_non_monotone_fallback;

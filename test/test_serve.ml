@@ -383,11 +383,18 @@ let test_slow_loris_disconnected () =
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   (* drip bytes slower than any per-read timer would notice: the
-     deadline is absolute, so the drip must still be cut *)
-  for _ = 1 to 4 do
-    ignore (Unix.write_substring fd "{" 0 1);
-    Unix.sleepf 0.1
-  done;
+     deadline is absolute, so the drip must still be cut.  A write that
+     meets the cut (EPIPE, ECONNRESET) ends the drip; the frame the
+     daemon sent before closing is still there to read. *)
+  let rec drip k =
+    if k > 0 then
+      match Unix.write_substring fd "{" 0 1 with
+      | _ ->
+          Unix.sleepf 0.1;
+          drip (k - 1)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  in
+  drip 4;
   (match raw_frame_exn fd with
   | Protocol.Error_frame { exit_code; kind; _ } ->
       Alcotest.(check int) "deadline exits 4" Protocol.exit_io_timeout exit_code;
