@@ -124,6 +124,7 @@ let compile_property sp s =
   | Kpt_syntax.Parser.Parse_error (_, msg)
   | Kpt_syntax.Token.Lex_error (_, msg) ->
       failwith (Printf.sprintf "in %S: %s" s msg)
+  | Expr.Type_error msg -> failwith (Printf.sprintf "in %S: type error: %s" s msg)
 
 let resolved_program kbp =
   if Kbp.is_standard kbp then Kbp.to_standard_program kbp

@@ -1,30 +1,34 @@
-(* Hash-consed ROBDDs with dynamic variable ordering.
+(* Hash-consed ROBDDs with dynamic variable ordering, over a flat node
+   store.
 
-   Nodes carry a {e variable index}; the manager carries the order as a
-   pair of permutation arrays ([perm] : var → level, [invperm] : level →
-   var).  Canonicity invariant: no node has [low == high], every
-   (var, low, high) triple is hash-consed, and on every path the levels
-   [perm.(var)] strictly increase — so semantic equality is physical
-   equality {e in whatever order the manager currently has}.
+   A node is an integer id into its manager's store, which holds three
+   ints per node: the variable index, the low child's id and the high
+   child's id.  Ids 0 and 1 are the leaves false and true.
+   The recursions below run on ids alone, so a step allocates nothing on
+   the OCaml heap and the collector never sees a node; only the result of
+   a public operation is boxed, in a small handle ([t]) that names its
+   manager.
 
-   Reordering (Rudell sifting over adjacent-level swaps) mutates nodes in
-   place: a swapped node keeps its [uid] and its semantics, only its
-   [var]/[low]/[high] fields are rewritten.  External references held
-   across a reorder therefore stay valid, and the op-cache — which is
-   keyed on uids and caches {e functions of functions} — stays correct
-   without being flushed. *)
+   The manager carries the order as a pair of permutation arrays
+   ([perm] : var → level, [invperm] : level → var).  Canonicity
+   invariant: no node has [low = high], every (var, low, high) triple is
+   hash-consed, and on every path the levels [perm.(var)] strictly
+   increase — so semantic equality is id equality {e in whatever order
+   the manager currently has}.
 
-let leaf_level = max_int
-
-type t = { uid : int; mutable var : int; mutable low : t; mutable high : t }
+   Reordering (Rudell sifting over adjacent-level swaps) rewrites store
+   entries in place: a swapped node keeps its id and its semantics, only
+   its var/low/high ints change.  Handles held across a reorder therefore
+   stay valid, and the op-cache — which is keyed on ids and caches
+   {e functions of functions} — stays correct without being flushed. *)
 
 (* Engine counters (per-context, aggregated over every manager).  The
    five hottest — op-cache hits, misses and stores, nodes created and
    the node peak — are bumped in plain manager fields on the recursion
    path and flushed into the context when the outermost public operation
-   returns or unwinds (see [guarded]); the others are rare and go
-   straight to the context.  `kpt stats` and the bench harness snapshot
-   them between operations, so they never see the difference. *)
+   returns or unwinds (see [leave]); the others are rare and go straight
+   to the context.  `kpt stats` and the bench harness snapshot them
+   between operations, so they never see the difference. *)
 let c_hit = Kpt_obs.counter "bdd.op_cache.hits"
 let c_miss = Kpt_obs.counter "bdd.op_cache.misses"
 let c_store = Kpt_obs.counter "bdd.op_cache.stores"
@@ -40,18 +44,18 @@ let c_gc_runs = Kpt_obs.counter "bdd.gc.runs"
 let c_gc_freed = Kpt_obs.counter "bdd.gc.freed"
 
 (* Both manager tables are packed: each entry's key is one native int
-   encoding the operands bit-by-bit, stored next to its payload in two
-   parallel arrays.  Packing is exact — two keys are equal iff the
-   operand pairs are equal — so a probe is a single load-and-compare and
-   allocates nothing.
+   encoding the operands bit-by-bit, stored next to its payload (a node
+   id) in two parallel [int] arrays.  Packing is exact — two keys are
+   equal iff the operand pairs are equal — so a probe is a single
+   load-and-compare and allocates nothing.
 
    The unique table is split into one packed subtable {e per variable}
    (CUDD's layout): an adjacent-level swap then only touches the two
    subtables of the swapped variables, leaving every other node where it
-   is.  Within a subtable the key packs the child uids (low:20 | high:20
+   is.  Within a subtable the key packs the child ids (low:20 | high:20
    bits); key 0 would mean (false, false) children, i.e. a node with
-   [low == high], which [mk] never stores — so 0 is free as the
-   empty-slot sentinel.  Uids beyond 2^20 take a [Hashtbl] fallback path
+   [low = high], which [mk] never stores — so 0 is free as the
+   empty-slot sentinel.  Ids beyond 2^20 take a [Hashtbl] fallback path
    keyed on the child pair: exactness is preserved at any size, only the
    packed fast path is bounded.
 
@@ -60,12 +64,15 @@ let c_gc_freed = Kpt_obs.counter "bdd.gc.freed"
 type subtable = {
   mutable s_count : int; (* entries in the packed arrays *)
   mutable s_key : int array; (* 0 = empty slot *)
-  mutable s_node : t array;
-  s_spill : (int * int, t) Hashtbl.t; (* child uids beyond packing *)
+  mutable s_node : int array;
+  s_spill : (int * int, int) Hashtbl.t; (* child ids beyond packing *)
 }
 
 type manager = {
-  mutable next_uid : int;
+  mutable store : Bytes.t; (* node id i at byte 12i: var, low, high as int32 *)
+  mutable next_uid : int; (* ids handed out so far: the store's high-water mark *)
+  mutable free : int; (* head of the free-id list, threaded through low; -1 = empty *)
+  mutable created : int; (* nodes created over the lifetime, leaves included *)
   mutable nvars : int; (* registered variables: 0 .. nvars-1 *)
   mutable perm : int array; (* var → level (length ≥ nvars) *)
   mutable invperm : int array; (* level → var *)
@@ -75,10 +82,18 @@ type manager = {
   mutable op_stores : int; (* misses stored since the last grow/clear *)
   mutable op_mask : int;
   mutable op_key : int array; (* 0 = empty slot *)
-  mutable op_res : t array;
-  op_spill : (int * int * int * int, t) Hashtbl.t; (* uids beyond packing *)
-  t_true : t;
-  t_false : t;
+  mutable op_res : int array;
+  op_spill : (int * int * int * int, int) Hashtbl.t; (* ids beyond packing *)
+  h_true : t;
+  h_false : t;
+  mutable hcache : t array; (* recent handles, direct-mapped by id *)
+  (* the root set of [collect]: every handle handed out is held strongly
+     in [recent] until the next sweep (or until [recent] is full), then
+     weakly in [log] *)
+  mutable recent : t array;
+  mutable recent_len : int;
+  mutable log : t Weak.t;
+  mutable log_len : int;
   (* dynamic-reordering state *)
   mutable auto_reorder : bool;
   mutable reorder_threshold : int; (* [live] at which the next outermost entry sifts *)
@@ -86,14 +101,17 @@ type manager = {
   mutable in_reorder : bool;
   mutable ro_mark : int; (* next_uid at reorder entry; max_int outside *)
   mutable ro_excess : int; (* logically dead nodes still in the table *)
-  ro_lrc : (int, int) Hashtbl.t; (* uid → logical refcount (0 = dead) *)
-  ro_prc : (int, int) Hashtbl.t; (* transient uid → physical refcount *)
+  mutable ro_free : int; (* evicted transients, reused only inside the sift; -1 = empty *)
+  mutable ro_lrc : int array; (* id → logical refcount (0 = dead, -1 = none) *)
+  mutable ro_prc : int array; (* transient id → physical refcount *)
   (* hot counters not yet flushed into [Kpt_obs] *)
   mutable k_hits : int;
   mutable k_misses : int;
   mutable k_stores : int;
   mutable k_nodes : int;
 }
+
+and t = { id : int; m : manager }
 
 let uid_limit = 1 lsl 20
 let sub_key lo hi = (lo lsl 20) lor hi
@@ -105,9 +123,32 @@ let sub_packs lo hi = lo < uid_limit && hi < uid_limit
 let op_key tag x y z = (((((tag lsl 20) lor x) lsl 20) lor y) lsl 20) lor z
 let op_packs x y z = x < uid_limit && y < uid_limit && z < uid_limit
 
-let make_leaf uid =
-  let rec n = { uid; var = leaf_level; low = n; high = n } in
-  n
+(* "No node": a cache miss, or a binary operator's non-terminal case. *)
+let none = -1
+
+(* Store accessors.  Every id a recursion holds is below [next_uid], and
+   the store always has room for [next_uid] nodes.  Fields are native
+   32-bit ints, in bytes the collector never scans: half the memory of an
+   [int array], and a store the major GC need not walk.  A leaf's var is
+   -1.  Variables stay below [mark_bit] (see the walks) and ids below
+   2^31. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let node_bytes = 12
+let get m n k = Int32.to_int (get32 m.store ((node_bytes * n) + (4 * k)))
+let set m n k x = set32 m.store ((node_bytes * n) + (4 * k)) (Int32.of_int x)
+let var_of m n = get m n 0
+let low_of m n = get m n 1
+let high_of m n = get m n 2
+let capacity m = Bytes.length m.store / node_bytes
+let max_nodes = 1 lsl 31
+let mark_bit = 1 lsl 30
+
+let set_node m n var low high =
+  set m n 0 var;
+  set m n 1 low;
+  set m n 2 high
 
 let rec pow2_at_least k n = if n >= k then n else pow2_at_least k (n * 2)
 
@@ -119,48 +160,147 @@ let rec pow2_at_least k n = if n >= k then n else pow2_at_least k (n * 2)
    geometric step to the default cap. *)
 let initial_slots = 4096
 let initial_sub_slots = 16
+let initial_store_nodes = 64
+let initial_log = 64
+let recent_cap = 1 lsl 14
+let hcache_slots = 256
 let default_reorder_threshold = 1 lsl 16
 
-let fresh_subtable dummy =
+let fresh_subtable () =
   {
     s_count = 0;
     s_key = Array.make initial_sub_slots 0;
-    s_node = Array.make initial_sub_slots dummy;
+    s_node = Array.make initial_sub_slots 0;
     s_spill = Hashtbl.create 8;
   }
 
 let create ?(cache_size = 1 lsl 14) ?(reorder = false) () =
-  let t_false = make_leaf 0 in
   let cap = pow2_at_least (max 1 cache_size) 1 in
   let slots = min initial_slots cap in
-  {
-    next_uid = 2;
-    nvars = 0;
-    perm = Array.make 16 0;
-    invperm = Array.make 16 0;
-    subs = Array.make 16 (fresh_subtable t_false);
-    live = 0;
-    op_cap = cap;
-    op_stores = 0;
-    op_mask = slots - 1;
-    op_key = Array.make slots 0;
-    op_res = Array.make slots t_false;
-    op_spill = Hashtbl.create 16;
-    t_true = make_leaf 1;
-    t_false;
-    auto_reorder = reorder;
-    reorder_threshold = default_reorder_threshold;
-    op_depth = 0;
-    in_reorder = false;
-    ro_mark = max_int;
-    ro_excess = 0;
-    ro_lrc = Hashtbl.create 256;
-    ro_prc = Hashtbl.create 256;
-    k_hits = 0;
-    k_misses = 0;
-    k_stores = 0;
-    k_nodes = 0;
-  }
+  let store = Bytes.create (node_bytes * initial_store_nodes) in
+  let rec m =
+    {
+      store;
+      next_uid = 2;
+      free = -1;
+      created = 2;
+      nvars = 0;
+      perm = Array.make 16 0;
+      invperm = Array.make 16 0;
+      subs = Array.make 16 (fresh_subtable ());
+      live = 0;
+      op_cap = cap;
+      op_stores = 0;
+      op_mask = slots - 1;
+      op_key = Array.make slots 0;
+      op_res = Array.make slots 0;
+      op_spill = Hashtbl.create 16;
+      h_true = { id = 1; m };
+      h_false = { id = 0; m };
+      hcache = [||];
+      recent = [||];
+      recent_len = 0;
+      log = Weak.create initial_log;
+      log_len = 0;
+      auto_reorder = reorder;
+      reorder_threshold = default_reorder_threshold;
+      op_depth = 0;
+      in_reorder = false;
+      ro_mark = max_int;
+      ro_excess = 0;
+      ro_free = -1;
+      ro_lrc = [||];
+      ro_prc = [||];
+      k_hits = 0;
+      k_misses = 0;
+      k_stores = 0;
+      k_nodes = 0;
+    }
+  in
+  m.hcache <- Array.make hcache_slots m.h_false;
+  m.recent <- Array.make 64 m.h_false;
+  set_node m 0 (-1) 0 0;
+  set_node m 1 (-1) 1 1;
+  m
+
+(* ---- handles ---------------------------------------------------------------
+
+   The store is invisible to the OCaml collector, so the manager must know
+   which nodes user code can still reach: the nodes of the handles still
+   alive.  Every new handle is held strongly in [recent]; a sweep first
+   moves them all to a weak log and then forces a major collection, after
+   which the log holds exactly the reachable handles.  An array store per
+   handle is cheap, where a weak store is a runtime call and leaves the
+   collector work on every major cycle — on the short-lived managers of a
+   protocol build, logging each handle weakly at once cost about a fifth
+   of the build.  [recent] spills into the log early only when it reaches
+   [recent_cap] handles, so a long run that never sweeps keeps at most
+   that many dead handles.  The log is compacted in place when it fills
+   (a minor collection empties the slots of handles that died young) and
+   doubles only when more than half of it survives.  The leaves' handles
+   live in the manager.
+
+   A small direct-mapped cache of recent handles, by id, hands out the
+   same handle again for a repeated result instead of boxing a new one; a
+   sweep empties it first, so it keeps nothing alive across a sweep. *)
+
+let compact_log m =
+  let log = m.log in
+  let j = ref 0 in
+  for i = 0 to m.log_len - 1 do
+    if Weak.check log i then begin
+      if !j < i then Weak.blit log i log !j 1;
+      incr j
+    end
+  done;
+  Weak.fill log !j (m.log_len - !j) None;
+  m.log_len <- !j;
+  if 2 * !j > Weak.length log then begin
+    let bigger = Weak.create (2 * Weak.length log) in
+    Weak.blit log 0 bigger 0 !j;
+    m.log <- bigger
+  end
+
+(* Move every handle held in [recent] to the weak log. *)
+let release_recent m =
+  for i = 0 to m.recent_len - 1 do
+    if m.log_len = Weak.length m.log then compact_log m;
+    Weak.set m.log m.log_len (Some m.recent.(i));
+    m.log_len <- m.log_len + 1
+  done;
+  Array.fill m.recent 0 m.recent_len m.h_false;
+  m.recent_len <- 0
+
+let remember m h =
+  if m.recent_len = Array.length m.recent then begin
+    if m.recent_len >= recent_cap then release_recent m
+    else begin
+      let bigger = Array.make (2 * m.recent_len) m.h_false in
+      Array.blit m.recent 0 bigger 0 m.recent_len;
+      m.recent <- bigger
+    end
+  end;
+  Array.unsafe_set m.recent m.recent_len h;
+  m.recent_len <- m.recent_len + 1
+
+let wrap m id =
+  if id = 0 then m.h_false
+  else if id = 1 then m.h_true
+  else begin
+    let slot = id land (hcache_slots - 1) in
+    let h = Array.unsafe_get m.hcache slot in
+    if h.id = id then h
+    else begin
+      let h = { id; m } in
+      remember m h;
+      Array.unsafe_set m.hcache slot h;
+      h
+    end
+  end
+
+(* Results that are one of the operands reuse the operand's handle. *)
+let ret1 m a r = if r = a.id then a else wrap m r
+let ret2 m a b r = if r = a.id then a else if r = b.id then b else wrap m r
 
 (* Register variables up to [v]: each newcomer takes the next free level,
    so a fresh variable always enters at the bottom of the current order
@@ -183,7 +323,7 @@ let ensure_var m v =
     for k = m.nvars to v do
       m.perm.(k) <- k;
       m.invperm.(k) <- k;
-      m.subs.(k) <- fresh_subtable m.t_false
+      m.subs.(k) <- fresh_subtable ()
     done;
     m.nvars <- v + 1
   end
@@ -191,8 +331,6 @@ let ensure_var m v =
 let clear_caches m =
   m.op_stores <- 0;
   Array.fill m.op_key 0 (Array.length m.op_key) 0;
-  (* drop result pointers too so cleared entries don't keep nodes alive *)
-  Array.fill m.op_res 0 (Array.length m.op_res) m.t_false;
   Hashtbl.reset m.op_spill
 
 (* Fibonacci-style multiplicative mixing of a packed key. *)
@@ -204,7 +342,7 @@ let grow_cache m =
   Kpt_obs.incr c_op_grow;
   let slots = min (4 * (m.op_mask + 1)) m.op_cap in
   let keys = Array.make slots 0 in
-  let res = Array.make slots m.t_false in
+  let res = Array.make slots 0 in
   (* rehash the live entries so growing never loses warmth *)
   let mask = slots - 1 in
   for i = 0 to m.op_mask do
@@ -220,17 +358,16 @@ let grow_cache m =
   m.op_key <- keys;
   m.op_res <- res
 
-let tru m = m.t_true
-let fls m = m.t_false
-let uid n = n.uid
-let equal a b = a == b
-let is_leaf n = n.var = leaf_level
-let is_true n = n.var = leaf_level && n.uid = 1
-let is_false n = n.var = leaf_level && n.uid = 0
+let tru m = m.h_true
+let fls m = m.h_false
+let uid h = h.id
+let equal a b = a.id = b.id
+let is_true h = h.id = 1
+let is_false h = h.id = 0
 
 (* Level (position in the order) of a node's variable; leaves sit below
    everything. *)
-let pos m n = if n.var = leaf_level then max_int else Array.unsafe_get m.perm n.var
+let pos m n = if n < 2 then max_int else Array.unsafe_get m.perm (var_of m n)
 
 (* Level of a variable index that may not be registered yet: unregistered
    variables conceptually extend the order in index order. *)
@@ -246,12 +383,12 @@ let sub_place keys nodes mask k n =
   keys.(!i) <- k;
   nodes.(!i) <- n
 
-let grow_sub m sub =
+let grow_sub sub =
   Kpt_obs.incr c_uq_grow;
   let slots = 2 * Array.length sub.s_key in
   let mask = slots - 1 in
   let keys = Array.make slots 0 in
-  let nodes = Array.make slots m.t_false in
+  let nodes = Array.make slots 0 in
   for i = 0 to Array.length sub.s_key - 1 do
     if sub.s_key.(i) <> 0 then sub_place keys nodes mask sub.s_key.(i) sub.s_node.(i)
   done;
@@ -259,12 +396,12 @@ let grow_sub m sub =
   sub.s_node <- nodes
 
 (* Insert an already-built node into its variable's subtable (used by the
-   swap, where the node is known not to be present). *)
+   swap and the sweep, where the node is known not to be present). *)
 let insert_node m n =
-  let sub = m.subs.(n.var) in
-  let lo = n.low.uid and hi = n.high.uid in
+  let sub = m.subs.(var_of m n) in
+  let lo = low_of m n and hi = high_of m n in
   if sub_packs lo hi then begin
-    if 2 * (sub.s_count + 1) > Array.length sub.s_key then grow_sub m sub;
+    if 2 * (sub.s_count + 1) > Array.length sub.s_key then grow_sub sub;
     sub_place sub.s_key sub.s_node (Array.length sub.s_key - 1) (sub_key lo hi) n;
     sub.s_count <- sub.s_count + 1
   end
@@ -305,8 +442,8 @@ let sub_delete_packed sub k =
   end
 
 let remove_node m n =
-  let sub = m.subs.(n.var) in
-  let lo = n.low.uid and hi = n.high.uid in
+  let sub = m.subs.(var_of m n) in
+  let lo = low_of m n and hi = high_of m n in
   if sub_packs lo hi then sub_delete_packed sub (sub_key lo hi)
   else Hashtbl.remove sub.s_spill (lo, hi);
   m.live <- m.live - 1
@@ -318,46 +455,54 @@ let iter_table m f =
     Hashtbl.iter (fun _ n -> f n) sub.s_spill
   done
 
-(* ---- garbage collection at reorder boundaries -----------------------------
+(* ---- the sweep at reorder boundaries --------------------------------------
 
-   Between reorders nothing is ever freed: the unique table pins every
-   node it holds, so the dead intermediates of a fixpoint iteration pile
-   up, count against node budgets, and — worse — get dragged through
-   every level swap of every later sift.  The manager cannot see which
-   handles user code still holds, but the runtime's collector can: move
-   every interior node into a weak set, empty the unique table and the op
-   cache (whose result pointers would otherwise pin dead trees), force a
-   major collection, and re-insert the survivors.  A node strongly
-   reachable anywhere — an external handle, a Space/Program cache, the
-   operands of the operation whose entry triggered the sift — survives
-   together with its cofactors, because node fields are strong
-   references; an unreachable tree is reclaimed and its weak slots empty
-   out.  Survivors
-   return with uid and fields untouched, so [mk] can never mint a
-   duplicate of a handle that is still alive: physical equality keeps
-   meaning semantic equality.  Collected uids simply retire ([next_uid]
-   never reuses them), so stale uid-keyed memo entries cannot ghost-match
-   a later node. *)
-
-module Weak_nodes = Weak.Make (struct
-  type nonrec t = t
-
-  let equal a b = a == b
-  let hash n = n.uid
-end)
+   Between reorders nothing is ever freed: the unique table holds every
+   node it was given, so the dead intermediates of a fixpoint iteration
+   pile up, count against node budgets, and — worse — get dragged through
+   every level swap of every later sift.  The handle log says which nodes
+   user code can still reach: empty the handle cache, move [recent] to the
+   weak log and force a major collection, so the log keeps exactly the
+   reachable handles; mark every node reachable from one of them (the
+   leaves are never freed); empty the op-cache, whose entries name ids
+   about to be recycled; and rebuild the unique table from the marked
+   ids.  Every other id goes on the free list, lowest first, and
+   [fresh_node] reuses it.  A held handle's node and all its descendants
+   are marked, so they keep their ids and triples: [mk] can never mint a
+   duplicate of a live function, and id equality keeps meaning semantic
+   equality.  An id is only ever unique among {e live} nodes. *)
 
 let collect m =
   Kpt_obs.incr c_gc_runs;
   let before = m.live in
-  let stash = Weak_nodes.create (2 * before + 64) in
-  iter_table m (fun n -> Weak_nodes.add stash n);
+  clear_caches m;
+  Array.fill m.hcache 0 hcache_slots m.h_false;
+  release_recent m;
+  Gc.full_major ();
+  let marks = Bytes.make m.next_uid '\000' in
+  let rec mark n =
+    if n >= 2 && Bytes.get marks n = '\000' then begin
+      Bytes.set marks n '\001';
+      mark (low_of m n);
+      mark (high_of m n)
+    end
+  in
+  compact_log m;
+  for i = 0 to m.log_len - 1 do
+    match Weak.get m.log i with Some h -> mark h.id | None -> ()
+  done;
   for v = 0 to m.nvars - 1 do
-    m.subs.(v) <- fresh_subtable m.t_false
+    m.subs.(v) <- fresh_subtable ()
   done;
   m.live <- 0;
-  clear_caches m;
-  Gc.full_major ();
-  Weak_nodes.iter (fun n -> insert_node m n) stash;
+  m.free <- -1;
+  for n = m.next_uid - 1 downto 2 do
+    if Bytes.get marks n <> '\000' then insert_node m n
+    else begin
+      set m n 1 m.free;
+      m.free <- n
+    end
+  done;
   if m.live < before then Kpt_obs.add c_gc_freed (before - m.live)
 
 (* ---- in-reorder reference counting ----------------------------------------
@@ -365,9 +510,9 @@ let collect m =
    A sifting pass restructures nodes in place; the displaced children can
    become garbage, and without liveness information [m.live] would only
    ever grow — drowning the very size signal sifting steers by, and
-   bloating the table with every explored position.  The manager cannot
-   see external handles, so liveness is approximated with two counts kept
-   only while a reorder is running:
+   bloating the table with every explored position.  Liveness is
+   approximated with two counts kept only while a reorder is running, in
+   dense arrays indexed by id ([ro_lrc], [ro_prc]; cleared on exit):
 
    - a {e logical} count for every node — the number of live parents,
      seeded by an in-degree sweep at reorder entry, with in-degree-0
@@ -379,7 +524,7 @@ let collect m =
      retain revives it, cascading back.  Errors here only blur the
      heuristic, never correctness.
 
-   - a {e physical} count for transients (uid ≥ [ro_mark]) only — the
+   - a {e physical} count for transients (id ≥ [ro_mark]) only — the
      number of node fields pointing at them, zombie parents included.  No
      user code runs during a reorder, so a transient cannot have escaped:
      when its physical count returns to 0, nothing in the process can
@@ -390,84 +535,102 @@ let collect m =
 
    For transients, logical ≤ physical (each field-reference counts
    logically only while its owner is alive), so eviction implies the
-   node was already logically dead. *)
+   node was already logically dead.  An evicted transient's id goes on
+   [ro_free], which only a sift draws from: every node born in the sift
+   then has an id ≥ [ro_mark], so "transient" stays an id test. *)
 
-let transient m n = n.uid >= m.ro_mark && n.var <> leaf_level
+let transient m n = n >= m.ro_mark
 
 (* The steering metric: table entries that are believed reachable. *)
 let ro_size m = m.live - m.ro_excess
 
 let rec l_retain m n =
-  if n.var <> leaf_level then
-    match Hashtbl.find_opt m.ro_lrc n.uid with
-    | None ->
-        (* a fresh transient: its own child references are already
-           active (counted at creation), no cascade *)
-        Hashtbl.replace m.ro_lrc n.uid 1
-    | Some 0 ->
-        m.ro_excess <- m.ro_excess - 1;
-        Hashtbl.replace m.ro_lrc n.uid 1;
-        l_retain m n.low;
-        l_retain m n.high
-    | Some c -> Hashtbl.replace m.ro_lrc n.uid (c + 1)
+  if n >= 2 then begin
+    let c = m.ro_lrc.(n) in
+    if c < 0 then
+      (* a fresh transient: its own child references are already active
+         (counted at creation), no cascade *)
+      m.ro_lrc.(n) <- 1
+    else if c = 0 then begin
+      m.ro_excess <- m.ro_excess - 1;
+      m.ro_lrc.(n) <- 1;
+      l_retain m (low_of m n);
+      l_retain m (high_of m n)
+    end
+    else m.ro_lrc.(n) <- c + 1
+  end
 
 let rec l_release m n =
-  if n.var <> leaf_level then
-    match Hashtbl.find_opt m.ro_lrc n.uid with
-    | Some 1 ->
-        Hashtbl.replace m.ro_lrc n.uid 0;
-        m.ro_excess <- m.ro_excess + 1;
-        l_release m n.low;
-        l_release m n.high
-    | Some c when c > 1 -> Hashtbl.replace m.ro_lrc n.uid (c - 1)
-    | _ -> () (* roots bottom out at their implicit reference *)
+  if n >= 2 then begin
+    let c = m.ro_lrc.(n) in
+    if c = 1 then begin
+      m.ro_lrc.(n) <- 0;
+      m.ro_excess <- m.ro_excess + 1;
+      l_release m (low_of m n);
+      l_release m (high_of m n)
+    end
+    else if c > 1 then m.ro_lrc.(n) <- c - 1
+    (* roots bottom out at their implicit reference *)
+  end
 
-let p_retain m n =
-  if transient m n then
-    Hashtbl.replace m.ro_prc n.uid
-      (1 + (match Hashtbl.find_opt m.ro_prc n.uid with Some c -> c | None -> 0))
+let p_retain m n = if transient m n then m.ro_prc.(n) <- m.ro_prc.(n) + 1
 
 let rec p_release m n =
-  if transient m n then
-    match Hashtbl.find_opt m.ro_prc n.uid with
-    | Some c when c > 1 -> Hashtbl.replace m.ro_prc n.uid (c - 1)
-    | _ ->
-        (* physically unreferenced — nothing in the process can reach a
-           node born mid-reorder, so evict and recycle *)
-        Hashtbl.remove m.ro_prc n.uid;
-        let refs_active =
-          match Hashtbl.find_opt m.ro_lrc n.uid with
-          | Some 0 ->
-              m.ro_excess <- m.ro_excess - 1;
-              false
-          | _ -> true
-        in
-        Hashtbl.remove m.ro_lrc n.uid;
-        remove_node m n;
-        if refs_active then begin
-          l_release m n.low;
-          l_release m n.high
-        end;
-        p_release m n.low;
-        p_release m n.high
+  if transient m n then begin
+    let c = m.ro_prc.(n) in
+    if c > 1 then m.ro_prc.(n) <- c - 1
+    else begin
+      (* physically unreferenced — nothing in the process can reach a
+         node born mid-reorder, so evict and recycle *)
+      m.ro_prc.(n) <- 0;
+      let refs_active =
+        if m.ro_lrc.(n) = 0 then begin
+          m.ro_excess <- m.ro_excess - 1;
+          false
+        end
+        else true
+      in
+      m.ro_lrc.(n) <- -1;
+      let lo = low_of m n and hi = high_of m n in
+      remove_node m n;
+      set m n 1 m.ro_free;
+      m.ro_free <- n;
+      if refs_active then begin
+        l_release m lo;
+        l_release m hi
+      end;
+      p_release m lo;
+      p_release m hi
+    end
+  end
 
-(* Op-cache probe and store.  A probe returns [no_node] on a miss; keys
+(* Size the refcount arrays to the store's capacity, new slots cleared. *)
+let fit_ro m =
+  let cap = capacity m in
+  let old = Array.length m.ro_lrc in
+  if old < cap then begin
+    let lrc = Array.make cap (-1) and prc = Array.make cap 0 in
+    Array.blit m.ro_lrc 0 lrc 0 old;
+    Array.blit m.ro_prc 0 prc 0 old;
+    m.ro_lrc <- lrc;
+    m.ro_prc <- prc
+  end
+
+(* Op-cache probe and store.  A probe returns [none] on a miss; keys
    beyond the packed range go to the exact spill table.  The store slot
    is computed after a possible grow, so it always lands where a probe
    will look. *)
-let no_node = make_leaf (-1)
-
 let cache_find m op x y z =
   if op_packs x y z then begin
     let k = op_key op x y z in
     let i = slot_of m.op_mask k in
-    if m.op_key.(i) = k then begin
+    if Array.unsafe_get m.op_key i = k then begin
       m.k_hits <- m.k_hits + 1;
-      m.op_res.(i)
+      Array.unsafe_get m.op_res i
     end
     else begin
       m.k_misses <- m.k_misses + 1;
-      no_node
+      none
     end
   end
   else begin
@@ -478,7 +641,7 @@ let cache_find m op x y z =
         r
     | None ->
         m.k_misses <- m.k_misses + 1;
-        no_node
+        none
   end
 
 let cache_add m op x y z r =
@@ -488,14 +651,37 @@ let cache_add m op x y z r =
     if m.op_stores > (m.op_mask + 1) / 4 && m.op_mask + 1 < m.op_cap then grow_cache m;
     let k = op_key op x y z in
     let i = slot_of m.op_mask k in
-    m.op_key.(i) <- k;
-    m.op_res.(i) <- r
+    Array.unsafe_set m.op_key i k;
+    Array.unsafe_set m.op_res i r
   end
   else Hashtbl.replace m.op_spill (op, x, y, z) r
 
+(* A new id: a recycled one when the free list has one (inside a sift,
+   only one of the sift's own evicted transients), else the next unused
+   id, doubling the store when it is full. *)
+let take_id m =
+  let head = if m.in_reorder then m.ro_free else m.free in
+  if head >= 0 then begin
+    if m.in_reorder then m.ro_free <- low_of m head else m.free <- low_of m head;
+    head
+  end
+  else begin
+    let n = m.next_uid in
+    m.next_uid <- n + 1;
+    if n + 1 > capacity m then begin
+      if 2 * capacity m > max_nodes then failwith "Bdd: more than 2^31 nodes";
+      let store = Bytes.create (2 * Bytes.length m.store) in
+      Bytes.blit m.store 0 store 0 (node_bytes * n);
+      m.store <- store;
+      if Array.length m.ro_lrc > 0 then fit_ro m
+    end;
+    n
+  end
+
 let fresh_node m var low high =
-  let n = { uid = m.next_uid; var; low; high } in
-  m.next_uid <- m.next_uid + 1;
+  let n = take_id m in
+  set_node m n var low high;
+  m.created <- m.created + 1;
   (* a node born mid-reorder references its children for rc purposes *)
   if m.in_reorder then begin
     l_retain m low;
@@ -513,37 +699,37 @@ let fresh_node m var low high =
      budget is that space reclaimed no longer counts against it.
      Suspended during a reorder: the manager is mid-surgery and the
      caller gets checked again on the very next allocations. *)
-  if m.next_uid land 4095 = 0 && not m.in_reorder then Engine.check_nodes (m.live + 2);
+  if m.created land 4095 = 0 && not m.in_reorder then Engine.check_nodes (m.live + 2);
   n
 
 let mk m var low high =
-  if low == high then low
+  if low = high then low
   else begin
     ensure_var m var;
     assert (pos m low > m.perm.(var) && pos m high > m.perm.(var));
     let sub = m.subs.(var) in
-    let lo = low.uid and hi = high.uid in
-    if sub_packs lo hi then begin
-      let k = sub_key lo hi in
-      let mask = Array.length sub.s_key - 1 in
+    if sub_packs low high then begin
+      let k = sub_key low high in
+      let keys = sub.s_key in
+      let mask = Array.length keys - 1 in
       let i = ref (slot_of mask k) in
-      while sub.s_key.(!i) <> 0 && sub.s_key.(!i) <> k do
+      while Array.unsafe_get keys !i <> 0 && Array.unsafe_get keys !i <> k do
         i := (!i + 1) land mask
       done;
-      if sub.s_key.(!i) = k then sub.s_node.(!i)
+      if Array.unsafe_get keys !i = k then Array.unsafe_get sub.s_node !i
       else begin
         let n = fresh_node m var low high in
-        sub.s_key.(!i) <- k;
+        keys.(!i) <- k;
         sub.s_node.(!i) <- n;
         sub.s_count <- sub.s_count + 1;
         m.live <- m.live + 1;
-        if 2 * sub.s_count > mask + 1 then grow_sub m sub;
+        if 2 * sub.s_count > mask + 1 then grow_sub sub;
         n
       end
     end
     else begin
       (* beyond the packed range: exact spill table, same canonicity *)
-      let key = (lo, hi) in
+      let key = (low, high) in
       match Hashtbl.find_opt sub.s_spill key with
       | Some n -> n
       | None ->
@@ -565,86 +751,83 @@ let mk m var low high =
      f = u ? (v ? f11 : f10) : (v ? f01 : f00)
        = v ? (u ? f11 : f01) : (u ? f10 : f00)
 
-   mutating f's fields so every external reference to f keeps denoting
-   the same boolean function.  The rewrite cannot collapse (a dependent
-   node has f00 ≠ f01 or f10 ≠ f11 on the side where the v-child sits)
-   and cannot collide with an existing v-node or another rewritten one
-   (all denote pairwise distinct functions before the swap, and the swap
-   changes no denotation) — so canonicity is preserved. *)
+   rewriting f's store entry so every handle on f keeps denoting the same
+   boolean function.  The rewrite cannot collapse (a dependent node has
+   f00 ≠ f01 or f10 ≠ f11 on the side where the v-child sits) and cannot
+   collide with an existing v-node or another rewritten one (all denote
+   pairwise distinct functions before the swap, and the swap changes no
+   denotation) — so canonicity is preserved. *)
 let swap_levels m l =
   Kpt_obs.incr c_ro_swaps;
   let u = m.invperm.(l) and v = m.invperm.(l + 1) in
   let su = m.subs.(u) in
-  (* detach u's nodes *)
-  let nodes = ref [] in
-  let count = ref 0 in
+  (* detach u's nodes, in the order they are then re-registered *)
+  let count = su.s_count + Hashtbl.length su.s_spill in
+  let nodes = Array.make count 0 in
+  let k = ref count in
   Array.iteri
-    (fun i k ->
-      if k <> 0 then begin
-        nodes := su.s_node.(i) :: !nodes;
-        incr count
+    (fun i key ->
+      if key <> 0 then begin
+        decr k;
+        nodes.(!k) <- su.s_node.(i)
       end)
     su.s_key;
   Hashtbl.iter
     (fun _ n ->
-      nodes := n :: !nodes;
-      incr count)
+      decr k;
+      nodes.(!k) <- n)
     su.s_spill;
-  let slots = pow2_at_least (max initial_sub_slots (2 * !count)) initial_sub_slots in
+  let slots = pow2_at_least (max initial_sub_slots (2 * count)) initial_sub_slots in
   su.s_count <- 0;
   su.s_key <- Array.make slots 0;
-  su.s_node <- Array.make slots m.t_false;
+  su.s_node <- Array.make slots 0;
   Hashtbl.reset su.s_spill;
-  m.live <- m.live - !count;
+  m.live <- m.live - count;
   (* flip the order *)
   m.invperm.(l) <- v;
   m.invperm.(l + 1) <- u;
   m.perm.(u) <- l + 1;
   m.perm.(v) <- l;
   (* re-register the independent movers first so the dependents' cofactor
-     lookups can share them, then rewrite the dependents *)
-  let dependents =
-    List.filter
-      (fun n ->
-        if n.low.var = v || n.high.var = v then true
-        else begin
-          insert_node m n;
-          false
-        end)
-      !nodes
-  in
-  List.iter
-    (fun f ->
-      let f0 = f.low and f1 = f.high in
-      let f00, f01 = if f0.var = v then (f0.low, f0.high) else (f0, f0) in
-      let f10, f11 = if f1.var = v then (f1.low, f1.high) else (f1, f1) in
-      let nl = mk m u f00 f10 in
-      let nh = mk m u f01 f11 in
-      assert (nl != nh);
-      (* retain the new children before releasing the old ones: when a
-         cofactor is reused ([nl == f0]) the count must never dip to 0.
-         Logical references belong to live parents only — a zombie's
-         field changes move physical counts alone. *)
-      let f_alive =
-        match Hashtbl.find_opt m.ro_lrc f.uid with Some 0 -> false | _ -> true
-      in
-      if f_alive then begin
-        l_retain m nl;
-        l_retain m nh
-      end;
-      p_retain m nl;
-      p_retain m nh;
-      f.var <- v;
-      f.low <- nl;
-      f.high <- nh;
-      insert_node m f;
-      if f_alive then begin
-        l_release m f0;
-        l_release m f1
-      end;
-      p_release m f0;
-      p_release m f1)
-    dependents
+     lookups can share them, then rewrite the dependents (kept, in order,
+     at the front of [nodes]) *)
+  let ndep = ref 0 in
+  Array.iter
+    (fun n ->
+      if var_of m (low_of m n) = v || var_of m (high_of m n) = v then begin
+        nodes.(!ndep) <- n;
+        incr ndep
+      end
+      else insert_node m n)
+    nodes;
+  for i = 0 to !ndep - 1 do
+    let f = nodes.(i) in
+    let f0 = low_of m f and f1 = high_of m f in
+    let f00, f01 = if var_of m f0 = v then (low_of m f0, high_of m f0) else (f0, f0) in
+    let f10, f11 = if var_of m f1 = v then (low_of m f1, high_of m f1) else (f1, f1) in
+    let nl = mk m u f00 f10 in
+    let nh = mk m u f01 f11 in
+    assert (nl <> nh);
+    (* retain the new children before releasing the old ones: when a
+       cofactor is reused ([nl = f0]) the count must never dip to 0.
+       Logical references belong to live parents only — a zombie's
+       field changes move physical counts alone. *)
+    let f_alive = m.ro_lrc.(f) <> 0 in
+    if f_alive then begin
+      l_retain m nl;
+      l_retain m nh
+    end;
+    p_retain m nl;
+    p_retain m nh;
+    set_node m f v nl nh;
+    insert_node m f;
+    if f_alive then begin
+      l_release m f0;
+      l_release m f1
+    end;
+    p_release m f0;
+    p_release m f1
+  done
 
 (* Sifting moves variables in {e pair groups} (2k, 2k+1): the convention
    upstairs interleaves each state bit's current (even) and next (odd)
@@ -730,28 +913,24 @@ let reorder_now m =
     m.in_reorder <- true;
     m.ro_mark <- m.next_uid;
     m.ro_excess <- 0;
-    Hashtbl.reset m.ro_lrc;
-    Hashtbl.reset m.ro_prc;
+    m.ro_free <- -1;
+    fit_ro m;
     (* seed the logical counts: internal in-degrees, with in-degree-0
        nodes — external handles and garbage tops alike — as roots
        carrying one implicit, unreleasable reference *)
-    let bump n =
-      if n.var <> leaf_level then
-        Hashtbl.replace m.ro_lrc n.uid
-          (1 + (match Hashtbl.find_opt m.ro_lrc n.uid with Some c -> c | None -> 0))
-    in
+    let bump n = if n >= 2 then m.ro_lrc.(n) <- (if m.ro_lrc.(n) < 0 then 1 else m.ro_lrc.(n) + 1) in
     iter_table m (fun n ->
-        bump n.low;
-        bump n.high);
-    iter_table m (fun n ->
-        if not (Hashtbl.mem m.ro_lrc n.uid) then Hashtbl.replace m.ro_lrc n.uid 1);
+        bump (low_of m n);
+        bump (high_of m n));
+    iter_table m (fun n -> if m.ro_lrc.(n) < 0 then m.ro_lrc.(n) <- 1);
     Fun.protect
       ~finally:(fun () ->
         m.in_reorder <- false;
         m.ro_mark <- max_int;
         m.ro_excess <- 0;
-        Hashtbl.reset m.ro_lrc;
-        Hashtbl.reset m.ro_prc)
+        m.ro_free <- -1;
+        Array.fill m.ro_lrc 0 (Array.length m.ro_lrc) (-1);
+        Array.fill m.ro_prc 0 (Array.length m.ro_prc) 0)
       (fun () ->
         Kpt_obs.time "bdd.reorder" (fun () ->
             let ngroups = m.nvars / 2 in
@@ -766,8 +945,8 @@ let reorder_now m =
             let by_weight = Array.init ngroups (fun g -> g) in
             Array.sort (fun a b -> compare (group_nodes m b) (group_nodes m a)) by_weight;
             Array.iter (fun g -> if group_nodes m g > 0 then sift_group m st g) by_weight));
-    (* exit sweep: sifting zombified the displaced structure; what no
-       live handle reaches can go *)
+    (* exit sweep: sifting zombified the displaced structure, and evicted
+       transients wait on [ro_free]; what no live handle reaches can go *)
     collect m;
     if m.live < before then Kpt_obs.add c_ro_saved (before - m.live)
   end;
@@ -777,8 +956,7 @@ let reorder_now m =
   m.reorder_threshold <- max (2 * (m.live + 2)) default_reorder_threshold
 
 (* Move the hot counters into the current metric context.  The peak is
-   exact at flush time because [next_uid] only grows: it is the uid
-   count right after the last node this batch created. *)
+   the store's high-water mark, which only grows. *)
 let flush m =
   if m.k_nodes > 0 then begin
     Kpt_obs.add c_node m.k_nodes;
@@ -807,7 +985,11 @@ let flush m =
    inside [reorder_now], so [live] cannot drop back below the threshold
    in between.  Leaving the outermost operation — by return or by an
    exception (a [Budget.Exhausted] from [fresh_node]) — flushes the hot
-   counters, nodes the entry reorder made included. *)
+   counters, nodes the entry reorder made included.
+
+   The entry sweep sees only logged handles, so an operation reads its
+   operands' ids after [enter], never before: the handles stay reachable
+   across the sweep. *)
 let enter m =
   if m.op_depth = 0 && m.auto_reorder && m.live + 2 >= m.reorder_threshold then reorder_now m;
   m.op_depth <- m.op_depth + 1
@@ -839,12 +1021,12 @@ let set_auto_reorder m ?threshold on =
   | None -> ()
 
 let var m i =
-  assert (0 <= i && i < leaf_level);
-  guarded m (fun () -> mk m i m.t_false m.t_true)
+  assert (0 <= i && i < mark_bit);
+  wrap m (guarded m (fun () -> mk m i 0 1))
 
 let nvar m i =
-  assert (0 <= i && i < leaf_level);
-  guarded m (fun () -> mk m i m.t_true m.t_false)
+  assert (0 <= i && i < mark_bit);
+  wrap m (guarded m (fun () -> mk m i 1 0))
 
 (* Operation tags for the packed cache: the five binary boolean
    operators (z = 0), [ite], the cube-keyed relational product and the
@@ -853,7 +1035,7 @@ let nvar m i =
    - [¬a] is stored under the key of [xor(true, a)], which denotes the
      same function and which [xor] itself never stores (a constant
      operand is one of its terminal cases);
-   - [diff a b = a ∧ ¬b] under the [and] tag with z = 1, the uid of
+   - [diff a b = a ∧ ¬b] under the [and] tag with z = 1, the id of
      [true], which a binary operator never puts in its z field;
    - the containment test [a ≤ b] under the [imp] tag with z = 1, its
      answer stored as the [true] or [false] leaf. *)
@@ -866,72 +1048,76 @@ let op_ite = 5
 let op_and_exists = 6
 let op_swap = 7
 
-(* Terminal cases of the binary operators, or [no_node] when the
-   operands need a recursion step. *)
+(* Terminal cases of the binary operators, or [none] when the operands
+   need a recursion step.  Ids 0 and 1 are false and true. *)
 let rec terminal m op a b =
   if op = op_and then
-    if is_false a || is_false b then m.t_false
-    else if is_true a then b
-    else if is_true b then a
-    else if a == b then a
-    else no_node
+    if a = 0 || b = 0 then 0
+    else if a = 1 then b
+    else if b = 1 then a
+    else if a = b then a
+    else none
   else if op = op_or then
-    if is_true a || is_true b then m.t_true
-    else if is_false a then b
-    else if is_false b then a
-    else if a == b then a
-    else no_node
+    if a = 1 || b = 1 then 1
+    else if a = 0 then b
+    else if b = 0 then a
+    else if a = b then a
+    else none
   else if op = op_xor then
-    if a == b then m.t_false
-    else if is_false a then b
-    else if is_false b then a
-    else if is_true a then not_rec m b
-    else if is_true b then not_rec m a
-    else no_node
+    if a = b then 0
+    else if a = 0 then b
+    else if b = 0 then a
+    else if a = 1 then not_rec m b
+    else if b = 1 then not_rec m a
+    else none
   else if op = op_imp then
-    if is_false a || is_true b then m.t_true
-    else if is_true a then b
-    else if a == b then m.t_true
-    else if is_false b then not_rec m a
-    else no_node
-  else if a == b then m.t_true (* op_iff *)
-  else if is_true a then b
-  else if is_true b then a
-  else if is_false a then not_rec m b
-  else if is_false b then not_rec m a
-  else no_node
+    if a = 0 || b = 1 then 1
+    else if a = 1 then b
+    else if a = b then 1
+    else if b = 0 then not_rec m a
+    else none
+  else if a = b then 1 (* op_iff *)
+  else if a = 1 then b
+  else if b = 1 then a
+  else if a = 0 then not_rec m b
+  else if b = 0 then not_rec m a
+  else none
 
 and not_rec m a =
-  if is_true a then m.t_false
-  else if is_false a then m.t_true
+  if a = 1 then 0
+  else if a = 0 then 1
   else begin
-    let r = cache_find m op_xor 1 a.uid 0 in
-    if r != no_node then r
+    let r = cache_find m op_xor 1 a 0 in
+    if r <> none then r
     else begin
-      let r = mk m a.var (not_rec m a.low) (not_rec m a.high) in
-      cache_add m op_xor 1 a.uid 0 r;
+      let r = mk m (var_of m a) (not_rec m (low_of m a)) (not_rec m (high_of m a)) in
+      cache_add m op_xor 1 a 0 r;
       (* seed the reverse direction too: ¬r = a *)
-      cache_add m op_xor 1 r.uid 0 a;
+      cache_add m op_xor 1 r 0 a;
       r
     end
   end
 
 (* Binary apply.  Every operator but [imp] is commutative, so the cache
-   key is normalised on the operand uids. *)
+   key is normalised on the operand ids. *)
 let rec apply m op a b =
   let r = terminal m op a b in
-  if r != no_node then r
+  if r <> none then r
   else begin
-    let sw = op <> op_imp && a.uid > b.uid in
-    let x = if sw then b.uid else a.uid and y = if sw then a.uid else b.uid in
+    let sw = op <> op_imp && a > b in
+    let x = if sw then b else a and y = if sw then a else b in
     let r = cache_find m op x y 0 in
-    if r != no_node then r
+    if r <> none then r
     else begin
       let pa = pos m a and pb = pos m b in
       let r =
-        if pa = pb then mk m a.var (apply m op a.low b.low) (apply m op a.high b.high)
-        else if pa < pb then mk m a.var (apply m op a.low b) (apply m op a.high b)
-        else mk m b.var (apply m op a b.low) (apply m op a b.high)
+        if pa = pb then
+          mk m (var_of m a)
+            (apply m op (low_of m a) (low_of m b))
+            (apply m op (high_of m a) (high_of m b))
+        else if pa < pb then
+          mk m (var_of m a) (apply m op (low_of m a) b) (apply m op (high_of m a) b)
+        else mk m (var_of m b) (apply m op a (low_of m b)) (apply m op a (high_of m b))
       in
       cache_add m op x y 0 r;
       r
@@ -941,20 +1127,24 @@ let rec apply m op a b =
 (* [a ∧ ¬b] in one pass: the complement of [b] is never built, except
    where the result is that complement ([a] true). *)
 let rec diff_rec m a b =
-  if is_false a || is_true b || a == b then m.t_false
-  else if is_false b then a
-  else if is_true a then not_rec m b
+  if a = 0 || b = 1 || a = b then 0
+  else if b = 0 then a
+  else if a = 1 then not_rec m b
   else begin
-    let r = cache_find m op_and a.uid b.uid 1 in
-    if r != no_node then r
+    let r = cache_find m op_and a b 1 in
+    if r <> none then r
     else begin
       let pa = pos m a and pb = pos m b in
       let r =
-        if pa = pb then mk m a.var (diff_rec m a.low b.low) (diff_rec m a.high b.high)
-        else if pa < pb then mk m a.var (diff_rec m a.low b) (diff_rec m a.high b)
-        else mk m b.var (diff_rec m a b.low) (diff_rec m a b.high)
+        if pa = pb then
+          mk m (var_of m a)
+            (diff_rec m (low_of m a) (low_of m b))
+            (diff_rec m (high_of m a) (high_of m b))
+        else if pa < pb then
+          mk m (var_of m a) (diff_rec m (low_of m a) b) (diff_rec m (high_of m a) b)
+        else mk m (var_of m b) (diff_rec m a (low_of m b)) (diff_rec m a (high_of m b))
       in
-      cache_add m op_and a.uid b.uid 1 r;
+      cache_add m op_and a b 1 r;
       r
     end
   end
@@ -962,61 +1152,67 @@ let rec diff_rec m a b =
 (* Containment [a ≤ b] (CUDD's [bddLeq]): stops at the first cofactor
    pair that fails and mints no node. *)
 let rec leq_rec m a b =
-  if a == b || is_false a || is_true b then true
-  else if is_leaf a || is_leaf b then false
+  if a = b || a = 0 || b = 1 then true
+  else if a < 2 || b < 2 then false
   else begin
-    let r = cache_find m op_imp a.uid b.uid 1 in
-    if r != no_node then r == m.t_true
+    let r = cache_find m op_imp a b 1 in
+    if r <> none then r = 1
     else begin
       let pa = pos m a and pb = pos m b in
       let ok =
-        if pa = pb then leq_rec m a.high b.high && leq_rec m a.low b.low
-        else if pa < pb then leq_rec m a.high b && leq_rec m a.low b
-        else leq_rec m a b.high && leq_rec m a b.low
+        if pa = pb then leq_rec m (high_of m a) (high_of m b) && leq_rec m (low_of m a) (low_of m b)
+        else if pa < pb then leq_rec m (high_of m a) b && leq_rec m (low_of m a) b
+        else leq_rec m a (high_of m b) && leq_rec m a (low_of m b)
       in
-      cache_add m op_imp a.uid b.uid 1 (if ok then m.t_true else m.t_false);
+      cache_add m op_imp a b 1 (if ok then 1 else 0);
       ok
     end
   end
 
-let and_ m a b = guarded m (fun () -> apply m op_and a b)
-let diff m a b = guarded m (fun () -> diff_rec m a b)
-let or_ m a b = guarded m (fun () -> apply m op_or a b)
-let not_ m a = guarded m (fun () -> not_rec m a)
-let xor m a b = guarded m (fun () -> apply m op_xor a b)
-let imp m a b = guarded m (fun () -> apply m op_imp a b)
-let iff m a b = guarded m (fun () -> apply m op_iff a b)
+let and_ m a b = ret2 m a b (guarded m (fun () -> apply m op_and a.id b.id))
+let diff m a b = ret2 m a b (guarded m (fun () -> diff_rec m a.id b.id))
+let or_ m a b = ret2 m a b (guarded m (fun () -> apply m op_or a.id b.id))
+let not_ m a = ret1 m a (guarded m (fun () -> not_rec m a.id))
+let xor m a b = ret2 m a b (guarded m (fun () -> apply m op_xor a.id b.id))
+let imp m a b = ret2 m a b (guarded m (fun () -> apply m op_imp a.id b.id))
+let iff m a b = ret2 m a b (guarded m (fun () -> apply m op_iff a.id b.id))
 
 let rec ite_rec m c a b =
-  if is_true c then a
-  else if is_false c then b
-  else if a == b then a
-  else if is_true a && is_false b then c
+  if c = 1 then a
+  else if c = 0 then b
+  else if a = b then a
+  else if a = 1 && b = 0 then c
   else begin
-    let r = cache_find m op_ite c.uid a.uid b.uid in
-    if r != no_node then r
+    let r = cache_find m op_ite c a b in
+    if r <> none then r
     else begin
       let pc = pos m c and pa = pos m a and pb = pos m b in
       let p = if pc < pa then pc else pa in
       let p = if pb < p then pb else p in
-      let topvar = if pc = p then c.var else if pa = p then a.var else b.var in
+      let topvar = var_of m (if pc = p then c else if pa = p then a else b) in
       (* the high cofactor first, as every other recursion here: the
          order of the two calls decides which op-cache entries collide *)
       let hi =
-        ite_rec m (if pc = p then c.high else c) (if pa = p then a.high else a)
-          (if pb = p then b.high else b)
+        ite_rec m
+          (if pc = p then high_of m c else c)
+          (if pa = p then high_of m a else a)
+          (if pb = p then high_of m b else b)
       in
       let lo =
-        ite_rec m (if pc = p then c.low else c) (if pa = p then a.low else a)
-          (if pb = p then b.low else b)
+        ite_rec m
+          (if pc = p then low_of m c else c)
+          (if pa = p then low_of m a else a)
+          (if pb = p then low_of m b else b)
       in
       let r = mk m topvar lo hi in
-      cache_add m op_ite c.uid a.uid b.uid r;
+      cache_add m op_ite c a b r;
       r
     end
   end
 
-let ite m c a b = guarded m (fun () -> ite_rec m c a b)
+let ite m c a b =
+  let r = guarded m (fun () -> ite_rec m c.id a.id b.id) in
+  if r = c.id then c else ret2 m a b r
 
 (* n-ary conjunction/disjunction as balanced-tree folds: pairing operands
    keeps the intermediate BDDs small compared to a linear [fold_left]
@@ -1040,31 +1236,105 @@ let balanced_fold op unit ps =
 
 let conj m ps = balanced_fold (and_ m) (tru m) ps
 let disj m ps = balanced_fold (or_ m) (fls m) ps
-let implies m a b = guarded m (fun () -> leq_rec m a b)
+let implies m a b = guarded m (fun () -> leq_rec m a.id b.id)
 
+(* ---- walks over a root -----------------------------------------------------
+
+   [size], [support] and [depends_on] mark the nodes they visit with a
+   bit of the store's var field and clear it again with a second walk
+   over the marked nodes, so they allocate nothing per node.  Every
+   marked node is reached from the root through marked nodes, so the
+   clearing walk, which descends only through marked nodes, finds them
+   all — also after an early exit. *)
+
+let marked m n = n >= 2 && var_of m n land mark_bit <> 0
+let set_mark m n = set m n 0 (var_of m n lor mark_bit)
+
+let rec unmark m n =
+  if marked m n then begin
+    set m n 0 (var_of m n land lnot mark_bit);
+    unmark m (low_of m n);
+    unmark m (high_of m n)
+  end
+
+let size m root =
+  let count = ref 0 in
+  let rec go n =
+    if n >= 2 && not (marked m n) then begin
+      set_mark m n;
+      incr count;
+      go (low_of m n);
+      go (high_of m n)
+    end
+  in
+  go root.id;
+  unmark m root.id;
+  !count
+
+let support m root =
+  let seen = Array.make m.nvars false in
+  let rec go n =
+    if n >= 2 && not (marked m n) then begin
+      seen.(var_of m n) <- true;
+      set_mark m n;
+      go (low_of m n);
+      go (high_of m n)
+    end
+  in
+  go root.id;
+  unmark m root.id;
+  let vars = ref [] in
+  for v = m.nvars - 1 downto 0 do
+    if seen.(v) then vars := v :: !vars
+  done;
+  !vars
+
+(* Early-exit dependence test: stop at the first node labelled [i]; prune
+   subtrees rooted strictly below [i]'s level (levels only grow downward),
+   and never materialise the support list. *)
+exception Found
+
+let depends_on m root i =
+  let pi = posv m i in
+  let rec go n =
+    if n >= 2 && not (marked m n) then begin
+      if var_of m n = i then raise Found;
+      if pos m n < pi then begin
+        set_mark m n;
+        go (low_of m n);
+        go (high_of m n)
+      end
+    end
+  in
+  let found = match go root.id with () -> false | exception Found -> true in
+  unmark m root.id;
+  found
+
+(* [restrict] and [rename] rebuild their root through an id-keyed memo. *)
 let restrict m root i polarity =
-  guarded m (fun () ->
-      let pi = posv m i in
-      let memo = Hashtbl.create 64 in
-      let rec go n =
-        if pos m n > pi then n
-        else if n.var = i then if polarity then n.high else n.low
-        else
-          match Hashtbl.find_opt memo n.uid with
-          | Some r -> r
-          | None ->
-              let r = mk m n.var (go n.low) (go n.high) in
-              Hashtbl.add memo n.uid r;
-              r
-      in
-      go root)
+  ret1 m root
+    (guarded m (fun () ->
+         let pi = posv m i in
+         let memo = Hashtbl.create 64 in
+         let rec go n =
+           if pos m n > pi then n
+           else if var_of m n = i then if polarity then high_of m n else low_of m n
+           else
+             match Hashtbl.find_opt memo n with
+             | Some r -> r
+             | None ->
+                 let r = mk m (var_of m n) (go (low_of m n)) (go (high_of m n)) in
+                 Hashtbl.add memo n r;
+                 r
+         in
+         go root.id))
 
 (* ---- cubes: quantification and the pair swap ------------------------------
 
    A set of variables is passed as its {e positive cube}, the BDD of their
    conjunction: a chain of nodes whose low edges go to false.  A cube is
    a node like any other, so a reorder rewrites it in place and it keeps
-   denoting the same set, and the op-cache can key on its uid.  Every
+   denoting the same set, and the op-cache can key on its id.  Every
    recursion below walks the cube alongside its operands and first drops
    the cube variables above the operands' top level — none of them is in
    the operands' support — so each cache entry is keyed on the suffix
@@ -1077,56 +1347,58 @@ type cube = t
 
 let cube m vars =
   match vars with
-  | [] -> m.t_true
+  | [] -> m.h_true
   | _ ->
-      List.iter (fun v -> assert (0 <= v && v < leaf_level)) vars;
-      guarded m (fun () ->
-          ensure_var m (List.fold_left max 0 vars);
-          let bottom_up = List.sort_uniq (fun a b -> compare m.perm.(b) m.perm.(a)) vars in
-          List.fold_left (fun acc v -> mk m v m.t_false acc) m.t_true bottom_up)
+      List.iter (fun v -> assert (0 <= v && v < mark_bit)) vars;
+      wrap m
+        (guarded m (fun () ->
+             ensure_var m (List.fold_left max 0 vars);
+             let bottom_up = List.sort_uniq (fun a b -> compare m.perm.(b) m.perm.(a)) vars in
+             List.fold_left (fun acc v -> mk m v 0 acc) 1 bottom_up))
 
-let rec cube_from m c p = if pos m c < p then cube_from m c.high p else c
+let rec cube_from m c p = if pos m c < p then cube_from m (high_of m c) p else c
 
 (* CUDD's AndAbstract: [∃c. a ∧ b] in one pass, without building [a ∧ b].
-   [exists] is the instance [b = true] (and [a == b] reduces to it). *)
+   [exists] is the instance [b = true] (and [a = b] reduces to it). *)
 let rec and_exists_rec m a b c =
-  if is_false a || is_false b then m.t_false
-  else if is_true a && is_true b then m.t_true
-  else if a == b then and_exists_rec m a m.t_true c
+  if a = 0 || b = 0 then 0
+  else if a = 1 && b = 1 then 1
+  else if a = b then and_exists_rec m a 1 c
   else begin
     let pa = pos m a and pb = pos m b in
     let p = if pa < pb then pa else pb in
     let c = cube_from m c p in
-    if is_true c then apply m op_and a b
+    if c = 1 then apply m op_and a b
     else begin
-      let sw = a.uid > b.uid in
-      let x = if sw then b.uid else a.uid and y = if sw then a.uid else b.uid in
-      let r = cache_find m op_and_exists x y c.uid in
-      if r != no_node then r
+      let sw = a > b in
+      let x = if sw then b else a and y = if sw then a else b in
+      let r = cache_find m op_and_exists x y c in
+      if r <> none then r
       else begin
-        let a0 = if pa = p then a.low else a and a1 = if pa = p then a.high else a in
-        let b0 = if pb = p then b.low else b and b1 = if pb = p then b.high else b in
+        let a0 = if pa = p then low_of m a else a and a1 = if pa = p then high_of m a else a in
+        let b0 = if pb = p then low_of m b else b and b1 = if pb = p then high_of m b else b in
         let r =
           if pos m c = p then begin
-            let r0 = and_exists_rec m a0 b0 c.high in
-            if is_true r0 then r0 else apply m op_or r0 (and_exists_rec m a1 b1 c.high)
+            let ch = high_of m c in
+            let r0 = and_exists_rec m a0 b0 ch in
+            if r0 = 1 then r0 else apply m op_or r0 (and_exists_rec m a1 b1 ch)
           end
           else
-            mk m (if pa = p then a.var else b.var)
+            mk m (var_of m (if pa = p then a else b))
               (and_exists_rec m a0 b0 c) (and_exists_rec m a1 b1 c)
         in
-        cache_add m op_and_exists x y c.uid r;
+        cache_add m op_and_exists x y c r;
         r
       end
     end
   end
 
-let exists m c root = guarded m (fun () -> and_exists_rec m root m.t_true c)
+let exists m c root = ret1 m root (guarded m (fun () -> and_exists_rec m root.id 1 c.id))
 
 let forall m c root =
-  guarded m (fun () -> not_rec m (and_exists_rec m (not_rec m root) m.t_true c))
+  ret1 m root (guarded m (fun () -> not_rec m (and_exists_rec m (not_rec m root.id) 1 c.id)))
 
-let and_exists m c a b = guarded m (fun () -> and_exists_rec m a b c)
+let and_exists m c a b = ret2 m a b (guarded m (fun () -> and_exists_rec m a.id b.id c.id))
 
 (* Move every variable of the cube to its pair partner (v lxor 1) in one
    rebuild.  Sifting moves the pairs as blocks with the even variable
@@ -1135,27 +1407,29 @@ let and_exists m c a b = guarded m (fun () -> and_exists_rec m a b c)
    partner of a moved variable is in the support.  A rebuild that would
    break the order raises instead of minting a non-canonical node. *)
 let rec swap_rec m n c =
-  if is_leaf n then n
+  if n < 2 then n
   else begin
     let c = cube_from m c (pos m n) in
-    if is_true c then n
+    if c = 1 then n
     else begin
-      let r = cache_find m op_swap n.uid c.uid 0 in
-      if r != no_node then r
+      let r = cache_find m op_swap n c 0 in
+      if r <> none then r
       else begin
-        let v = if c.var = n.var then n.var lxor 1 else n.var in
-        let r0 = swap_rec m n.low c and r1 = swap_rec m n.high c in
+        let nv = var_of m n in
+        let v = if var_of m c = nv then nv lxor 1 else nv in
+        let lo = low_of m n and hi = high_of m n in
+        let r0 = swap_rec m lo c and r1 = swap_rec m hi c in
         let pv = m.perm.(v) in
         if pv >= pos m r0 || pv >= pos m r1 then
           invalid_arg "Bdd.swap_pairs: a moved variable's partner is in the support";
         let r = mk m v r0 r1 in
-        cache_add m op_swap n.uid c.uid 0 r;
+        cache_add m op_swap n c 0 r;
         r
       end
     end
   end
 
-let swap_pairs m c root = guarded m (fun () -> swap_rec m root c)
+let swap_pairs m c root = ret1 m root (guarded m (fun () -> swap_rec m root.id c.id))
 
 (* Rename by an arbitrary map (the current↔next moves go through
    [swap_pairs]).  The classic single-pass recursion is only canonical
@@ -1163,105 +1437,37 @@ let swap_pairs m c root = guarded m (fun () -> swap_rec m root c)
    support is checked first, and a non-monotone map falls back to
    ite-composition, which is correct at any order. *)
 let rename m f root =
-  guarded m (fun () ->
-      let fast () =
-        let memo = Hashtbl.create 256 in
-        let rec go n =
-          if is_leaf n then n
-          else
-            match Hashtbl.find_opt memo n.uid with
-            | Some r -> r
-            | None ->
-                let r = mk m (f n.var) (go n.low) (go n.high) in
-                Hashtbl.add memo n.uid r;
-                r
-        in
-        go root
-      in
-      (* The fast path is only sound when the map is monotone on the
-         {e levels} of the root's support — renaming node-by-node keeps
-         the structural order, which must then be the level order.  That
-         can fail even on a never-reordered manager (an index swap), so
-         the support analysis always runs; it costs one extra walk of
-         the root, against the rebuild walk the rename does anyway. *)
-      begin
-        let seen = Hashtbl.create 64 in
-        let sup = ref [] in
-        let rec collect n =
-          if (not (is_leaf n)) && not (Hashtbl.mem seen n.uid) then begin
-            Hashtbl.add seen n.uid ();
-            sup := n.var :: !sup;
-            collect n.low;
-            collect n.high
-          end
-        in
-        collect root;
-        let by_level = List.sort (fun a b -> compare (posv m a) (posv m b)) !sup in
-        let images = List.map (fun v -> posv m (f v)) by_level in
-        let rec monotone = function
-          | a :: (b :: _ as rest) -> a < b && monotone rest
-          | _ -> true
-        in
-        if monotone images then fast ()
-        else begin
-          let memo = Hashtbl.create 256 in
-          let rec go n =
-            if is_leaf n then n
-            else
-              match Hashtbl.find_opt memo n.uid with
-              | Some r -> r
-              | None ->
-                  let r = ite_rec m (mk m (f n.var) m.t_false m.t_true) (go n.high) (go n.low) in
-                  Hashtbl.add memo n.uid r;
-                  r
-          in
-          go root
-        end
-      end)
-
-let support _m root =
-  let seen = Hashtbl.create 256 in
-  let vars = Hashtbl.create 64 in
-  let rec go n =
-    if (not (is_leaf n)) && not (Hashtbl.mem seen n.uid) then begin
-      Hashtbl.add seen n.uid ();
-      Hashtbl.replace vars n.var ();
-      go n.low;
-      go n.high
-    end
-  in
-  go root;
-  Hashtbl.fold (fun l () acc -> l :: acc) vars [] |> List.sort compare
-
-(* Early-exit dependence test: stop at the first node labelled [i]; prune
-   subtrees rooted strictly below [i]'s level (levels only grow downward),
-   and never materialise the support list. *)
-exception Found
-
-let depends_on m root i =
-  let pi = posv m i in
-  let seen = Hashtbl.create 64 in
-  let rec go n =
-    if n.var = i then raise Found
-    else if pos m n < pi && not (Hashtbl.mem seen n.uid) then begin
-      Hashtbl.add seen n.uid ();
-      go n.low;
-      go n.high
-    end
-  in
-  match go root with () -> false | exception Found -> true
-
-let size _m root =
-  let seen = Hashtbl.create 256 in
-  let rec go n =
-    if (not (is_leaf n)) && not (Hashtbl.mem seen n.uid) then begin
-      Hashtbl.add seen n.uid ();
-      go n.low;
-      go n.high
-    end
-  in
-  go root;
-  Hashtbl.length seen
+  ret1 m root
+    (guarded m (fun () ->
+         (* The fast path is only sound when the map is monotone on the
+            {e levels} of the root's support — renaming node-by-node keeps
+            the structural order, which must then be the level order.  That
+            can fail even on a never-reordered manager (an index swap), so
+            the support analysis always runs; it costs one extra walk of
+            the root, against the rebuild walk the rename does anyway. *)
+         let by_level = List.sort (fun a b -> compare (posv m a) (posv m b)) (support m root) in
+         let images = List.map (fun v -> posv m (f v)) by_level in
+         let rec monotone = function
+           | a :: (b :: _ as rest) -> a < b && monotone rest
+           | _ -> true
+         in
+         let fast = monotone images in
+         let memo = Hashtbl.create 256 in
+         let rec go n =
+           if n < 2 then n
+           else
+             match Hashtbl.find_opt memo n with
+             | Some r -> r
+             | None ->
+                 let v = var_of m n and lo = low_of m n and hi = high_of m n in
+                 let r =
+                   if fast then mk m (f v) (go lo) (go hi)
+                   else ite_rec m (mk m (f v) 0 1) (go hi) (go lo)
+                 in
+                 Hashtbl.add memo n r;
+                 r
+         in
+         go root.id))
 
 (* Exact model counting: the classic per-node recurrence over the node
    {e ranks} — each support variable's index must be < [nvars], but its
@@ -1274,28 +1480,28 @@ let sat_count_exact m ~nvars root =
   let rank_of_level = Array.make (width + 1) (-1) in
   Array.iteri (fun r l -> rank_of_level.(l) <- r) sorted;
   let rank n =
-    if is_leaf n then nvars
+    if n < 2 then nvars
     else begin
-      let r = rank_of_level.(posv m n.var) in
+      let r = rank_of_level.(posv m (var_of m n)) in
       assert (r >= 0);
       r
     end
   in
   let memo = Hashtbl.create 256 in
   let rec go n =
-    if is_false n then Bigcount.zero
-    else if is_true n then Bigcount.one
+    if n = 0 then Bigcount.zero
+    else if n = 1 then Bigcount.one
     else
-      match Hashtbl.find_opt memo n.uid with
+      match Hashtbl.find_opt memo n with
       | Some c -> c
       | None ->
           let rn = rank n in
           let weight child = Bigcount.shift_left (go child) (rank child - rn - 1) in
-          let c = Bigcount.add (weight n.low) (weight n.high) in
-          Hashtbl.add memo n.uid c;
+          let c = Bigcount.add (weight (low_of m n)) (weight (high_of m n)) in
+          Hashtbl.add memo n c;
           c
   in
-  Bigcount.shift_left (go root) (rank root)
+  Bigcount.shift_left (go root.id) (rank root.id)
 
 let live_count m = m.live + 2
 
@@ -1316,7 +1522,7 @@ let stats m =
     packed := !packed + m.subs.(v).s_count
   done;
   {
-    nodes_created = m.next_uid;
+    nodes_created = m.created;
     live_nodes = live_count m;
     unique_slots = !slots;
     unique_load = (if !slots = 0 then 0.0 else float_of_int !packed /. float_of_int !slots);
@@ -1324,8 +1530,9 @@ let stats m =
     cache_slots = m.op_mask + 1;
   }
 
-let rec eval n valuation =
-  if is_true n then true
-  else if is_false n then false
-  else if valuation n.var then eval n.high valuation
-  else eval n.low valuation
+let eval h valuation =
+  let m = h.m in
+  let rec go n =
+    if n < 2 then n = 1 else if valuation (var_of m n) then go (high_of m n) else go (low_of m n)
+  in
+  go h.id

@@ -4,8 +4,9 @@
     treats predicates as {e semantic objects} — Boolean-valued total
     functions on the state space — and ROBDDs give each such function a
     canonical representative, so predicate equality ([[p ≡ q]] in the
-    paper's notation) is decided by physical equality, and all the
-    fixpoints ([sst], [SI], fair leads-to) terminate by node comparison.
+    paper's notation) is decided by comparing node ids ({!equal}), and
+    all the fixpoints ([sst], [SI], fair leads-to) terminate by that
+    comparison.
 
     All nodes live inside a {!manager}; mixing nodes from different
     managers is a programming error (detected by [assert] in debug
@@ -19,7 +20,12 @@
     the order it started with and the next one sifts first.  Reordering
     is semantics-transparent: nodes are rewritten in place, so every
     handle keeps denoting the same Boolean function and canonicity
-    (semantic equality = physical equality) is preserved throughout. *)
+    (semantic equality = id equality) is preserved throughout.
+
+    Nodes live in a flat per-manager store, outside the OCaml heap's view;
+    a {!t} is a small handle on one of them.  Nodes are freed only by the
+    sweep that brackets every reorder, which keeps every node a live
+    handle can reach and recycles the ids of the rest. *)
 
 type manager
 (** Mutable node store: the exact hash-consing unique table plus a packed
@@ -39,8 +45,10 @@ type manager
     reorder (and {!clear_caches}) empties the cache. *)
 
 type t
-(** A BDD node.  Canonical: two nodes of the same manager denote the same
-    Boolean function iff they are physically equal. *)
+(** A handle on a BDD node of one manager.  Canonical: two handles of the
+    same manager denote the same Boolean function iff they name the same
+    node ({!equal}), whether or not they are physically equal — compare
+    handles with {!equal}, never with [==] or [=]. *)
 
 val create : ?cache_size:int -> ?reorder:bool -> unit -> manager
 (** Fresh manager.  The unique table sizes itself (per-level subtables
@@ -81,10 +89,13 @@ val nvar : manager -> int -> t
 (** [nvar m i] is the predicate "variable [i] is false". *)
 
 val uid : t -> int
-(** Stable unique identifier within the manager. *)
+(** The node's id.  Stable while any handle on the node is alive, and
+    unique among the live nodes of the manager: once every handle on a
+    node is gone, a sweep may free the node and give its id to a new
+    one.  A table keyed by uids must keep the handles of its keys alive. *)
 
 val equal : t -> t -> bool
-(** Physical (hence semantic) equality. *)
+(** Same node, hence the same function (handles of one manager). *)
 
 val is_true : t -> bool
 val is_false : t -> bool
@@ -171,7 +182,7 @@ val sat_count_exact : manager -> nvars:int -> t -> Bigcount.t
     correct at any size (no float rounding past 2{^53}, no overflow). *)
 
 type stats = {
-  nodes_created : int;  (** uids allocated over the manager's lifetime *)
+  nodes_created : int;  (** nodes created over the manager's lifetime, leaves included *)
   live_nodes : int;  (** nodes currently in the unique table (+ leaves) *)
   unique_slots : int;  (** open-addressing slots of the unique table *)
   unique_load : float;  (** occupancy fraction of the unique table *)

@@ -38,7 +38,24 @@ let as_expr ~at = function
   | E e -> e
   | F _ -> err_at at "knowledge operators may only appear in guards, not in arithmetic or init"
 
-let as_kform = function E e -> Kform.base e | F f -> f
+(* Sort checking.  Every expression node is checked where it is built,
+   its operands already checked, so the first failure is the innermost
+   ill-typed node and the error carries that node's span.  A loaded spec
+   then never reaches [Expr.Type_error] when a command compiles it. *)
+let sort_name = function Expr.Tbool -> "a boolean" | Expr.Tnat -> "a natural"
+
+let sort ~at e =
+  match Expr.typeof e with t -> t | exception Expr.Type_error msg -> err_at at "type error: %s" msg
+
+let typed ~at e =
+  ignore (sort ~at e);
+  E e
+
+let expect ~at ty what e =
+  if sort ~at e <> ty then err_at at "type error: %s must be %s" what (sort_name ty);
+  e
+
+let as_kform ~at what = function E e -> Kform.base (expect ~at Expr.Tbool what e) | F f -> f
 
 let rec elab ctx (e : Ast.expr) =
   let at = e.Ast.espan in
@@ -57,40 +74,43 @@ let rec elab ctx (e : Ast.expr) =
           | None -> err_at at "unknown identifier %s" name))
   | Ast.Eindex (name, idx) -> (
       match Hashtbl.find_opt ctx.arrays name with
-      | Some arr -> E (Expr.select arr (sub idx))
+      | Some arr ->
+          E (Expr.select arr (expect ~at:idx.Ast.espan Expr.Tnat "an array index" (sub idx)))
       | None -> err_at at "%s is not an array" name)
   | Ast.Enot a -> (
       match elab ctx a with
-      | E e -> E (Expr.not_ e)
+      | E e -> typed ~at (Expr.not_ e)
       | F f -> F (Kform.knot f))
-  | Ast.Eand (a, b) -> bool_op ctx a b (fun x y -> Expr.(x &&& y)) (fun x y -> Kform.(x &&. y))
-  | Ast.Eor (a, b) -> bool_op ctx a b (fun x y -> Expr.(x ||| y)) (fun x y -> Kform.(x ||. y))
-  | Ast.Eimp (a, b) -> bool_op ctx a b (fun x y -> Expr.(x ==> y)) (fun x y -> Kform.(x ==>. y))
+  | Ast.Eand (a, b) -> bool_op ctx ~at a b (fun x y -> Expr.(x &&& y)) (fun x y -> Kform.(x &&. y))
+  | Ast.Eor (a, b) -> bool_op ctx ~at a b (fun x y -> Expr.(x ||| y)) (fun x y -> Kform.(x ||. y))
+  | Ast.Eimp (a, b) -> bool_op ctx ~at a b (fun x y -> Expr.(x ==> y)) (fun x y -> Kform.(x ==>. y))
   | Ast.Eiff (a, b) ->
-      bool_op ctx a b
+      bool_op ctx ~at a b
         (fun x y -> Expr.Iff (x, y))
         (fun x y -> Kform.((x ==>. y) &&. (y ==>. x)))
-  | Ast.Eeq (a, b) -> E Expr.(sub a === sub b)
-  | Ast.Ene (a, b) -> E Expr.(sub a <<> sub b)
-  | Ast.Elt (a, b) -> E Expr.(sub a <<< sub b)
-  | Ast.Ele (a, b) -> E Expr.(sub a <== sub b)
-  | Ast.Egt (a, b) -> E Expr.(sub a >>> sub b)
-  | Ast.Ege (a, b) -> E Expr.(sub a >== sub b)
-  | Ast.Eadd (a, b) -> E Expr.(sub a +! sub b)
-  | Ast.Esub (a, b) -> E Expr.(sub a -! sub b)
-  | Ast.Eknow (p, a) -> F (Kform.k p (as_kform (elab ctx a)))
+  | Ast.Eeq (a, b) -> typed ~at Expr.(sub a === sub b)
+  | Ast.Ene (a, b) -> typed ~at Expr.(sub a <<> sub b)
+  | Ast.Elt (a, b) -> typed ~at Expr.(sub a <<< sub b)
+  | Ast.Ele (a, b) -> typed ~at Expr.(sub a <== sub b)
+  | Ast.Egt (a, b) -> typed ~at Expr.(sub a >>> sub b)
+  | Ast.Ege (a, b) -> typed ~at Expr.(sub a >== sub b)
+  | Ast.Eadd (a, b) -> typed ~at Expr.(sub a +! sub b)
+  | Ast.Esub (a, b) -> typed ~at Expr.(sub a -! sub b)
+  | Ast.Eknow (p, a) -> F (Kform.k p (as_kform ~at:a.Ast.espan "a knowledge operand" (elab ctx a)))
   | Ast.Egroup (kind, ps, a) ->
-      let f = as_kform (elab ctx a) in
+      let f = as_kform ~at:a.Ast.espan "a knowledge operand" (elab ctx a) in
       F
         (match kind with
         | Ast.Geveryone -> Kform.ek ps f
         | Ast.Gcommon -> Kform.ck ps f
         | Ast.Gdistributed -> Kform.dk ps f)
 
-and bool_op ctx a b on_expr on_kform =
+and bool_op ctx ~at a b on_expr on_kform =
   match (elab ctx a, elab ctx b) with
-  | E x, E y -> E (on_expr x y)
-  | x, y -> F (on_kform (as_kform x) (as_kform y))
+  | E x, E y -> typed ~at (on_expr x y)
+  | x, y ->
+      let what = "an operand of a boolean operator" in
+      F (on_kform (as_kform ~at:a.Ast.espan what x) (as_kform ~at:b.Ast.espan what y))
 
 (* Recover array structure from a space's element naming convention
    ("name[k]"), so standalone predicates can index arrays of an already
@@ -176,7 +196,10 @@ let program (p : Ast.program) =
         Process.make name (List.concat_map (resolve_proc_var ~at) vars))
       p.Ast.p_processes
   in
-  let init = as_expr ~at:p.Ast.p_init.Ast.espan (elab ctx p.Ast.p_init) in
+  let init =
+    let at = p.Ast.p_init.Ast.espan in
+    expect ~at Expr.Tbool "the initial condition" (as_expr ~at (elab ctx p.Ast.p_init))
+  in
   let stmts =
     List.mapi
       (fun i (s : Ast.stmt) ->
@@ -190,24 +213,31 @@ let program (p : Ast.program) =
             (List.map2
                (fun target rhs ->
                  let rhs_e = as_expr ~at:rhs.Ast.espan (elab ctx rhs) in
+                 let assigned v =
+                   let what = Printf.sprintf "the value assigned to %s" (Space.name v) in
+                   expect ~at:rhs.Ast.espan (Expr.typeof (Expr.var v)) what rhs_e
+                 in
                  match target with
                  | Ast.Tvar tname ->
                      if Hashtbl.mem arrays tname then
                        err_at at "statement %s: array %s assigned without an index" name tname;
-                     [ (resolve_var ~at tname, rhs_e) ]
+                     let v = resolve_var ~at tname in
+                     [ (v, assigned v) ]
                  | Ast.Tindex (tname, idx) -> (
                      match Hashtbl.find_opt arrays tname with
                      | Some arr ->
                          Stmt.array_write arr
-                           ~index:(as_expr ~at:idx.Ast.espan (elab ctx idx))
-                           rhs_e
+                           ~index:
+                             (expect ~at:idx.Ast.espan Expr.Tnat "an array index"
+                                (as_expr ~at:idx.Ast.espan (elab ctx idx)))
+                           (assigned arr.(0))
                      | None -> err_at at "statement %s: %s is not an array" name tname))
                s.Ast.s_targets s.Ast.s_exprs)
         in
         let guard =
           match s.Ast.s_guard with
           | None -> Kform.base Expr.tru
-          | Some g -> as_kform (elab ctx g)
+          | Some g -> as_kform ~at:g.Ast.espan "a guard" (elab ctx g)
         in
         Kbp.kstmt ~name ~guard assigns)
       p.Ast.p_stmts

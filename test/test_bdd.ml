@@ -275,6 +275,70 @@ let test_quant_unregistered () =
   Alcotest.(check bool) "depends_only_on with untouched variables" true
     (Pred.depends_only_on sp pa [ a ])
 
+(* ---- the sweep and id reuse -------------------------------------------------
+
+   Nodes are ids into a store the OCaml collector never sees, so the
+   sweep that brackets a sift must find the live nodes itself, from the
+   handles user code still holds.  Garbage — results nobody holds any
+   more — is freed and its ids are reused; a held handle keeps its node,
+   its id and its function. *)
+
+let nv = 12
+
+(* A function of [nv] variables that differs from seed to seed: the xor
+   of a seeded subset of variables, or'ed with a seeded two-literal term. *)
+let seeded m k =
+  let st = Random.State.make [| k |] in
+  let v () = Bdd.var m (Random.State.int st nv) in
+  let parity = List.init 5 (fun _ -> v ()) |> List.fold_left (Bdd.xor m) (Bdd.fls m) in
+  Bdd.or_ m parity (Bdd.and_ m (v ()) (Bdd.not_ m (v ())))
+
+let test_sweep_reclaims_garbage () =
+  let m = m () in
+  let held = List.init 8 (seeded m) in
+  let tables = List.map (fun h -> Helpers.truth_table h ~nvars:nv) held in
+  let uids = List.map Bdd.uid held in
+  for k = 100 to 2099 do
+    ignore (Sys.opaque_identity (seeded m k))
+  done;
+  let before = (Bdd.stats m).Bdd.live_nodes in
+  Bdd.reorder m;
+  let after = (Bdd.stats m).Bdd.live_nodes in
+  if not (after < before) then Alcotest.failf "live nodes %d -> %d: nothing reclaimed" before after;
+  List.iteri
+    (fun k h ->
+      Alcotest.(check (list int)) "held handle keeps its truth table" (List.nth tables k)
+        (Helpers.truth_table h ~nvars:nv);
+      Alcotest.(check int) "held handle keeps its id" (List.nth uids k) (Bdd.uid h);
+      Alcotest.(check bool) "rebuilding finds the held node" true (Bdd.equal h (seeded m k)))
+    held
+
+let test_reused_ids_never_alias () =
+  let m = m () in
+  let held = List.init 8 (seeded m) in
+  let tables = List.map (fun h -> Helpers.truth_table h ~nvars:nv) held in
+  let dropped = Hashtbl.create 4096 in
+  for k = 100 to 2099 do
+    Hashtbl.replace dropped (Bdd.uid (seeded m k)) ()
+  done;
+  Bdd.reorder m;
+  (* fresh functions after the sweep: some land on recycled ids, and none
+     may equal a held handle unless it denotes the same function *)
+  let reused = ref 0 in
+  for k = 5000 to 6999 do
+    let f = seeded m k in
+    if Hashtbl.mem dropped (Bdd.uid f) then incr reused;
+    let tf = Helpers.truth_table f ~nvars:nv in
+    List.iter2
+      (fun h th ->
+        Alcotest.(check bool) "id equality is function equality" (tf = th) (Bdd.equal f h))
+      held tables
+  done;
+  if !reused = 0 then Alcotest.fail "no id was reused after the sweep";
+  List.iter2
+    (fun h th -> Alcotest.(check (list int)) "held truth table" th (Helpers.truth_table h ~nvars:nv))
+    held tables
+
 let suite =
   [
     Alcotest.test_case "constants" `Quick test_constants;
@@ -300,4 +364,8 @@ let suite =
     Alcotest.test_case "swap refuses a partner in the support" `Quick
       test_swap_partner_in_support;
     Alcotest.test_case "quantifying unregistered variables" `Quick test_quant_unregistered;
+    Alcotest.test_case "a sift's sweep reclaims garbage, held handles keep their function"
+      `Quick test_sweep_reclaims_garbage;
+    Alcotest.test_case "ids reused after a sweep never alias a held handle" `Quick
+      test_reused_ids_never_alias;
   ]

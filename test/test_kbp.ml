@@ -369,10 +369,56 @@ let test_candidate_cap () =
   | exception Kbp.Too_many_candidates { free; cap } ->
       Alcotest.(check (pair int int)) "free states, cap" (30, 22) (free, cap)
 
+(* Automatic sifting at a tiny threshold sifts, and sweeps, between the
+   Ĝ steps of [iterate]: the sweeps recycle ids, and [iterate] detects a
+   cycle by the ids of the iterates its trail holds.  The result — the
+   verdict, the step count and every set on the orbit — must be the one
+   computed with reordering off. *)
+let test_iterate_under_auto_sift () =
+  let load n family =
+    let fam = Option.get (Kpt_gen.Family.find family) in
+    let built = fam.Kpt_gen.Family.build ~n (Kpt_gen.Rng.of_int n) in
+    Kpt_syntax.Elaborate.program built.Kpt_gen.Family.ast
+  in
+  let figure2_weak () =
+    let sp, _, _, _, kbp = figure2 (fun ~x:_ ~y -> Expr.(not_ (var y))) in
+    (sp, kbp)
+  in
+  let summary sp = function
+    | Kbp.Converged { si; steps } -> ("converged", steps, [ Space.states_of sp si ])
+    | Kbp.Diverged { orbit; steps } -> ("diverged", steps, List.map (Space.states_of sp) orbit)
+    | Kbp.Budget_exhausted _ -> Alcotest.fail "no budget armed"
+  in
+  let runs = Kpt_obs.counter "bdd.reorder.runs" in
+  List.iter
+    (fun (name, build) ->
+      let sp, kbp = build () in
+      let off = summary sp (Kbp.iterate kbp) in
+      let sp, kbp = build () in
+      Bdd.set_auto_reorder (Space.manager sp) ~threshold:16 true;
+      let before = Kpt_obs.value runs in
+      let on = summary sp (Kbp.iterate kbp) in
+      if Kpt_obs.value runs = before then Alcotest.failf "%s: no sift ran" name;
+      let verdict, steps, sets = off and verdict', steps', sets' = on in
+      Alcotest.(check string) (name ^ ": verdict") verdict verdict';
+      Alcotest.(check int) (name ^ ": steps") steps steps';
+      Alcotest.(check int) (name ^ ": sets") (List.length sets) (List.length sets');
+      List.iter2
+        (fun a b -> Alcotest.(check bool) (name ^ ": same states") true (a = b))
+        sets sets')
+    [
+      ("figure1", figure1);
+      ("figure2", figure2_weak);
+      ("relay 3", fun () -> load 3 "relay");
+      ("antiknow 3", fun () -> load 3 "antiknow");
+    ]
+
 let suite =
   [
     Alcotest.test_case "make validation" `Quick test_make_validation;
     Alcotest.test_case "is_standard" `Quick test_is_standard;
+    Alcotest.test_case "iterate: auto-sift leaves the result unchanged" `Quick
+      test_iterate_under_auto_sift;
     Alcotest.test_case "FIGURE 1: no solution exists" `Quick test_figure1_no_solution;
     Alcotest.test_case "FIGURE 1: iteration cycles" `Quick test_figure1_iteration_cycles;
     Alcotest.test_case "FIGURE 1: Ĝ hand values" `Quick test_figure1_g_operator_hand_values;

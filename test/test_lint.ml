@@ -549,6 +549,61 @@ let test_malformed_table () =
         (Helpers.malformed_runs spec))
     (Helpers.malformed_specs ())
 
+(* A guard that uses a natural as a boolean ([transmit.unity] with
+   [send]'s guard changed to [i /\ i <= j]) is a type error found at load
+   time: every command prints the same spanned KPT003 line and exits 1 —
+   none reaches the exit-125 trap of an [Expr.Type_error] escaping from
+   the first compilation of the guard. *)
+let test_ill_typed_guard () =
+  let src =
+    let s = Helpers.slurp "../examples/specs/transmit.unity" in
+    let guard = "if i < 2 /\\ i <= j" in
+    let n = String.length guard in
+    let rec at k = if String.sub s k n = guard then k else at (k + 1) in
+    let k = at 0 in
+    String.sub s 0 k ^ "if i /\\ i <= j" ^ String.sub s (k + n) (String.length s - k - n)
+  in
+  let file = Filename.temp_file "ill_typed" ".unity" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc src);
+  let expected =
+    file ^ ":19:51: error[KPT003]: type error: ill-typed operand of boolean operator"
+  in
+  let first_line s = List.hd (String.split_on_char '\n' s) in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  List.iter
+    (fun args ->
+      let code, out, err = Helpers.run_kpt (args @ [ file ]) in
+      let label = String.concat " " args in
+      Alcotest.(check int) (label ^ ": exit") 1 code;
+      if args = [ "check" ] then
+        Alcotest.(check string) (label ^ ": FAIL line")
+          (file ^ ": FAIL — does not elaborate; 1 error") (first_line out)
+      else if args = [ "check"; "--json" ] then
+        Alcotest.(check bool) (label ^ ": message") true
+          (Helpers.contains ~affix:"\"KPT003\", \"severity\": \"error\", \"message\": \"type error: ill-typed operand of boolean operator\"" out)
+      else Alcotest.(check string) (label ^ ": first line") expected (first_line (out ^ err)))
+    [
+      [ "check" ];
+      [ "check"; "--json" ];
+      [ "lint" ];
+      [ "lint"; "--semantic" ];
+      [ "slice" ];
+      [ "stats" ];
+      [ "solve-file" ];
+      [ "verify" ];
+      [ "knowledge"; "--process"; "Sender"; "--fact"; "true" ];
+    ];
+  (* a property given on the command line is sort-checked too *)
+  List.iter
+    (fun (prop, msg) ->
+      let code, _, err =
+        Helpers.run_kpt [ "verify"; "../examples/specs/transmit.unity"; "--invariant"; prop ]
+      in
+      Alcotest.(check int) (prop ^ ": exit") 1 code;
+      Alcotest.(check string) (prop ^ ": message")
+        (Printf.sprintf "error: in %S: type error: %s" prop msg) (first_line err))
+    [ ("i /\\ j", "ill-typed operand of boolean operator"); ("i + j", "expected a boolean") ]
+
 (* A [nat(k)] bound far beyond any explicit walk: elaboration must not
    touch its values one by one.  Every command finishes fast, on the CLI
    and through the daemon's dispatch, because the spec only ever reaches
@@ -630,6 +685,8 @@ let suite =
       test_unreadable_input_is_clean_error;
     Alcotest.test_case "malformed specs: one diagnostic on every command" `Quick
       test_malformed_table;
+    Alcotest.test_case "ill-typed guard: one spanned KPT003 everywhere" `Quick
+      test_ill_typed_guard;
     Alcotest.test_case "huge nat(k) bound: every command under 1 s" `Quick
       test_huge_nat_bound;
   ]
