@@ -34,15 +34,7 @@ let n_counter_slots = ref 0
 let span_tbl : (string, span_id) Hashtbl.t = Hashtbl.create 16
 let n_span_slots = ref 0
 
-let locked f =
-  Mutex.lock reg_mutex;
-  match f () with
-  | v ->
-      Mutex.unlock reg_mutex;
-      v
-  | exception e ->
-      Mutex.unlock reg_mutex;
-      raise e
+let locked f = Mutex.protect reg_mutex f
 
 let counter name =
   locked (fun () ->

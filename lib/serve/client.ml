@@ -17,7 +17,7 @@ let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
    loop cannot. *)
 let send_line c line = Protocol.write_line c.fd line
 
-let send_request c req = send_line c (Json.to_string (Protocol.request_to_json req))
+let send_request c req = Protocol.write_all c.fd (Json.to_line (Protocol.request_to_json req))
 
 type read_error = Closed | Malformed of string
 

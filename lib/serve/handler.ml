@@ -35,9 +35,7 @@ let dispatch ?sink cmd opts files =
    a faster moment deserves a fresh run, not a replayed failure. *)
 let cacheable (o : Driver.outcome) = o.code = 0 || o.code = 1
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let handle ?sink t (req : Protocol.request) =
   let key = Protocol.cache_key req in

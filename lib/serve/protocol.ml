@@ -321,23 +321,37 @@ let write_all fd s =
 
 let write_line fd line = write_all fd (line ^ "\n")
 
-let write_frame fd frame =
-  write_line fd (Json.to_string (response_to_json frame))
+(* the frame and its newline are built in one buffer, never copied for
+   the newline *)
+let write_frame fd frame = write_all fd (Json.to_line (response_to_json frame))
 
 (* ---- the content address --------------------------------------------------- *)
 
+(* Length-prefixed fields, so no two requests share an encoding: the
+   version, the command, the file count, each path and source, then the
+   canonical options object.  The sources are copied once into the
+   digest's input and never escaped. *)
 let cache_key r =
   (* transport bookkeeping ([id]), pool width ([jobs] — the output is
      pool-size-independent by contract) and [trace] (auxiliary event
      stream) do not address the answer *)
   let key_opts = { r.opts with Driver.jobs = None; trace = false } in
-  let canonical =
-    Json.Obj
-      [
-        ("v", Json.Int version);
-        ("cmd", Json.String (cmd_to_string r.cmd));
-        ("files", files_to_json r.files);
-        ("opts", opts_to_json key_opts);
-      ]
+  let b =
+    Buffer.create
+      (List.fold_left (fun n (p, s) -> n + String.length p + String.length s + 24) 512 r.files)
   in
-  Digest.to_hex (Digest.string (Json.to_string canonical))
+  let field s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  field (string_of_int version);
+  field (cmd_to_string r.cmd);
+  field (string_of_int (List.length r.files));
+  List.iter
+    (fun (path, source) ->
+      field path;
+      field source)
+    r.files;
+  Json.to_buffer b (opts_to_json key_opts);
+  Digest.string (Buffer.contents b)

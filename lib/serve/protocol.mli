@@ -107,13 +107,16 @@ val write_line : Unix.file_descr -> string -> unit
 (** [write_all] of the line plus the frame-terminating newline. *)
 
 val write_frame : Unix.file_descr -> response -> unit
-(** Encode and [write_line] one response frame. *)
+(** Encode one response frame and write it with its newline. *)
 
 val cache_key : request -> string
-(** The content address of a request's answer: an MD5 over a canonical
-    encoding of (protocol version, command, ordered (path, source bytes)
-    pairs, and every output-affecting option — budget limits and the
-    reorder policy included, because they change the answer).
+(** The content address of a request's answer: the raw 16-byte MD5 of
+    length-prefixed fields — protocol version, command, file count, each
+    path and its source bytes — followed by the canonical JSON of every
+    output-affecting option (budget limits and the reorder policy
+    included, because they change the answer).  The length prefixes make
+    the encoding injective; the key lives only in the daemon's memory and
+    never crosses the wire.
 
     Deliberately {e excluded}: [id] (transport bookkeeping), [jobs]
     (output is pool-size-independent by the batch driver's contract —

@@ -120,9 +120,7 @@ let make_state cfg =
     workers_done = Atomic.make 0;
   }
 
-let locked st f =
-  Mutex.lock st.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock st.lock) f
+let locked st f = Mutex.protect st.lock f
 
 let request_stop st mode =
   ignore (Atomic.compare_and_set st.stop None (Some mode))
@@ -143,43 +141,68 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
    SO_RCVTIMEO with the remaining time before each read — a drip-feed
    client runs out of deadline no matter how regular the drip. *)
 
-type reader = { rfd : Unix.file_descr; rbuf : Bytes.t; mutable pending : string }
+(* The bytes of one read land in [rbuf]; [rpos, rlen) of it is not yet
+   consumed.  A line that spans reads collects its earlier pieces in
+   [partial], so every byte is scanned for the newline once and copied
+   at most twice, however many reads a large request takes. *)
+type reader = {
+  rfd : Unix.file_descr;
+  rbuf : Bytes.t;
+  mutable rpos : int;
+  mutable rlen : int;
+  partial : Buffer.t;
+}
 
-let make_reader rfd = { rfd; rbuf = Bytes.create 65536; pending = "" }
+let make_reader rfd =
+  { rfd; rbuf = Bytes.create 65536; rpos = 0; rlen = 0; partial = Buffer.create 1024 }
 
 let set_timeout fd opt seconds =
   try Unix.setsockopt_float fd opt seconds with Unix.Unix_error _ -> ()
 
 let read_line r ~deadline =
+  let rec newline i =
+    if i >= r.rlen then -1 else if Bytes.unsafe_get r.rbuf i = '\n' then i else newline (i + 1)
+  in
   let rec go () =
-    match String.index_opt r.pending '\n' with
-    | Some i ->
-        let line = String.sub r.pending 0 i in
-        r.pending <-
-          String.sub r.pending (i + 1) (String.length r.pending - i - 1);
-        `Line line
-    | None -> (
-        let remaining =
-          match deadline with
-          | None -> None
-          | Some d -> Some (d -. Unix.gettimeofday ())
-        in
-        match remaining with
-        | Some t when t <= 0. -> `Timeout
-        | _ -> (
-            (match remaining with
-            | Some t -> set_timeout r.rfd Unix.SO_RCVTIMEO t
-            | None -> ());
-            match Unix.read r.rfd r.rbuf 0 (Bytes.length r.rbuf) with
-            | 0 -> `Eof
-            | n ->
-                r.pending <- r.pending ^ Bytes.sub_string r.rbuf 0 n;
-                go ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-              ->
-                `Timeout
-            | exception Unix.Unix_error (_, _, _) -> `Eof))
+    let i = newline r.rpos in
+    if i >= 0 then begin
+      let line =
+        if Buffer.length r.partial = 0 then Bytes.sub_string r.rbuf r.rpos (i - r.rpos)
+        else begin
+          Buffer.add_subbytes r.partial r.rbuf r.rpos (i - r.rpos);
+          let line = Buffer.contents r.partial in
+          Buffer.clear r.partial;
+          line
+        end
+      in
+      r.rpos <- i + 1;
+      `Line line
+    end
+    else begin
+      Buffer.add_subbytes r.partial r.rbuf r.rpos (r.rlen - r.rpos);
+      r.rpos <- 0;
+      r.rlen <- 0;
+      let remaining =
+        match deadline with
+        | None -> None
+        | Some d -> Some (d -. Unix.gettimeofday ())
+      in
+      match remaining with
+      | Some t when t <= 0. -> `Timeout
+      | _ -> (
+          (match remaining with
+          | Some t -> set_timeout r.rfd Unix.SO_RCVTIMEO t
+          | None -> ());
+          match Unix.read r.rfd r.rbuf 0 (Bytes.length r.rbuf) with
+          | 0 -> `Eof
+          | n ->
+              r.rlen <- n;
+              go ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              `Timeout
+          | exception Unix.Unix_error (_, _, _) -> `Eof)
+    end
   in
   go ()
 
