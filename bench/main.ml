@@ -504,7 +504,7 @@ let ablation_solver () =
     (fun strong ->
       let kbp = build strong in
       let sols, t_ex = time (fun () -> Kbp.solutions kbp) in
-      let it, t_it = time (fun () -> Kbp.iterate kbp) in
+      let it, t_it = time (fun () -> Kbp.solve kbp) in
       let it_desc =
         match it with
         | Kbp.Converged { steps; _ } -> Printf.sprintf "converged in %d Ĝ-steps" steps

@@ -94,7 +94,7 @@ let () =
             let guard = if k = 0 then Kform.base tru else Kform.base (var d.(k - 1)) in
             Kbp.kstmt ~name:(Printf.sprintf "dlv%d" (k + 1)) ~guard [ (d.(k), tru) ]))
   in
-  (match Kbp.iterate kbp with
+  (match Kbp.solve kbp with
   | Kbp.Converged { si = si'; _ } ->
       let never_attack =
         Bdd.implies m si'

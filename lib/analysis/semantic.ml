@@ -36,6 +36,10 @@ let skipped ?file reason =
     ~hint:"raise --fuel/--max-nodes, or run kpt check/solve for the full story"
     (Printf.sprintf "semantic passes skipped: %s" reason)
 
+let exhausted ?file reason =
+  skipped ?file
+    (Printf.sprintf "analysis budget exhausted (%s)" (Budget.reason_to_string reason))
+
 (* ---- KPT105: local implementability of knowledge guards ------------------- *)
 
 (* Eq. 13 seats [K_i p] inside process i's variables; compiling the whole
@@ -264,7 +268,7 @@ let analyse_kbp ?file kbp =
   let sp = Kbp.space kbp in
   if Kbp.is_standard kbp then analyse_program ?file (Kbp.to_standard_program kbp)
   else
-    match Kbp.iterate kbp with
+    match Kbp.solve kbp with
     | Kbp.Converged { si; steps = _ } ->
         let concrete =
           match Kbp.instantiate kbp ~si with
@@ -327,30 +331,12 @@ let analyse_kbp ?file kbp =
                   eq. 25)"
                  (List.length orbit));
           ]
-    | Kbp.Budget_exhausted { reason; _ } ->
-        (* [iterate] lets exhaustion escape as an exception, so this arm
-           is unreachable — kept for totality *)
-        [
-          skipped ?file
-            (Printf.sprintf "analysis budget exhausted (%s)"
-               (Budget.reason_to_string reason));
-        ]
+    | Kbp.Budget_exhausted { reason; _ } -> [ exhausted ?file reason ]
 
 let analyse ?file ?(budget = Budget.analysis_default) (_sp, kbp) =
-  let partial = ref [] in
-  match
-    Engine.with_budget budget (fun () ->
-        let ds = analyse_kbp ?file kbp in
-        partial := ds;
-        ds)
-  with
+  match Engine.with_budget budget (fun () -> analyse_kbp ?file kbp) with
   | ds -> List.sort D.compare ds
-  | exception Budget.Exhausted reason ->
-      List.sort D.compare
-        (skipped ?file
-           (Printf.sprintf "analysis budget exhausted (%s)"
-              (Budget.reason_to_string reason))
-        :: !partial)
+  | exception Budget.Exhausted reason -> [ exhausted ?file reason ]
   | exception exn -> (
       (* a spec error only the solver sees, such as a non-total assignment *)
       match D.of_exn ?file exn with Some d -> [ d ] | None -> raise exn)

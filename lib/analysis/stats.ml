@@ -27,14 +27,11 @@ let collect ~file (sp, kbp) =
       Standard { reachable = Space.count_states_of sp si; si_nodes = Bdd.size m si }
     end
     else
-      match Kpt_obs.time "iterate" (fun () -> Kbp.iterate kbp) with
+      match Kpt_obs.time "iterate" (fun () -> Kbp.solve kbp) with
       | Kbp.Converged { si; steps } ->
           Kbp_converged { steps; states = Space.count_states_of sp si }
       | Kbp.Diverged { orbit; _ } -> Kbp_cycle { period = List.length orbit }
-      | Kbp.Budget_exhausted { reason; _ } ->
-          (* [iterate] lets an ambient-budget exhaustion propagate; keep
-             the match total anyway. *)
-          raise (Budget.Exhausted reason)
+      | Kbp.Budget_exhausted { reason; _ } -> raise (Budget.Exhausted reason)
   in
   (* snapshot strictly after the workload (field evaluation order is
      unspecified, so bind explicitly) *)

@@ -169,16 +169,16 @@ type outcome =
   | Diverged of { orbit : Bdd.t list; steps : int }
   | Budget_exhausted of { reason : Budget.reason; steps : int; candidate : Bdd.t }
 
-(* The chaotic-iteration engine behind both [iterate] and [solve]:
-   [progress] tracks the newest (steps, candidate) pair so a budget
-   exhaustion — raised from anywhere inside the Ĝ application, down to
-   the BDD allocator — can still be reported against a concrete partial
-   result. *)
-let run_iteration k ~max_steps ~progress =
+(* Chaotic iteration with cycle detection.  [progress] tracks the newest
+   (steps, candidate) pair so a budget exhaustion — raised from anywhere
+   inside a Ĝ application, down to the BDD allocator — is reported
+   against a concrete partial result.  Each Ĝ-step consumes one unit of
+   fuel; on a finite space the candidate sequence repeats, so the loop
+   ends without a step limit. *)
+let run_iteration k ~progress =
   let sp = k.space in
   let seen = Hashtbl.create 64 in
   let rec go x steps trail =
-    if steps > max_steps then invalid_arg "Kbp.iterate: step budget exhausted";
     Kpt_obs.incr c_iterate_steps;
     Engine.checkpoint ~fuel:1 ();
     let x' = g_operator k x in
@@ -206,12 +206,10 @@ let run_iteration k ~max_steps ~progress =
   Hashtbl.add seen (Bdd.uid x0) ();
   go x0 0 [ x0 ]
 
-let iterate ?(max_steps = 10_000) k =
-  run_iteration k ~max_steps ~progress:(ref (0, k.init))
-
-let solve ?(budget = Budget.unlimited) ?(max_steps = 10_000) k =
-  let progress = ref (0, Pred.normalize k.space k.init) in
-  try Engine.with_budget budget (fun () -> run_iteration k ~max_steps ~progress)
+let solve ?budget k =
+  let progress = ref (0, k.init) in
+  let run () = run_iteration k ~progress in
+  try match budget with None -> run () | Some limits -> Engine.with_budget limits run
   with Budget.Exhausted reason ->
     let steps, candidate = !progress in
     Budget_exhausted { reason; steps; candidate }

@@ -12,7 +12,7 @@
     (Figure 1), several, and its solutions are not monotonic in the
     initial condition (Figure 2).  {!solutions} decides all of this
     exactly on small spaces by exhaustive enumeration over candidate
-    invariants; {!iterate} is the cheap heuristic that finds the fixpoint
+    invariants; {!solve} is the cheap heuristic that finds the fixpoint
     when chaotic iteration happens to converge, and exhibits the cycle
     that witnesses non-existence when it does not. *)
 
@@ -105,20 +105,16 @@ type outcome =
           the oscillation witness certifying that chaotic iteration finds
           no solution (the paper's Figure 1 behaviour) *)
   | Budget_exhausted of { reason : Budget.reason; steps : int; candidate : Bdd.t }
-      (** the armed {!Budget} ran out; [candidate] is the newest
-          candidate invariant computed before exhaustion (only produced
-          by {!solve} — {!iterate} lets the exception propagate) *)
+      (** the budget ran out; [candidate] is the newest candidate
+          invariant computed before exhaustion *)
 
-val iterate : ?max_steps:int -> t -> outcome
-(** Chaotic iteration [X₀ = init-closure-candidate, X_{k+1} = Ĝ(X_k)]
-    with cycle detection.  Never returns [Budget_exhausted]: an ambient
-    engine budget propagates as {!Budget.Exhausted}.
-    @raise Invalid_argument if [max_steps] is exhausted without
-    repetition (cannot happen on finite spaces with the default). *)
-
-val solve : ?budget:Budget.limits -> ?max_steps:int -> t -> outcome
-(** {!iterate} under a freshly armed budget on the current engine
-    ({!Engine.with_budget}); exhaustion — whether raised from the
+val solve : ?budget:Budget.limits -> t -> outcome
+(** Chaotic iteration [X₀ = init, X_{k+1} = Ĝ(X_k)] with cycle
+    detection.  Every Ĝ-step consumes one unit of {!Engine.checkpoint}
+    fuel; on a finite space the sequence repeats, so it always ends.
+    Runs under [budget], freshly armed on the current engine
+    ({!Engine.with_budget}), or without [budget] under whatever budget
+    the caller has armed.  Exhaustion — whether raised from the
     iteration loop, [Program.sst] or the BDD allocator — degrades to
     [Budget_exhausted] with the newest candidate instead of escaping. *)
 

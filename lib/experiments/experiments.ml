@@ -56,7 +56,7 @@ let e1_figure1 fmt =
   let sols = Kbp.solutions kbp in
   let ok1 = row fmt "number of solutions of Ĝ(X) = X is zero" true (sols = []) in
   let cycle_len =
-    match Kbp.iterate kbp with Kbp.Diverged { orbit; _ } -> List.length orbit | _ -> 0
+    match Kbp.solve kbp with Kbp.Diverged { orbit; _ } -> List.length orbit | _ -> 0
   in
   let ok2 = row fmt "chaotic iteration enters a cycle (period 2)" true (cycle_len = 2) in
   ok1 && ok2

@@ -10,7 +10,7 @@ open Kpt_unity
      deliver   avail := slot                 (repeatable ⇒ duplication)
      deliver₁  avail := slot ∥ slot := ⊥  if slot ≠ ⊥   (exactly-once)
      drop      avail := ⊥                   (loss / detectable corruption)
-     corrupt   avail := c    if slot ≠ ⊥    (valid-looking wrong value)
+     corrupt   avail := 0    if slot ≠ ⊥    (valid-looking wrong value)
      crash     up := false                  (deliver guarded by up)
 
    Statement names are [env_dlv_NAME] / [env_drop_NAME] — byte-identical
@@ -27,9 +27,7 @@ type channel_env = {
   up : Space.var option; (* the crash flag, when this call declared one *)
 }
 
-let env sp ~slot ~avail ~bot ?up ?(corrupt_to = 0) ~name (m : Model.t) =
-  if corrupt_to < 0 || corrupt_to >= bot then
-    invalid_arg "Inject.env: corrupt_to must be a valid non-\xe2\x8a\xa5 encoding";
+let env sp ~slot ~avail ~bot ?up ~name (m : Model.t) =
   let open Expr in
   let owns_up = m.Model.crash && up = None in
   let up_var =
@@ -65,7 +63,7 @@ let env sp ~slot ~avail ~bot ?up ?(corrupt_to = 0) ~name (m : Model.t) =
       [
         Stmt.make ~name:("env_corr_" ^ name)
           ?guard:(guard ~extra:in_flight ())
-          [ (avail, nat corrupt_to) ];
+          [ (avail, nat 0) ];
       ]
     else []
   in

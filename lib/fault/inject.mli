@@ -26,17 +26,14 @@ val env :
   avail:Space.var ->
   bot:int ->
   ?up:Space.var ->
-  ?corrupt_to:int ->
   name:string ->
   Model.t ->
   channel_env
 (** [env sp ~slot ~avail ~bot ~name m] synthesises [m]'s environment
     statements for the channel direction [(slot, avail)] whose ⊥ encodes
     as [bot].  With [?up], a crash model guards delivery on the given
-    flag instead of declaring (and crashing) its own [NAME_up].
-    [corrupt_to] (default 0) is the valid-looking value an undetectable
-    corruption writes; it must be in [0, bot).
-    @raise Invalid_argument on a bad [corrupt_to]. *)
+    flag instead of declaring (and crashing) its own [NAME_up].  An
+    undetectable corruption writes the valid-looking value 0. *)
 
 val crash_stmt : name:string -> Space.var -> Stmt.t
 (** [env_crash_NAME : up := false] — for builders that share one crash

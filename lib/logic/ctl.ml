@@ -1,24 +1,12 @@
 open Kpt_predicate
 open Kpt_unity
 
-let pre prog q =
-  let space = Program.space prog in
-  let m = Space.manager space in
-  let nxt = Space.next_cube space in
-  let q' = Space.to_next space q in
-  List.fold_left
-    (fun acc s ->
-      Bdd.or_ m acc
-        (Bdd.and_exists m nxt (Space.to_next space (Space.domain space))
-           (Bdd.and_ m (Stmt.trans space s) q')))
-    (Bdd.fls m) (Program.statements prog)
-
 let ef prog q =
   let space = Program.space prog in
   let m = Space.manager space in
   let q = Pred.normalize space q in
   let rec go x =
-    let x' = Bdd.or_ m x (Pred.normalize space (pre prog x)) in
+    let x' = Bdd.or_ m x (Pred.normalize space (Program.pre prog x)) in
     if Bdd.equal x x' then x else go x'
   in
   go q

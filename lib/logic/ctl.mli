@@ -1,13 +1,13 @@
 (** Branching-time operators over UNITY programs.
 
     UNITY's own specification language ([unless]/[ensures]/[↦]) is
-    deliberately linear-time, but its semantic ingredients — preimages,
-    reachability, the fair-rounds fixpoint — assemble into the standard
-    CTL modalities, which the test-suite uses as an independent oracle
-    for the §2/§5 machinery:
+    deliberately linear-time, but its semantic ingredients — [wp]
+    pre-images, reachability, the fair-rounds fixpoint — assemble into
+    the standard CTL modalities, which the test-suite uses as an
+    independent oracle for the §2/§5 machinery:
 
     - [ef q]: states with {e some} finite execution into [q]
-      (least fixpoint of [q ∨ pre]);
+      (least fixpoint of [q ∨ EX], with [EX] = {!Program.pre});
     - [ag q]: states all of whose reachable successors satisfy [q]
       ([¬ef ¬q]);
     - [eg_fair q]: states with some {e fair} execution staying in [q]
@@ -23,11 +23,6 @@
 
 open Kpt_predicate
 open Kpt_unity
-
-val pre : Program.t -> Bdd.t -> Bdd.t
-(** Existential preimage: states from which {e some} statement reaches
-    the set in one step (skips included: a [q]-state with a disabled
-    statement is its own predecessor). *)
 
 val ef : Program.t -> Bdd.t -> Bdd.t
 (** Possibly-eventually. *)

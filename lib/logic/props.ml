@@ -49,8 +49,9 @@ let invariant = Program.invariant
      Z = νZ. Z ∧ ⋀ₜ E[Z U (Z ∧ wp.t.Z)]
 
    Statements are deterministic and total, so [wp.t] is the exact
-   pre-image along [t] and [EX Y = ⋁ₛ wp.s.Y].  The conjuncts are applied
-   chaotically in statement order; one pass over them is a sweep.  When
+   pre-image along [t] and [EX Y = ⋁ₛ wp.s.Y] ({!Program.pre}).  The
+   conjuncts are applied chaotically in statement order; one pass over
+   them is a sweep.  When
    [Z ⊆ wp.t.Z] the target is [Z] itself and [E[Z U Z] = Z], so that EU
    and its pre-images are skipped. *)
 let fair_avoid prog q =
@@ -58,7 +59,6 @@ let fair_avoid prog q =
   let m = Space.manager space in
   let stmts = Program.statements prog in
   let wp s y = Stmt.wp space s y in
-  let ex y = List.fold_left (fun acc s -> Bdd.or_ m acc (wp s y)) (Bdd.fls m) stmts in
   (* E[z U target] for [target ⊆ z]: pre-images distribute over ∨, so
      each step only needs the pre-image of the states it last added.
      Neither the frontier nor [z0] builds a complement: both are one
@@ -67,7 +67,7 @@ let fair_avoid prog q =
     let rec grow reached frontier =
       Engine.checkpoint ();
       incr steps;
-      let fresh = Bdd.diff m (Bdd.and_ m z (ex frontier)) reached in
+      let fresh = Bdd.diff m (Bdd.and_ m z (Program.pre prog frontier)) reached in
       if Bdd.is_false fresh then reached else grow (Bdd.or_ m reached fresh) fresh
     in
     grow target target

@@ -133,8 +133,8 @@ let ensure_workers n =
 let pool_size () = List.length !workers
 
 (* The hardware clamp below is an escape-hatch away on purpose: the pool
-   honours a wider request when [~oversubscribe:true] (or the
-   [KPT_POOL_OVERSUBSCRIBE] env var) says so.  That is how the
+   honours a wider request when the [KPT_POOL_OVERSUBSCRIBE] env var
+   says so.  That is how the
    grow-on-mismatch contract — a later batch with a larger [-j] grows
    the resident pool instead of silently running at the first batch's
    width — stays testable on a single-core host, where the clamp would
@@ -144,7 +144,7 @@ let oversubscribe_env () =
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
 
-let try_map ?jobs ?(oversubscribe = false) ?task_budget f items =
+let try_map ?jobs ?task_budget f items =
   let tasks = Array.of_list items in
   let n = Array.length tasks in
   if n = 0 then []
@@ -156,10 +156,9 @@ let try_map ?jobs ?(oversubscribe = false) ?task_budget f items =
     (* Running domains beyond the hardware parallelism only adds GC
        rendezvous stalls — never throughput — so the batch's width is
        additionally clamped to the core count (see the header note),
-       unless the caller explicitly opts out of the clamp. *)
+       unless the environment opts out of the clamp. *)
     let hw_limit =
-      if oversubscribe || oversubscribe_env () then max_jobs
-      else Domain.recommended_domain_count ()
+      if oversubscribe_env () then max_jobs else Domain.recommended_domain_count ()
     in
     let width = min jobs hw_limit in
     let helpers = if Domain.DLS.get in_worker then 0 else width - 1 in

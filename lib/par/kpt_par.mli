@@ -34,7 +34,6 @@ val recommended_jobs : unit -> int
 
 val try_map :
   ?jobs:int ->
-  ?oversubscribe:bool ->
   ?task_budget:Kpt_predicate.Budget.limits ->
   ('a -> 'b) ->
   'a list ->
@@ -52,11 +51,10 @@ val try_map :
     helper domains, and a narrower batch simply wakes fewer of them —
     [-j] is never silently frozen at the first batch's value.  The one
     width reduction applied is the hardware clamp
-    [min jobs (Domain.recommended_domain_count ())]; pass
-    [~oversubscribe:true] (or set [KPT_POOL_OVERSUBSCRIBE=1]) to lift
-    it, accepting the GC-rendezvous tax — results are identical either
-    way, which is how the growth contract stays testable on a
-    single-core host.
+    [min jobs (Domain.recommended_domain_count ())]; set
+    [KPT_POOL_OVERSUBSCRIBE=1] to lift it, accepting the GC-rendezvous
+    tax — results are identical either way, which is how the growth
+    contract stays testable on a single-core host.
 
     [task_budget] arms a {e fresh} budget on the task's engine when the
     task starts (so a [--timeout] deadline bounds each task, not the

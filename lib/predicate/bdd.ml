@@ -244,12 +244,19 @@ let create ?(cache_size = 1 lsl 14) ?(reorder = false) () =
    same handle again for a repeated result instead of boxing a new one; a
    sweep empties it first, so it keeps nothing alive across a sweep. *)
 
+(* A survivor moves by [Weak.get]/[Weak.set], never by a one-slot
+   [Weak.blit]: under OCaml 5.1, while another domain of the process sits
+   in a blocking call, a one-slot blit can cost a pass over the whole
+   array, and one compaction of a 2^17-slot log took 30 s of one core.
+   The get keeps a dying handle alive to the end of the current major
+   cycle at most, and the full major collection of a sweep completes that
+   cycle. *)
 let compact_log m =
   let log = m.log in
   let j = ref 0 in
   for i = 0 to m.log_len - 1 do
     if Weak.check log i then begin
-      if !j < i then Weak.blit log i log !j 1;
+      if !j < i then Weak.set log !j (Weak.get log i);
       incr j
     end
   done;

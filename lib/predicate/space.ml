@@ -17,12 +17,11 @@ type var = {
 type state = int array
 
 (* Everything the symbolic engine asks for repeatedly — the domain
-   predicate, the identity (frame) relation, the flattened bit lists, the
-   per-variable bit-vectors and the quantification data used by [wcyl] —
-   is a pure function of the declared variables, so it is memoised here
-   and invalidated (or generation-stamped) when a new variable is
-   declared.  Fixpoint loops then pay for each of these once instead of
-   once per iteration. *)
+   predicate, the flattened bit list, the per-variable bit-vectors and
+   the quantification data used by [wcyl] — is a pure function of the
+   declared variables, so it is memoised here and invalidated (or
+   generation-stamped) when a new variable is declared.  Fixpoint loops
+   then pay for each of these once instead of once per iteration. *)
 type t = {
   man : Bdd.manager;
   eng : Engine.t; (* context this space (and its metrics) belongs to *)
@@ -31,11 +30,7 @@ type t = {
   byname : (string, var) Hashtbl.t;
   mutable gen : int; (* bumped on each declaration *)
   mutable c_domain : Bdd.t option;
-  mutable c_identity : Bdd.t option;
   mutable c_cur_bits : int list option;
-  mutable c_next_bits : int list option;
-  mutable c_cur_cube : Bdd.cube option;
-  mutable c_next_cube : Bdd.cube option;
   vec_tbl : (int, Bitvec.t * Bitvec.t) Hashtbl.t; (* vidx → cur, next vectors *)
   quant_tbl : (int list, Bdd.cube * Bdd.t) Hashtbl.t;
       (* sorted vidx list → cube of the current bits, local-domain predicate *)
@@ -56,11 +51,7 @@ let create ?engine () =
     byname = Hashtbl.create 16;
     gen = 0;
     c_domain = None;
-    c_identity = None;
     c_cur_bits = None;
-    c_next_bits = None;
-    c_cur_cube = None;
-    c_next_cube = None;
     vec_tbl = Hashtbl.create 16;
     quant_tbl = Hashtbl.create 16;
     compl_tbl = Hashtbl.create 16;
@@ -96,11 +87,7 @@ let declare sp name typ =
      complements, which are generation-checked on lookup *)
   sp.gen <- sp.gen + 1;
   sp.c_domain <- None;
-  sp.c_identity <- None;
   sp.c_cur_bits <- None;
-  sp.c_next_bits <- None;
-  sp.c_cur_cube <- None;
-  sp.c_next_cube <- None;
   v
 
 let bool_var sp name = declare sp name Tbool
@@ -136,30 +123,6 @@ let all_current_bits sp =
       sp.c_cur_bits <- Some bs;
       bs
 
-let all_next_bits sp =
-  match sp.c_next_bits with
-  | Some bs -> bs
-  | None ->
-      let bs = List.concat_map next_bits (vars sp) in
-      sp.c_next_bits <- Some bs;
-      bs
-
-let current_cube sp =
-  match sp.c_cur_cube with
-  | Some c -> c
-  | None ->
-      let c = Bdd.cube sp.man (all_current_bits sp) in
-      sp.c_cur_cube <- Some c;
-      c
-
-let next_cube sp =
-  match sp.c_next_cube with
-  | Some c -> c
-  | None ->
-      let c = Bdd.cube sp.man (all_next_bits sp) in
-      sp.c_next_cube <- Some c;
-      c
-
 let vecs sp v =
   match Hashtbl.find_opt sp.vec_tbl v.vidx with
   | Some vecs -> vecs
@@ -176,8 +139,6 @@ let vecs sp v =
 
 let cur_vec sp v = fst (vecs sp v)
 let next_vec sp v = snd (vecs sp v)
-let to_next sp p = Bdd.swap_pairs sp.man (current_cube sp) p
-let to_current sp p = Bdd.swap_pairs sp.man (next_cube sp) p
 
 let range_constraint sp vec v = Bitvec.le sp.man vec (Bitvec.const sp.man ~width:v.vwidth (card v - 1))
 
@@ -195,19 +156,6 @@ let domain sp =
       in
       sp.c_domain <- Some d;
       d
-
-(* The identity transition relation: every next-bit copy equals its
-   current-bit copy.  Shared by every statement's skip branch. *)
-let identity sp =
-  match sp.c_identity with
-  | Some i -> i
-  | None ->
-      let i =
-        Bdd.conj sp.man
-          (List.map (fun v -> Bitvec.eq sp.man (next_vec sp v) (cur_vec sp v)) (vars sp))
-      in
-      sp.c_identity <- Some i;
-      i
 
 let varset_key vs = List.sort_uniq compare (List.map (fun v -> v.vidx) vs)
 

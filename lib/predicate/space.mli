@@ -3,13 +3,13 @@
     A space owns a {!Bdd.manager} and a set of typed program variables
     (Booleans, bounded naturals, enumerations).  Each variable is encoded
     on a block of BDD bits; every bit slot [s] carries a {e current} copy
-    (BDD variable [2s]) and a {e next} copy (BDD variable [2s+1]), so the
-    current/next renaming used by transition relations is order-preserving
-    and cheap.
+    (BDD variable [2s]) and a {e next} copy (BDD variable [2s+1]), so
+    moving the assigned variables of a statement onto their next bits and
+    back ({!Bdd.swap_pairs}) is order-preserving and cheap.
 
     The paper's "state space" is exactly the set of type-correct
     valuations of these variables; a {e predicate} is a BDD over current
-    bits, a {e transition relation} a BDD over current and next bits. *)
+    bits.  Next bits appear only inside a statement's [sp]/[wp]. *)
 
 type t
 (** A state space (mutable: variables may be declared at any time). *)
@@ -75,37 +75,16 @@ val enum_labels : var -> string list
 val current_bits : var -> int list
 val next_bits : var -> int list
 val all_current_bits : t -> int list
-val all_next_bits : t -> int list
-
-val current_cube : t -> Bdd.cube
-(** Cube of every current bit of the space.  Cached; later declarations
-    invalidate it. *)
-
-val next_cube : t -> Bdd.cube
-(** Cube of every next bit of the space. *)
 
 val cur_vec : t -> var -> Bitvec.t
 (** The variable's value as a symbolic bit-vector over current bits. *)
 
 val next_vec : t -> var -> Bitvec.t
 
-val to_next : t -> Bdd.t -> Bdd.t
-(** Move a current-bit predicate onto next bits ({!Bdd.swap_pairs} over
-    {!current_cube}).  @raise Invalid_argument if the predicate also
-    reads next bits of the same variables. *)
-
-val to_current : t -> Bdd.t -> Bdd.t
-(** Move a next-bit predicate back onto current bits. *)
-
 val domain : t -> Bdd.t
 (** Current-bit predicate: every variable is within its range (only
     non-power-of-two cardinalities contribute).  Cached; invalidated by
     later declarations. *)
-
-val identity : t -> Bdd.t
-(** The identity transition relation [⋀ v :: v' = v] over current × next
-    bits — the skip branch of every guarded statement.  Cached; later
-    declarations invalidate it. *)
 
 val quant_data : t -> var list -> Bdd.cube * Bdd.t
 (** Quantification data for a set of program variables: the cube of their

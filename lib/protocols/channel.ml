@@ -65,9 +65,8 @@ let drop_stmt ch ~name = Stmt.make ~name [ (ch.avail, Expr.nat ch.codec.bot) ]
 let init_expr ch =
   Expr.((var ch.slot === nat ch.codec.bot) &&& (var ch.avail === nat ch.codec.bot))
 
-let env sp ?up ?corrupt_to ch ~name model =
-  Kpt_fault.Inject.env sp ~slot:ch.slot ~avail:ch.avail ~bot:ch.codec.bot ?up ?corrupt_to
-    ~name model
+let env sp ?up ch ~name model =
+  Kpt_fault.Inject.env sp ~slot:ch.slot ~avail:ch.avail ~bot:ch.codec.bot ?up ~name model
 
 (* One crash flag for the whole network: every direction stops together.
    It is declared after the builder's own variables, and its crash

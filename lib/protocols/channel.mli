@@ -78,7 +78,6 @@ val mul_const : int -> Expr.t -> Expr.t
 val env :
   Space.t ->
   ?up:Space.var ->
-  ?corrupt_to:int ->
   t ->
   name:string ->
   Kpt_fault.Model.t ->

@@ -53,6 +53,13 @@ let sp_pred p pred =
   let m = Space.manager p.space in
   Bdd.disj m (List.map (fun s -> Stmt.sp p.space s pred) p.statements)
 
+(* EX: statements are deterministic and total, so [wp.s] is the exact
+   pre-image along [s] and the existential pre-image of the program is
+   their disjunction, folded left from [false] in statement order. *)
+let pre p y =
+  let m = Space.manager p.space in
+  List.fold_left (fun acc s -> Bdd.or_ m acc (Stmt.wp p.space s y)) (Bdd.fls m) p.statements
+
 let stable p pred = Pred.holds_implies p.space (sp_pred p pred) pred
 
 (* Chained iteration for the Knaster–Tarski fixpoint of eq. 3, which

@@ -40,6 +40,15 @@ val sp_pred : t -> Bdd.t -> Bdd.t
 (** [SP.p ≡ (∃s : s a statement : sp.s.p)] (eq. 26): the strongest
     predicate holding after one (any) transition from [p]. *)
 
+val pre : t -> Bdd.t -> Bdd.t
+(** [EX.y ≡ (∃s : s a statement : wp.s.y)]: the states from which {e
+    some} statement reaches [y] in one step (a disabled statement is a
+    skip, so a [y]-state is its own predecessor).  Statements are
+    deterministic, so [wp.s] is the exact pre-image along [s]; like
+    [wp], it holds vacuously wherever a statement has no successor
+    inside the bit encoding, so restrict it to the domain for a set of
+    states. *)
+
 val stable : t -> Bdd.t -> bool
 (** [[SP.p ⇒ p]] on the domain: once true, [p] stays true (§2). *)
 

@@ -31,14 +31,12 @@ type schedule = {
    compiled for (physical identity) so a statement reused against another
    space recompiles transparently.
 
-   The [shared] part holds guard-independent data (the update ∧ frame
-   relation, the update schedule, and the range-overflow set of the
-   assignments); [with_guard_pred] keeps it physically shared, so
-   re-instantiating a knowledge-based protocol at a new candidate
-   invariant — same assignments, new guard — reuses the compiled
-   assignment relation across every Ĝ-iteration. *)
+   The [shared] part holds guard-independent data (the update schedule
+   and the range-overflow set of the assignments); [with_guard_pred]
+   keeps it physically shared, so re-instantiating a knowledge-based
+   protocol at a new candidate invariant — same assignments, new guard —
+   reuses the compiled updates across every Ĝ-iteration. *)
 type shared_cache = {
-  mutable s_update_frame : (Space.t * Bdd.t) option;
   mutable s_parts : (Space.t * schedule) option;
   mutable s_over : (Space.t * Bdd.t) option;
 }
@@ -46,7 +44,6 @@ type shared_cache = {
 type cache = {
   shared : shared_cache;
   mutable c_guard : (Space.t * Bdd.t) option;
-  mutable c_trans : (Space.t * Bdd.t) option;
 }
 
 type t = {
@@ -62,12 +59,7 @@ let ill_formed fmt = Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
 
 let target_ty v = if Space.card v = 2 && Space.value_name v 0 = "false" then Expr.Tbool else Expr.Tnat
 
-let fresh_cache () =
-  {
-    shared = { s_update_frame = None; s_parts = None; s_over = None };
-    c_guard = None;
-    c_trans = None;
-  }
+let fresh_cache () = { shared = { s_parts = None; s_over = None }; c_guard = None }
 
 let make ~name ?(guard = Expr.tru) assigns =
   (match Expr.typeof guard with
@@ -87,7 +79,7 @@ let make ~name ?(guard = Expr.tru) assigns =
 (* Keep the guard-independent shared cache; drop the guard-dependent
    entries of the new statement. *)
 let with_guard_pred s p =
-  { s with guard = Gpred p; cache = { shared = s.cache.shared; c_guard = None; c_trans = None } }
+  { s with guard = Gpred p; cache = { shared = s.cache.shared; c_guard = None } }
 
 let array_write arr ~index rhs =
   Array.to_list
@@ -113,6 +105,7 @@ let guard_pred sp s =
         (fun () -> Expr.compile_bool sp e)
         (fun v -> s.cache.c_guard <- v)
 
+let assigns s = s.assigns
 let assigned_vars s = List.map fst s.assigns
 
 (* Right-hand side of v as a symbolic bit-vector (booleans become 1-bit). *)
@@ -143,40 +136,6 @@ let over_pred sp s =
 let totality_violation sp s =
   let m = Space.manager sp in
   Bdd.conj m [ Space.domain sp; guard_pred sp s; over_pred sp s ]
-
-let identity sp = Space.identity sp
-
-(* Guard-independent part of the transition relation: the simultaneous
-   update of the assigned variables conjoined with the frame equalities of
-   the untouched ones. *)
-let update_frame sp s =
-  cached s.cache.shared.s_update_frame sp
-    (fun () ->
-      let m = Space.manager sp in
-      let assigned = assigned_vars s in
-      let is_assigned v = List.exists (fun u -> Space.idx u = Space.idx v) assigned in
-      let update =
-        List.map (fun (v, rhs) -> Bitvec.eq m (Space.next_vec sp v) (rhs_vec sp rhs)) s.assigns
-      in
-      let frame =
-        List.filter_map
-          (fun v ->
-            if is_assigned v then None
-            else Some (Bitvec.eq m (Space.next_vec sp v) (Space.cur_vec sp v)))
-          (Space.vars sp)
-      in
-      Bdd.conj m (update @ frame))
-    (fun v -> s.cache.shared.s_update_frame <- v)
-
-let trans sp s =
-  cached s.cache.c_trans sp
-    (fun () ->
-      let m = Space.manager sp in
-      let g = guard_pred sp s in
-      Bdd.or_ m
-        (Bdd.and_ m g (update_frame sp s))
-        (Bdd.diff m (identity sp) g))
-    (fun v -> s.cache.c_trans <- v)
 
 let build_schedule sp s =
   let m = Space.manager sp in
@@ -263,10 +222,14 @@ let wp space s p =
   in
   Bdd.ite m g (Bdd.or_ m good sched.q_nofit) p
 
+(* The statement maps a state to itself iff it is disabled there or every
+   assigned variable already holds its right-hand side: [g ⇒ ⋀_{v∈A} v =
+   rhs_v].  Unassigned variables keep their values by construction, so no
+   frame enters. *)
 let unchanged space s =
   let m = Space.manager space in
-  let diag = Bdd.and_ m (trans space s) (identity space) in
-  Bdd.exists m (Space.next_cube space) diag
+  let holds (v, rhs) = Bitvec.eq m (Space.cur_vec space v) (rhs_vec space rhs) in
+  Bdd.imp m (guard_pred space s) (Bdd.conj m (List.map holds s.assigns))
 
 let exec space s st =
   let env v = st.(Space.idx v) in

@@ -16,11 +16,11 @@ open Kpt_predicate
 type guard = Gexpr of Expr.t | Gpred of Bdd.t
 
 type cache
-(** Memoised compiled relations (guard, update ∧ frame, overflow set,
-    transition), keyed on the space they were compiled for.  The
-    guard-independent part is shared across {!with_guard_pred} copies, so
-    re-instantiating a knowledge-based protocol at a new candidate
-    invariant recompiles only the guards. *)
+(** Memoised compiled predicates (guard, update schedule, overflow set),
+    keyed on the space they were compiled for.  The guard-independent
+    part is shared across {!with_guard_pred} copies, so re-instantiating
+    a knowledge-based protocol at a new candidate invariant recompiles
+    only the guards. *)
 
 type t = private {
   sname : string;
@@ -47,6 +47,9 @@ val name : t -> string
 val guard_pred : Space.t -> t -> Bdd.t
 (** The guard as a predicate over current bits. *)
 
+val assigns : t -> (Space.var * Expr.t) list
+(** The simultaneous assignments, in the order given to {!make}. *)
+
 val assigned_vars : t -> Space.var list
 
 val totality_violation : Space.t -> t -> Bdd.t
@@ -55,12 +58,6 @@ val totality_violation : Space.t -> t -> Bdd.t
     statement to be a legal UNITY statement on this space; {!Program.make}
     enforces this. *)
 
-val trans : Space.t -> t -> Bdd.t
-(** Transition relation over current × next bits:
-    [(g ∧ ⋀ v' = E_v ∧ frame) ∨ (¬g ∧ identity)].  Deterministic and total
-    on the domain (given no totality violation).  Memoised per statement,
-    so fixpoint loops compile each relation once. *)
-
 val sp : Space.t -> t -> Bdd.t -> Bdd.t
 (** Strongest postcondition of one statement ([sp.s.p], eq. 26's
     ingredient): the exact image of [p], over current bits.  Computed
@@ -68,8 +65,9 @@ val sp : Space.t -> t -> Bdd.t -> Bdd.t
     assigned variables, ∃-quantifies each assigned current bit as soon as
     no remaining update reads it, and moves the assigned next bits back
     ({!Bdd.swap_pairs}); unassigned variables never leave their current
-    bits.  Agrees with the monolithic relational product against
-    {!trans}. *)
+    bits.  Agrees with the image under the monolithic relation
+    [(g ∧ ⋀_{v∈A} v' = rhs_v ∧ ⋀_{v∉A} v' = v) ∨ (¬g ∧ ⋀_v v' = v)],
+    which the library never builds. *)
 
 val wp : Space.t -> t -> Bdd.t -> Bdd.t
 (** Weakest precondition ([= wlp], §5): states whose unique successor
@@ -83,7 +81,8 @@ val wp : Space.t -> t -> Bdd.t -> Bdd.t
     complement form [¬∃A'. (¬p)[A := A'] ∧ U]. *)
 
 val unchanged : Space.t -> t -> Bdd.t
-(** States the statement maps to themselves (used for fixed points). *)
+(** States the statement maps to themselves (used for fixed points):
+    [g ⇒ ⋀_{v∈A} v = rhs_v] over the assigned variables [A]. *)
 
 val exec : Space.t -> t -> Space.state -> Space.state
 (** Concrete execution (fresh state array).  Out-of-range results raise

@@ -29,7 +29,7 @@ let bp sp e = Expr.compile_bool sp e
 let test_pre () =
   let sp, x, prog = counter () in
   let at k = bp sp Expr.(var x === nat k) in
-  let p = Ctl.pre prog (at 2) in
+  let p = Program.pre prog (at 2) in
   (* predecessors of x=2: x=1 (inc) and x=2 itself (noise, or skipped inc) *)
   Space.iter_states sp (fun st ->
       let xv = st.(Space.idx x) in

@@ -77,7 +77,7 @@ let test_figure1_no_solution () =
 
 let test_figure1_iteration_cycles () =
   let sp, kbp = figure1 () in
-  match Kbp.iterate kbp with
+  match Kbp.solve kbp with
   | Kbp.Converged _ -> Alcotest.fail "Figure 1 iteration should not converge"
   | Kbp.Budget_exhausted _ -> Alcotest.fail "no budget armed"
   | Kbp.Diverged { orbit; _ } ->
@@ -146,7 +146,7 @@ let test_figure2_nonmonotonicity () =
 
 let test_figure2_iteration_converges () =
   let _, _, _, _, kbp = figure2 (fun ~x:_ ~y -> Expr.(not_ (var y))) in
-  match Kbp.iterate kbp with
+  match Kbp.solve kbp with
   | Kbp.Converged { si; _ } ->
       let sols = Kbp.solutions kbp in
       Alcotest.(check bool) "iterate finds the unique solution" true
@@ -174,7 +174,7 @@ let test_standard_kbp_agrees_with_program () =
   in
   Alcotest.(check bool) "solution = standard SI" true
     (Pred.equivalent sp (List.hd sols) (Program.si direct));
-  match Kbp.iterate kbp with
+  match Kbp.solve kbp with
   | Kbp.Converged { si; _ } ->
       Alcotest.(check bool) "iterate agrees" true (Pred.equivalent sp si (Program.si direct))
   | _ -> Alcotest.fail "standard KBP must converge"
@@ -275,7 +275,7 @@ let test_iterate_naive_equiv () =
   List.iter
     (fun kbp ->
       let same =
-        match (Kbp.iterate kbp, naive_iterate kbp) with
+        match (Kbp.solve kbp, naive_iterate kbp) with
         | Kbp.Converged { si = x; steps = n }, Kbp.Converged { si = y; steps = k } ->
             n = k && Bdd.equal x y
         | Kbp.Diverged { orbit = xs; _ }, Kbp.Diverged { orbit = ys; _ } ->
@@ -370,7 +370,7 @@ let test_candidate_cap () =
       Alcotest.(check (pair int int)) "free states, cap" (30, 22) (free, cap)
 
 (* Automatic sifting at a tiny threshold sifts, and sweeps, between the
-   Ĝ steps of [iterate]: the sweeps recycle ids, and [iterate] detects a
+   Ĝ steps of [solve]: the sweeps recycle ids, and [solve] detects a
    cycle by the ids of the iterates its trail holds.  The result — the
    verdict, the step count and every set on the orbit — must be the one
    computed with reordering off. *)
@@ -393,11 +393,11 @@ let test_iterate_under_auto_sift () =
   List.iter
     (fun (name, build) ->
       let sp, kbp = build () in
-      let off = summary sp (Kbp.iterate kbp) in
+      let off = summary sp (Kbp.solve kbp) in
       let sp, kbp = build () in
       Bdd.set_auto_reorder (Space.manager sp) ~threshold:16 true;
       let before = Kpt_obs.value runs in
-      let on = summary sp (Kbp.iterate kbp) in
+      let on = summary sp (Kbp.solve kbp) in
       if Kpt_obs.value runs = before then Alcotest.failf "%s: no sift ran" name;
       let verdict, steps, sets = off and verdict', steps', sets' = on in
       Alcotest.(check string) (name ^ ": verdict") verdict verdict';

@@ -100,25 +100,19 @@ assign
 
 (* ---- the shipped example specs lint exactly as documented ----------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let spec name = "../examples/specs/" ^ name
 
 let test_examples_clean () =
   List.iter
     (fun name ->
-      let ds = Lint.lint_source ~file:name (read_file (spec name)) in
+      let ds = Lint.lint_source ~file:name (Helpers.slurp (spec name)) in
       check_codes (name ^ " is clean") [] ds)
     [ "transmit.unity"; "mutex.unity" ]
 
 let test_examples_figures () =
   List.iter
     (fun name ->
-      let ds = Lint.lint_source ~file:name (read_file (spec name)) in
+      let ds = Lint.lint_source ~file:name (Helpers.slurp (spec name)) in
       Alcotest.(check bool) (name ^ " triggers KPT010") true (has "KPT010" ds);
       Alcotest.(check bool)
         (name ^ " has no errors")

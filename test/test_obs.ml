@@ -302,15 +302,8 @@ let test_satcount_beyond_float_precision () =
 
 (* ---- kpt stats ---------------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let load_spec path =
-  Kpt_syntax.Elaborate.program (Kpt_syntax.Parser.program_of_string (read_file path))
+  Kpt_syntax.Elaborate.program (Kpt_syntax.Parser.program_of_string (Helpers.slurp path))
 
 (* Golden for [kpt stats --json examples/specs/transmit.unity]: the whole
    profile — exact state space, reachable count, sst fixpoint depth,
@@ -338,7 +331,7 @@ let test_stats_json_golden () =
     String.concat "\n" (List.filter keeps (String.split_on_char '\n' s))
   in
   Alcotest.(check string) "kpt stats --json matches the golden"
-    (read_file "golden/stats_transmit.json")
+    (Helpers.slurp "golden/stats_transmit.json")
     (strip (Stats.to_json ~timings:false st))
 
 let test_stats_collect_shape () =

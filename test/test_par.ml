@@ -19,12 +19,6 @@ module Space = Kpt_predicate.Space
 
 (* ---- corpus ----------------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Same file set, labels and order as `kpt check examples/specs/*.unity`
    run from the repository root (the shell glob sorts). *)
 let spec_names () =
@@ -34,7 +28,7 @@ let spec_names () =
 
 let corpus () =
   List.map
-    (fun n -> ("examples/specs/" ^ n, read_file ("../examples/specs/" ^ n)))
+    (fun n -> ("examples/specs/" ^ n, Helpers.slurp ("../examples/specs/" ^ n)))
     (spec_names ())
 
 let to_string render reports =
@@ -177,7 +171,7 @@ let test_empty_corpus () =
 
 let test_duplicate_paths () =
   let file = "examples/specs/transmit.unity" in
-  let src = read_file "../examples/specs/transmit.unity" in
+  let src = Helpers.slurp "../examples/specs/transmit.unity" in
   match Check.reports ~jobs:2 [ (file, src); (file, src) ] with
   | [ a; b ] ->
       Alcotest.(check string) "both reports carry the path" a.Check.file b.Check.file;
@@ -188,9 +182,9 @@ let test_duplicate_paths () =
   | rs -> Alcotest.failf "expected 2 reports, got %d" (List.length rs)
 
 let test_bad_file_does_not_poison_siblings () =
-  let good1 = ("good1.unity", read_file "../examples/specs/transmit.unity") in
+  let good1 = ("good1.unity", Helpers.slurp "../examples/specs/transmit.unity") in
   let bad = ("bad.unity", "program broken\nvar x : bool\n!!! not unity at all") in
-  let good2 = ("good2.unity", read_file "../examples/specs/mutex.unity") in
+  let good2 = ("good2.unity", Helpers.slurp "../examples/specs/mutex.unity") in
   let rs = Check.reports ~jobs:2 [ good1; bad; good2 ] in
   (match rs with
   | [ a; b; c ] ->
@@ -256,7 +250,7 @@ let strip_test_counters s =
    in-process under the library default, which is off — the CLI default
    is auto). *)
 let test_check_json_golden () =
-  let expected = strip_test_counters (read_file "golden/check_specs.json") in
+  let expected = strip_test_counters (Helpers.slurp "golden/check_specs.json") in
   let got =
     strip_test_counters (to_string Check.render_json (Check.reports ~jobs:2 (corpus ())))
   in

@@ -711,7 +711,7 @@ let prop_kbp_iterate_sound =
   QCheck.Test.make ~count:100 ~name:"kbp: a converged iteration is among the solutions"
     arbitrary_kbp (fun syn ->
       let sp, kbp = build_kbp syn in
-      match Kpt_core.Kbp.iterate kbp with
+      match Kpt_core.Kbp.solve kbp with
       | Kpt_core.Kbp.Converged { si = x; _ } ->
           List.exists (fun y -> Pred.equivalent sp x y) (Kpt_core.Kbp.solutions kbp)
       | _ -> true)

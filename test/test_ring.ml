@@ -8,8 +8,8 @@
      based statements re-instantiated at several candidate invariants and
      array writes at unnormalised preconditions, the frame-free
      [Stmt.sp]/[wp] must coincide with the naive monolithic relational
-     product against [Stmt.trans] — before {e and} after a variable
-     reorder;
+     product against the statement's full transition relation
+     ({!Oracle_wp.trans}) — before {e and} after a variable reorder;
    - the mirrored-counters instance separates reordering on from off
      under one node budget: the adversarial declaration order exhausts
      the budget, sifting completes and reproduces the agreement
@@ -61,30 +61,15 @@ let test_token_ring_stable_counterexample () =
 
 (* ---- corpus equivalence: partitioned vs monolithic ------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let spec_names () =
   Sys.readdir "../examples/specs" |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".unity")
   |> List.sort compare
 
-(* Reference implementations: one monolithic relational product against
-   the full transition relation, exactly the pre-partitioning code; the
-   wp side is {!Oracle_wp.complement}. *)
-let naive_sp sp s p =
-  let m = Space.manager sp in
-  Space.to_current sp
-    (Bdd.and_exists m (Space.current_cube sp)
-       (Bdd.and_ m p (Space.domain sp))
-       (Stmt.trans sp s))
-
 (* Check [Stmt.sp]/[Stmt.wp] of every statement against the monolithic
-   products at each pin, then force a reorder and check again: the cached
-   schedules, cubes and relations must survive a level permutation.
+   products of {!Oracle_wp} ([image], [complement]) at each pin, then
+   force a reorder and check again: the cached schedules and cubes must
+   survive a level permutation.
    [exact] compares the raw BDDs; otherwise both sides are restricted to
    the domain first. *)
 let check_against_monolithic ?(exact = false) label sp stmts pins =
@@ -97,7 +82,7 @@ let check_against_monolithic ?(exact = false) label sp stmts pins =
         Alcotest.(check bool)
           (Printf.sprintf "%s: sp %s @ %s" label (Stmt.name s) tag)
           true
-          (Bdd.equal (norm (Stmt.sp sp s p)) (norm (naive_sp sp s p)));
+          (Bdd.equal (norm (Stmt.sp sp s p)) (norm (Oracle_wp.image sp s p)));
         Alcotest.(check bool)
           (Printf.sprintf "%s: wp %s @ %s" label (Stmt.name s) tag)
           true
@@ -116,7 +101,7 @@ let with_auto_reorder f =
 let test_corpus_sp_wp_equivalence () =
   List.iter
     (fun name ->
-      let ast = Parser.program_of_string (read_file ("../examples/specs/" ^ name)) in
+      let ast = Parser.program_of_string (Helpers.slurp ("../examples/specs/" ^ name)) in
       with_auto_reorder (fun () ->
           let sp, kbp = Elaborate.program ast in
           if Kbp.is_standard kbp then begin
@@ -150,7 +135,7 @@ let test_section6_sp_wp_equivalence () =
 let test_kbp_instances_sp_wp_equivalence () =
   List.iter
     (fun name ->
-      let ast = Parser.program_of_string (read_file ("../examples/specs/" ^ name)) in
+      let ast = Parser.program_of_string (Helpers.slurp ("../examples/specs/" ^ name)) in
       with_auto_reorder (fun () ->
           let sp, kbp = Elaborate.program ast in
           if not (Kbp.is_standard kbp) then begin
@@ -196,7 +181,7 @@ let test_array_writes_out_of_domain () =
       let st = Random.State.make [| 18 |] in
       let nbits = 2 * List.length (Space.all_current_bits sp) in
       let random_pred () =
-        Bdd.exists m (Space.next_cube sp) (Helpers.random_formula st m ~nvars:nbits ~depth:5)
+        Bdd.exists m (snd (Oracle_wp.cubes sp)) (Helpers.random_formula st m ~nvars:nbits ~depth:5)
       in
       let pins =
         ("¬domain", Bdd.not_ m (Space.domain sp))

@@ -17,12 +17,6 @@ module Space = Kpt_predicate.Space
 module Bdd = Kpt_predicate.Bdd
 module Kbp = Kpt_core.Kbp
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let spec_names () =
   Sys.readdir "../examples/specs" |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".unity")
@@ -30,13 +24,13 @@ let spec_names () =
 
 let corpus () =
   List.map
-    (fun n -> ("examples/specs/" ^ n, read_file ("../examples/specs/" ^ n)))
+    (fun n -> ("examples/specs/" ^ n, Helpers.slurp ("../examples/specs/" ^ n)))
     (spec_names ())
 
 let codes ds = List.map (fun (d : D.t) -> d.D.code) ds
 
 let semantic_diags path =
-  Lint.lint_source_semantic ~file:path (read_file ("../" ^ path))
+  Lint.lint_source_semantic ~file:path (Helpers.slurp ("../" ^ path))
 
 (* ---- the crafted dead-statement spec ----------------------------------------- *)
 
@@ -105,10 +99,10 @@ let replace ~needle ~by s =
   | Some i -> String.sub s 0 i ^ by ^ String.sub s (i + nl) (sl - i - nl)
 
 let test_relay_local_substitution () =
-  let src = read_file "../examples/specs/relay.unity" in
+  let src = Helpers.slurp "../examples/specs/relay.unity" in
   let sp, kbp = Kpt_syntax.Elaborate.program (Kpt_syntax.Parser.program_of_string src) in
   let si =
-    match Kbp.iterate kbp with
+    match Kbp.solve kbp with
     | Kbp.Converged { si; _ } -> si
     | _ -> Alcotest.fail "relay must converge"
   in
@@ -171,14 +165,14 @@ let test_lint_jobs_differential () =
    is auto.  The semantic messages are reorder-independent by design, so
    the flag only pins the engine configuration, not the text.) *)
 let test_lint_json_golden () =
-  let expected = read_file "golden/lint_specs.json" in
+  let expected = Helpers.slurp "golden/lint_specs.json" in
   let _, got = run_lint ~jobs:2 ~json:true (corpus ()) in
   Alcotest.(check string) "kpt lint --semantic --json batch summary" expected got
 
 (* ---- the analysis budget ------------------------------------------------------ *)
 
 let test_budget_degrades_to_kpt100 () =
-  let src = read_file "../examples/specs/token_ring_8.unity" in
+  let src = Helpers.slurp "../examples/specs/token_ring_8.unity" in
   let budget = Kpt_predicate.Budget.limits ~fuel:1 () in
   let ds =
     Kpt_analysis.Semantic.analyse ~file:"token_ring_8.unity" ~budget

@@ -72,6 +72,21 @@ let result_exn = function
   | Ok (Protocol.Event _) -> Alcotest.fail "event frame leaked past read_response"
   | Error msg -> Alcotest.failf "transport error: %s" msg
 
+(* One request with a client-side deadline: a daemon that has not
+   answered within [seconds] fails the test, naming [what], instead of
+   hanging the suite.  The request asks for no events, so the first frame
+   is the final one. *)
+let roundtrip_within ~seconds ~what ~socket req =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds;
+  Protocol.write_all fd (Json.to_line (Protocol.request_to_json req));
+  match input_line (Unix.in_channel_of_descr fd) with
+  | line -> Protocol.response_of_json (Json.of_string line)
+  | exception Sys_blocked_io -> Alcotest.failf "%s: no reply within %.0f s" what seconds
+  | exception (Sys_error _ | End_of_file) -> Alcotest.failf "%s: connection lost" what
+
 let check_outcome name (direct : Driver.outcome) (r : reply) ~cached =
   Alcotest.(check int) (name ^ ": exit code") direct.Driver.code r.exit_code;
   Alcotest.(check string) (name ^ ": stdout bytes") direct.Driver.out r.out;
@@ -789,7 +804,9 @@ let test_solve_file_served () =
                ~affix:"\nSolution enumeration: 30 free candidate states exceed the 2^22 cap.\n"
                direct.Driver.out));
       let served =
-        result_exn (Client.roundtrip ~socket (mk_req ~id:(i + 1) Protocol.Solve [ spec ]))
+        result_exn
+          (roundtrip_within ~seconds:90. ~what:("served solve-file " ^ file) ~socket
+             (mk_req ~id:(i + 1) Protocol.Solve [ spec ]))
       in
       check_outcome file direct served ~cached:false)
     runs

@@ -27,21 +27,15 @@ module Kbp = Kpt_core.Kbp
 module Kform = Kpt_core.Kform
 module Ring = Kpt_protocols.Ring
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let corpus () =
   Sys.readdir "../examples/specs" |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".unity")
   |> List.sort compare
-  |> List.map (fun n -> ("examples/specs/" ^ n, read_file ("../examples/specs/" ^ n)))
+  |> List.map (fun n -> ("examples/specs/" ^ n, Helpers.slurp ("../examples/specs/" ^ n)))
 
 let load path =
   Kpt_syntax.Elaborate.program
-    (Kpt_syntax.Parser.program_of_string (read_file path))
+    (Kpt_syntax.Parser.program_of_string (Helpers.slurp path))
 
 let to_string render reports =
   let b = Buffer.create 4096 in

@@ -27,7 +27,7 @@ let test_duplicate () =
 
 let test_bits_disjoint () =
   let sp, b, n, e = make_space () in
-  let all = Space.all_current_bits sp @ Space.all_next_bits sp in
+  let all = Space.all_current_bits sp @ List.concat_map Space.next_bits (Space.vars sp) in
   Alcotest.(check int) "no bit shared" (List.length all) (List.length (List.sort_uniq compare all));
   List.iter
     (fun v ->
@@ -64,15 +64,23 @@ let test_domain () =
     (Bigcount.to_int
        (Bigcount.shift_right (Bdd.sat_count_exact m ~nvars:(2 * (1 + 3 + 2)) d) (1 + 3 + 2)))
 
-let test_to_next_roundtrip () =
+(* The law [Stmt.sp]/[wp] rely on: swapping a variable's pairs moves a
+   current-bit predicate up by one onto its next bits ([rename (+1)]) and
+   a next-bit one back down. *)
+let test_swap_pairs_law () =
   let sp, _, n, _ = make_space () in
   let m = Space.manager sp in
   let p = Bitvec.eq_const m (Space.cur_vec sp n) 3 in
-  let q = Space.to_next sp p in
-  Alcotest.(check bool) "to_next changes predicate" false (Bdd.equal p q);
-  Alcotest.(check bool) "roundtrip" true (Bdd.equal p (Space.to_current sp q));
+  let q = Bdd.swap_pairs m (Bdd.cube m (Space.current_bits n)) p in
+  Alcotest.(check bool) "swap moves the predicate" false (Bdd.equal p q);
+  Alcotest.(check bool) "current-only: rename +1" true
+    (Bdd.equal q (Bdd.rename m (fun v -> v + 1) p));
   Alcotest.(check bool) "next_vec agrees" true
-    (Bdd.equal q (Bitvec.eq_const m (Space.next_vec sp n) 3))
+    (Bdd.equal q (Bitvec.eq_const m (Space.next_vec sp n) 3));
+  let back = Bdd.swap_pairs m (Bdd.cube m (Space.next_bits n)) q in
+  Alcotest.(check bool) "next-only: rename -1" true
+    (Bdd.equal back (Bdd.rename m (fun v -> v - 1) q));
+  Alcotest.(check bool) "roundtrip" true (Bdd.equal p back)
 
 let test_states_of () =
   let sp, b, n, _ = make_space () in
@@ -105,7 +113,7 @@ let suite =
     Alcotest.test_case "state_count/iter" `Quick test_state_count_iter;
     Alcotest.test_case "singleton predicates" `Quick test_singleton;
     Alcotest.test_case "domain constraint" `Quick test_domain;
-    Alcotest.test_case "to_next roundtrip" `Quick test_to_next_roundtrip;
+    Alcotest.test_case "swap_pairs moves a variable" `Quick test_swap_pairs_law;
     Alcotest.test_case "states_of" `Quick test_states_of;
     Alcotest.test_case "pretty printing" `Quick test_pp;
   ]

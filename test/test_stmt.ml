@@ -148,7 +148,20 @@ let test_unchanged () =
       let succ = Stmt.exec sp s st in
       Alcotest.(check bool)
         (Format.asprintf "unchanged at %a" (Space.pp_state sp) st)
-        (succ = st) (Space.holds_at sp u st))
+        (succ = st) (Space.holds_at sp u st));
+  (* the frame-free form is the very BDD of the relational one, also on
+     out-of-domain states and where a right-hand side overflows *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Stmt.name s ^ ": unchanged = ∃V'. T ∧ V' = V")
+        true
+        (Bdd.equal (Stmt.unchanged sp s) (Oracle_wp.unchanged sp s)))
+    [
+      s;
+      Stmt.make ~name:"inc" [ (x, Expr.(var x +! nat 1)) ];
+      Stmt.make ~name:"seven" [ (x, Expr.nat 7) ];
+    ]
 
 let test_totality_violation () =
   let sp, x, _, _ = space () in

@@ -144,7 +144,7 @@ let test_elaborate_figure1_end_to_end () =
   let _, kbp = Elaborate.program (Parser.program_of_string figure1_src) in
   Alcotest.(check bool) "knowledge-based" false (Kbp.is_standard kbp);
   Alcotest.(check int) "no solutions" 0 (List.length (Kbp.solutions kbp));
-  match Kbp.iterate kbp with
+  match Kbp.solve kbp with
   | Kbp.Diverged { orbit; _ } -> Alcotest.(check int) "period 2" 2 (List.length orbit)
   | _ -> Alcotest.fail "should cycle"
 
