@@ -107,25 +107,7 @@ let def_common_knowledge () =
   fun () -> ignore (Knowledge.common_knowledge sp ~si g p)
 
 let def_kbp_solver () =
-  fun () ->
-    let sp = Space.create () in
-    let x = Space.bool_var sp "x" in
-    let y = Space.bool_var sp "y" in
-    let z = Space.bool_var sp "z" in
-    let p0 = Process.make "P0" [ y ] in
-    let p1 = Process.make "P1" [ z ] in
-    let s0 =
-      Kbp.kstmt ~name:"s0" ~guard:(Kform.k "P0" (Kform.base (Expr.var x))) [ (y, Expr.tru) ]
-    in
-    let s1 =
-      Kbp.kstmt ~name:"s1"
-        ~guard:(Kform.k "P1" (Kform.knot (Kform.base (Expr.var y))))
-        [ (z, Expr.tru) ]
-    in
-    let kbp =
-      Kbp.make sp ~name:"fig2" ~init:Expr.(not_ (var y)) ~processes:[ p0; p1 ] [ s0; s1 ]
-    in
-    ignore (Kbp.solutions kbp)
+  fun () -> ignore (Kbp.solutions (Kpt_experiments.Experiments.figure2 ~strong:false))
 
 let def_leadsto () =
   let ab = Seqtrans.abstract_kbp { Seqtrans.n = 2; a = 2 } in
@@ -156,12 +138,7 @@ let def_proof_replay () =
 let check_corpus =
   lazy
     (let dir = "examples/specs" in
-     let read path =
-       let ic = open_in_bin path in
-       Fun.protect
-         ~finally:(fun () -> close_in ic)
-         (fun () -> really_input_string ic (in_channel_length ic))
-     in
+     let read path = In_channel.with_open_bin path In_channel.input_all in
      if Sys.file_exists dir && Sys.is_directory dir then
        Sys.readdir dir |> Array.to_list
        |> List.filter (fun f -> Filename.check_suffix f ".unity")
@@ -484,25 +461,9 @@ let window_sweep () =
 
 let ablation_solver () =
   Format.printf "@.══ Ablation: exhaustive vs chaotic-iteration KBP solving ══@.";
-  let build strong =
-    let sp = Space.create () in
-    let x = Space.bool_var sp "x" in
-    let y = Space.bool_var sp "y" in
-    let z = Space.bool_var sp "z" in
-    let p0 = Process.make "P0" [ y ] in
-    let p1 = Process.make "P1" [ z ] in
-    let init = if strong then Expr.(not_ (var y) &&& var x) else Expr.(not_ (var y)) in
-    Kbp.make sp ~name:"fig2" ~init ~processes:[ p0; p1 ]
-      [
-        Kbp.kstmt ~name:"s0" ~guard:(Kform.k "P0" (Kform.base (Expr.var x))) [ (y, Expr.tru) ];
-        Kbp.kstmt ~name:"s1"
-          ~guard:(Kform.k "P1" (Kform.knot (Kform.base (Expr.var y))))
-          [ (z, Expr.tru) ];
-      ]
-  in
   List.iter
     (fun strong ->
-      let kbp = build strong in
+      let kbp = Kpt_experiments.Experiments.figure2 ~strong in
       let sols, t_ex = time (fun () -> Kbp.solutions kbp) in
       let it, t_it = time (fun () -> Kbp.solve kbp) in
       let it_desc =

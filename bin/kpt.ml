@@ -151,21 +151,15 @@ let fault_arg =
            value-corrupt, crash) or a '+'-joined set of primitives (dup, loss, bot, \
            value, crash).  Overrides $(b,--lossy).")
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Every user-supplied input is read here: an unreadable path (a
    directory, a permission error) is [error: PATH: msg] and exit 1.
    Open errors already name the path; read errors do not.  A directory
-   opens fine and only fails on the length query, with an errno
-   ("Value too large …") that does not say what is wrong. *)
+   opens fine and only fails on the read, so it is caught first and
+   named as such. *)
 let read_source path =
   if Sys.file_exists path && Sys.is_directory path then
     raise (Sys_error (path ^ ": is a directory"));
-  try (path, read_file path)
+  try (path, In_channel.with_open_bin path In_channel.input_all)
   with Sys_error msg ->
     let prefix = path ^ ": " in
     raise (Sys_error (if String.starts_with ~prefix msg then msg else prefix ^ msg))
@@ -314,8 +308,9 @@ let transport_term =
     if socket = None && (not serve_auto) && retries = 0 then None
     else
       Some
-        (Kpt_serve.Client.run_cli ~socket:(resolve_socket socket) ~serve_auto ~retries
-           ~backoff)
+        (fun req ->
+          Kpt_serve.Client.run_cli ~socket:(resolve_socket socket) ~serve_auto ~retries
+            ~backoff req)
   in
   Term.(const make $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg)
 
@@ -992,7 +987,7 @@ let difftest_cmd =
           List.filter_map
             (fun (inst : Kpt_gen.Gen.instance) ->
               let path = Filename.concat dir inst.filename in
-              match read_file path with
+              match In_channel.with_open_bin path In_channel.input_all with
               | exception Sys_error _ ->
                   missing := inst.filename :: !missing;
                   None

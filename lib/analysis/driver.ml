@@ -134,8 +134,8 @@ let resolved_program kbp =
     | None -> failwith "the KBP has no (unique strongest) solution"
     | exception Kbp.Too_many_candidates { free; cap } ->
         failwith
-          (Printf.sprintf "the KBP has %d free candidate states, past the 2^%d solver cap"
-             free cap)
+          (Printf.sprintf "the KBP has %s free candidate states, past the 2^%d solver cap"
+             (Bigcount.to_string free) cap)
 
 (* ---- check (batch) -------------------------------------------------------- *)
 
@@ -213,7 +213,8 @@ let render_solutions ppf limits kbp =
       code := exit_resource
   | exception Kbp.Too_many_candidates { free; cap } ->
       Format.fprintf ppf
-        "Solution enumeration: %d free candidate states exceed the 2^%d cap.@." free cap;
+        "Solution enumeration: %a free candidate states exceed the 2^%d cap.@." Bigcount.pp
+        free cap;
       code := exit_resource);
   (match Kbp.solve ~budget:limits kbp with
   | Kbp.Converged { si; steps } ->

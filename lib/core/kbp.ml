@@ -123,24 +123,27 @@ let universe k =
     (Program.make_with_init_pred sp ~name:k.name ~init:k.init ~processes:k.processes
        (List.map total k.bases))
 
-exception Too_many_candidates of { free : int; cap : int }
+exception Too_many_candidates of { free : Bigcount.t; cap : int }
 
 let max_free = 22
 
 (* A standard KBP's Ĝ ignores [X], so its only possible fixpoint is
    Ĝ(init) itself.  Otherwise every candidate is [init] plus a subset of
-   the free states of the universe, tried exhaustively. *)
+   the free states of the universe, tried exhaustively.  The free states
+   are counted symbolically before any is listed: past the cap there can
+   be more of them than a walk could visit. *)
 let solutions k =
   if is_standard k then
     match g_operator k k.init with x -> [ x ] | exception Program.Ill_formed _ -> []
   else begin
     let sp = k.space in
     let m = Space.manager sp in
-    let free =
-      Array.of_list (Space.states_of sp (Bdd.and_ m (universe k) (Bdd.not_ m k.init)))
-    in
+    let outside_init = Bdd.diff m (universe k) k.init in
+    let count = Space.count_states_exact sp outside_init in
+    if Bigcount.compare count (Bigcount.of_int max_free) > 0 then
+      raise (Too_many_candidates { free = count; cap = max_free });
+    let free = Array.of_list (Space.states_of sp outside_init) in
     let nfree = Array.length free in
-    if nfree > max_free then raise (Too_many_candidates { free = nfree; cap = max_free });
     let found = ref [] in
     for mask = 0 to (1 lsl nfree) - 1 do
       Engine.checkpoint ();

@@ -78,7 +78,7 @@ val universe : t -> Bdd.t
     restricted to the states where it is defined
     ({!Kpt_unity.Stmt.totality_violation}).  One symbolic [sst]. *)
 
-exception Too_many_candidates of { free : int; cap : int }
+exception Too_many_candidates of { free : Bigcount.t; cap : int }
 (** A knowledge KBP whose universe has [free] states outside [init],
     more than the [cap] (22) that exhaustive enumeration of the [2^free]
     candidate invariants is allowed. *)

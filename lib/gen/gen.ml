@@ -329,10 +329,6 @@ let write_corpus ~dir config =
 let read_manifest dir =
   let path = Filename.concat dir "manifest.json" in
   if not (Sys.file_exists path) then mfail "no manifest.json in %s (run kpt gen first)" dir;
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  in
+  let content = In_channel.with_open_bin path In_channel.input_all in
   let j = try Json.of_string content with Json.Parse_error m -> mfail "manifest: %s" m in
   (config_of_manifest j, instances_of_manifest j)

@@ -318,12 +318,34 @@ let pp_state sp fmt st =
     (vars sp);
   Format.fprintf fmt "⟩"
 
+(* A set is listed up to [pp_limit] states; the walk stops at the next
+   one, and the rest are counted symbolically, never walked. *)
+let pp_limit = 100
+
 let pp_pred sp fmt p =
-  let sts = states_of sp p in
+  let exception Full in
+  let shown = ref [] and n = ref 0 in
+  let more =
+    match
+      walk_states sp p (fun st ->
+          if !n = pp_limit then raise Full;
+          shown := Array.copy st :: !shown;
+          incr n)
+    with
+    | () -> None
+    | exception Full ->
+        let listed =
+          List.fold_left
+            (fun q st -> Bdd.or_ sp.man q (pred_of_state sp st))
+            (Bdd.fls sp.man) !shown
+        in
+        Some (count_states_exact sp (Bdd.diff sp.man p listed))
+  in
   Format.fprintf fmt "@[<hov 2>{";
   List.iteri
     (fun i st ->
       if i > 0 then Format.fprintf fmt ",@ ";
       pp_state sp fmt st)
-    sts;
+    (List.rev !shown);
+  Option.iter (fun m -> Format.fprintf fmt ",@ … (%a more)" Bigcount.pp m) more;
   Format.fprintf fmt "}@]"

@@ -139,6 +139,8 @@ val pp_state : t -> Format.formatter -> state -> unit
 (** ["⟨x=1 y=true …⟩"]. *)
 
 val pp_pred : t -> Format.formatter -> Bdd.t -> unit
-(** Print a predicate as the set of its states, in {!iter_states} order
-    (through {!states_of}, so the cost follows the number of states
-    printed, not the size of the space). *)
+(** Print a predicate as the set of its states, in {!iter_states} order.
+    At most the first 100 are listed; a larger set ends in
+    ["… (M more)"], with [M] counted by {!count_states_exact}.  The walk
+    stops at the 101st state, so the cost follows the states printed,
+    not the size of the set or of the space. *)

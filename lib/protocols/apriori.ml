@@ -51,7 +51,7 @@ type counts = { steps_to_done : int; data_transmissions : int; ack_transmissions
    traverse the whole space). *)
 let initial_state (st : Seqtrans.standard) rng ~optimal =
   let sp = st.sspace in
-  let { Seqtrans.n; a } = st.sparams in
+  let a = st.sparams.Seqtrans.a in
   let nvars = List.length (Space.vars sp) in
   let state = Array.make nvars 0 in
   let set v value = state.(Space.idx v) <- value in
@@ -67,7 +67,6 @@ let initial_state (st : Seqtrans.standard) rng ~optimal =
   set st.data.Channel.avail st.data.Channel.codec.Channel.bot;
   set st.ack.Channel.slot st.ack.Channel.codec.Channel.bot;
   set st.ack.Channel.avail st.ack.Channel.codec.Channel.bot;
-  ignore n;
   state
 
 let simulate (st : Seqtrans.standard) ~seed ~optimal =

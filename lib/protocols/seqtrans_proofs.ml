@@ -49,13 +49,11 @@ let ante2 ctx k =
    knowledge guard is not computable — then introduce the ensures via the
    receiver's write statement, rule 29, and disjunction over α. *)
 let theorem40 ctx k =
-  let m = man ctx in
   let per_alpha alpha =
     let u1 = Proof.unless_text ctx.cprog (ctx.cjeq k) (ctx.cjgt k) in
     let conj = Proof.conj_unless_simple u1 (ctx.ckbp3 k alpha) in
     Proof.ensures_leadsto (Proof.ensures_intro conj)
   in
-  ignore m;
   Proof.leadsto_disj (List.init ctx.ca per_alpha)
 
 (* (42): j = k ∧ ¬K_R x_k unless j = k ∧ K_R x_k — from text. *)
@@ -445,10 +443,9 @@ let inv37_paper_style (st : Seqtrans.abstract) =
   let stable37 =
     match Proof.judgment gd with
     | Proof.Unless (_, q) when Bdd.is_false q -> gd
-    | Proof.Unless (p, q) ->
+    | Proof.Unless (_, q) ->
         (* make falsity explicit through consequence weakening if the BDD
            did not already normalise it away *)
-        ignore p;
         if Bdd.is_false (Pred.normalize st.aspace q) then
           Proof.weaken_unless gd (Bdd.fls m)
         else Proof.weaken_unless gd q

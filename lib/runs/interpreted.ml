@@ -8,12 +8,11 @@ type system = { prog : Program.t; pts : point list }
 let current_state pt = pt.states.(Array.length pt.states - 1)
 let time pt = Array.length pt.states - 1
 
-let encode_prefix space states =
+let encode_prefix states =
   let buf = Buffer.create 64 in
   Array.iter
     (fun st ->
       Array.iter (fun v -> Buffer.add_string buf (string_of_int v); Buffer.add_char buf ',') st;
-      ignore space;
       Buffer.add_char buf ';')
     states;
   Buffer.contents buf
@@ -24,7 +23,7 @@ let build ?(depth = 6) prog =
   let seen = Hashtbl.create 4096 in
   let acc = ref [] in
   let add pt =
-    let key = encode_prefix space pt.states in
+    let key = encode_prefix pt.states in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
       acc := pt :: !acc;

@@ -1,11 +1,9 @@
 open Kpt_predicate
 
-let states_array space t =
-  ignore space;
-  Array.of_list (Exec.states t)
+let states_array t = Array.of_list (Exec.states t)
 
 let first_violation space p t =
-  let sts = states_array space t in
+  let sts = states_array t in
   let n = Array.length sts in
   let rec go i =
     if i >= n then None else if not (Space.holds_at space p sts.(i)) then Some i else go (i + 1)
@@ -13,7 +11,7 @@ let first_violation space p t =
   go 0
 
 let check_unless space ~p ~q t =
-  let sts = states_array space t in
+  let sts = states_array t in
   let n = Array.length sts in
   let sat pred i = Space.holds_at space pred sts.(i) in
   let rec go i =
@@ -25,7 +23,7 @@ let check_unless space ~p ~q t =
   go 0
 
 let eventually space p t =
-  let sts = states_array space t in
+  let sts = states_array t in
   let n = Array.length sts in
   let rec go i =
     if i >= n then None else if Space.holds_at space p sts.(i) then Some i else go (i + 1)
@@ -33,7 +31,7 @@ let eventually space p t =
   go 0
 
 let response_times space ~p ~q t =
-  let sts = states_array space t in
+  let sts = states_array t in
   let n = Array.length sts in
   let sat pred i = Space.holds_at space pred sts.(i) in
   let acc = ref [] in

@@ -10,9 +10,10 @@
       rebindable after a SIGKILL leaves it stale.
 
    The harness is deliberately a *client-side* adversary: it speaks to
-   the daemon over the same Unix socket any client would, through raw
-   fds so it can truncate frames, dribble bytes, slam connections shut
-   and flood the queue — the faults a production deployment actually
+   the daemon over the same Unix socket any client would, reading
+   replies through [Client] and writing raw bytes through its fds so it
+   can truncate frames, dribble bytes, slam connections shut and flood
+   the queue — the faults a production deployment actually
    meets, the same spirit as the paper's lossy-channel protocols. *)
 
 open Kpt_analysis
@@ -104,14 +105,7 @@ let load_specs cfg =
   in
   take cfg.specs unity
   |> List.map (fun f ->
-         let path = Filename.concat cfg.dir f in
-         let ic = open_in_bin path in
-         let src =
-           Fun.protect
-             ~finally:(fun () -> close_in ic)
-             (fun () -> really_input_string ic (in_channel_length ic))
-         in
-         (f, src))
+         (f, In_channel.with_open_bin (Filename.concat cfg.dir f) In_channel.input_all))
 
 let req_of_spec id (name, src) =
   {
@@ -135,72 +129,29 @@ let expected t ((name, _) as spec) =
       Hashtbl.replace t.expected name o;
       o
 
-(* ---- raw-socket plumbing --------------------------------------------------- *)
+(* ---- plumbing ------------------------------------------------------------ *)
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+(* Connections are [Client]'s, so replies are read by the wire's one
+   frame reader; the adversarial writes go raw through [Client.fd]. *)
+let raw_write c s = try Protocol.write_all (Client.fd c) s with Unix.Unix_error _ -> ()
 
-let raw_connect socket =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_UNIX socket) with
-  | () -> Ok fd
-  | exception Unix.Unix_error (e, _, _) ->
-      close_quiet fd;
-      Error (Unix.error_message e)
+(* Every wait for a reply is bounded, so a wedged daemon becomes a
+   violation, not a hung sweep. *)
+let read_reply c =
+  Result.map_error Client.read_error_to_string (Client.read_response ~timeout:30. c)
 
-(* Read one newline-terminated line with an absolute deadline; [None] on
-   EOF, timeout, or a connection error. *)
-let recv_line ?(timeout = 30.) fd =
-  let deadline = Unix.gettimeofday () +. timeout in
-  let buf = Buffer.create 512 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    let remaining = deadline -. Unix.gettimeofday () in
-    if remaining <= 0. then None
-    else begin
-      (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO remaining
-       with Unix.Unix_error _ -> ());
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> None
-      | n -> (
-          let s = Bytes.sub_string chunk 0 n in
-          match String.index_opt s '\n' with
-          | Some i ->
-              Buffer.add_string buf (String.sub s 0 i);
-              Some (Buffer.contents buf)
-          | None ->
-              Buffer.add_string buf s;
-              go ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> None
-    end
-  in
-  go ()
-
-(* One request/one reply over a fresh connection, skipping event frames;
-   bounded so a wedged daemon becomes a violation, not a hung sweep. *)
-let exchange ?(timeout = 30.) socket line =
-  match raw_connect socket with
+(* One request line, one reply over a fresh connection, skipping event
+   frames. *)
+let exchange socket line =
+  match Client.connect ~socket with
   | Error e -> Error (Printf.sprintf "connect: %s" e)
-  | Ok fd ->
+  | Ok c ->
       Fun.protect
-        ~finally:(fun () -> close_quiet fd)
+        ~finally:(fun () -> Client.close c)
         (fun () ->
-          match Protocol.write_line fd line with
-          | () -> (
-              let rec read_frame () =
-                match recv_line ~timeout fd with
-                | None -> Error "no reply (connection closed or timed out)"
-                | Some l -> (
-                    match Protocol.response_of_json (Json.of_string l) with
-                    | exception Json.Parse_error msg ->
-                        Error (Printf.sprintf "malformed frame: %s" msg)
-                    | Error msg -> Error (Printf.sprintf "malformed frame: %s" msg)
-                    | Ok (Protocol.Event _) -> read_frame ()
-                    | Ok frame -> Ok frame)
-              in
-              read_frame ())
-          | exception (Unix.Unix_error _ | Sys_error _) ->
-              Error "send failed (connection closed)")
+          match Client.send_line c line with
+          | () -> read_reply c
+          | exception Unix.Unix_error _ -> Error "send failed (connection closed)")
 
 (* ---- invariant checks ------------------------------------------------------ *)
 
@@ -221,14 +172,13 @@ let ping_alive t ~tag =
   | Ok _ -> violation t "%s: ping answered with an unexpected frame" tag; false
   | Error e -> violation t "%s: daemon unresponsive to ping (%s)" tag e; false
 
-let healthy t ~tag spec =
-  t.checks <- t.checks + 1;
-  match exchange t.cfg.socket (request_line spec) with
-  | Error e -> violation t "%s: healthy request on %s failed: %s" tag (fst spec) e
+(* A served answer to [spec]: the direct run's bytes, or the budget's
+   exit 3 — never an error frame. *)
+let check_reply t ~tag spec = function
+  | Error e -> violation t "%s: request on %s failed: %s" tag (fst spec) e
   | Ok (Protocol.Error_frame { message; _ }) ->
-      violation t "%s: healthy request on %s got an error frame: %s" tag
-        (fst spec) message
-  | Ok (Protocol.Event _) -> assert false
+      violation t "%s: request on %s got an error frame: %s" tag (fst spec) message
+  | Ok (Protocol.Event _) -> assert false (* read_response consumes events *)
   | Ok (Protocol.Result { exit_code; out; err; _ }) ->
       if exit_code = 0 || exit_code = 1 then begin
         let e = expected t spec in
@@ -241,14 +191,18 @@ let healthy t ~tag spec =
         violation t "%s: %s answered with unexpected exit %d" tag (fst spec)
           exit_code
 
+let healthy t ~tag spec =
+  t.checks <- t.checks + 1;
+  check_reply t ~tag spec (exchange t.cfg.socket (request_line spec))
+
 (* ---- daemon lifecycle ------------------------------------------------------ *)
 
 let wait_for_socket ?(timeout = 10.) path =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =
-    match raw_connect path with
-    | Ok fd ->
-        close_quiet fd;
+    match Client.connect ~socket:path with
+    | Ok c ->
+        Client.close c;
         true
     | Error _ ->
         if Unix.gettimeofday () > deadline then false
@@ -276,7 +230,7 @@ let start_daemon t =
       in
       let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
       let pid = Unix.create_process cfg.exe args Unix.stdin null null in
-      close_quiet null;
+      Unix.close null;
       if not (wait_for_socket cfg.socket) then begin
         violation t "daemon did not come up on %s within 10s" cfg.socket;
         (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -344,14 +298,13 @@ let scenario_truncate t specs =
   List.iter
     (fun spec ->
       t.checks <- t.checks + 1;
-      (match raw_connect t.cfg.socket with
+      (match Client.connect ~socket:t.cfg.socket with
       | Error e -> violation t "truncate: connect failed: %s" e
-      | Ok fd ->
+      | Ok c ->
           let line = request_line spec in
           let k = 1 + Kpt_gen.Rng.int t.rng (String.length line - 1) in
-          (try Protocol.write_all fd (String.sub line 0 k)
-           with Unix.Unix_error _ | Sys_error _ -> ());
-          close_quiet fd);
+          raw_write c (String.sub line 0 k);
+          Client.close c);
       healthy t ~tag:"truncate" spec)
     specs
 
@@ -373,11 +326,11 @@ let scenario_partial_write t specs =
   List.iter
     (fun spec ->
       t.checks <- t.checks + 1;
-      match raw_connect t.cfg.socket with
+      match Client.connect ~socket:t.cfg.socket with
       | Error e -> violation t "partial-write: connect failed: %s" e
-      | Ok fd ->
+      | Ok c ->
           Fun.protect
-            ~finally:(fun () -> close_quiet fd)
+            ~finally:(fun () -> Client.close c)
             (fun () ->
               let line = request_line spec ^ "\n" in
               let len = String.length line in
@@ -386,50 +339,26 @@ let scenario_partial_write t specs =
               let off = ref 0 in
               while !sent && !off < len do
                 let n = min chunk (len - !off) in
-                (match Protocol.write_all fd (String.sub line !off n) with
+                (match Protocol.write_all (Client.fd c) (String.sub line !off n) with
                 | () -> off := !off + n
-                | exception (Unix.Unix_error _ | Sys_error _) -> sent := false);
+                | exception Unix.Unix_error _ -> sent := false);
                 Unix.sleepf 0.001
               done;
               if not !sent then
                 violation t "partial-write: daemon dropped a live connection mid-send"
-              else
-                match recv_line fd with
-                | None -> violation t "partial-write: no reply on %s" (fst spec)
-                | Some l -> (
-                    match Protocol.response_of_json (Json.of_string l) with
-                    | exception Json.Parse_error msg ->
-                        violation t "partial-write: malformed frame: %s" msg
-                    | Error msg -> violation t "partial-write: malformed frame: %s" msg
-                    | Ok (Protocol.Result { exit_code; out; err; _ }) ->
-                        if exit_code = 0 || exit_code = 1 then begin
-                          let e = expected t spec in
-                          if
-                            not
-                              (e.Driver.code = exit_code && e.Driver.out = out
-                             && e.Driver.err = err)
-                          then
-                            violation t
-                              "partial-write: served bytes for %s differ from \
-                               direct execution"
-                              (fst spec)
-                        end
-                    | Ok _ ->
-                        violation t "partial-write: unexpected frame on %s"
-                          (fst spec))))
+              else check_reply t ~tag:"partial-write" spec (read_reply c)))
     specs
 
 let scenario_disconnect t specs =
   List.iter
     (fun spec ->
       t.checks <- t.checks + 1;
-      (match raw_connect t.cfg.socket with
+      (match Client.connect ~socket:t.cfg.socket with
       | Error e -> violation t "disconnect: connect failed: %s" e
-      | Ok fd ->
-          (try Protocol.write_line fd (request_line spec)
-           with Unix.Unix_error _ | Sys_error _ -> ());
+      | Ok c ->
+          raw_write c (request_line spec ^ "\n");
           (* hang up before the daemon can possibly have answered *)
-          close_quiet fd);
+          Client.close c);
       healthy t ~tag:"disconnect" spec)
     specs
 
@@ -439,37 +368,31 @@ let scenario_slow_loris t specs =
   List.iter
     (fun spec ->
       t.checks <- t.checks + 1;
-      (match raw_connect t.cfg.socket with
+      (match Client.connect ~socket:t.cfg.socket with
       | Error e -> violation t "slow-loris: connect failed: %s" e
-      | Ok fd ->
+      | Ok c ->
           Fun.protect
-            ~finally:(fun () -> close_quiet fd)
+            ~finally:(fun () -> Client.close c)
             (fun () ->
               let t0 = Unix.gettimeofday () in
               let cut = ref false in
               let drip = min 0.1 (timeout /. 5.) in
               while (not !cut) && Unix.gettimeofday () -. t0 < budget do
                 (* drip one byte of a request that never completes *)
-                (match Protocol.write_all fd "{" with
+                (match Protocol.write_all (Client.fd c) "{" with
                 | () -> ()
-                | exception (Unix.Unix_error _ | Sys_error _) -> cut := true);
-                (match Unix.select [ fd ] [] [] 0. with
+                | exception Unix.Unix_error _ -> cut := true);
+                (match Unix.select [ Client.fd c ] [] [] 0. with
                 | [ _ ], _, _ -> (
                     (* the daemon spoke (deadline frame) or hung up *)
-                    match recv_line ~timeout:1. fd with
-                    | None -> cut := true
-                    | Some l -> (
-                        match Protocol.response_of_json (Json.of_string l) with
-                        | Ok (Protocol.Error_frame { kind = Protocol.Timeout; _ })
-                          ->
-                            cut := true
-                        | Ok _ | Error _ ->
-                            violation t
-                              "slow-loris: expected a timeout error frame";
-                            cut := true
-                        | exception Json.Parse_error _ ->
-                            violation t "slow-loris: malformed frame";
-                            cut := true))
+                    cut := true;
+                    match Client.read_response ~timeout:1. c with
+                    | Ok (Protocol.Error_frame { kind = Protocol.Timeout; _ })
+                    | Error (Client.Closed | Client.Timed_out) ->
+                        ()
+                    | Ok _ -> violation t "slow-loris: expected a timeout error frame"
+                    | Error (Client.Malformed msg) ->
+                        violation t "slow-loris: malformed frame: %s" msg)
                 | _ -> ()
                 | exception Unix.Unix_error _ -> cut := true);
                 if not !cut then Unix.sleepf drip
@@ -499,7 +422,7 @@ let scenario_flood t specs =
   let round () =
     let connect_n n =
       List.init n (fun _ ->
-          match raw_connect t.cfg.socket with Ok fd -> Some fd | Error _ -> None)
+          Result.to_option (Client.connect ~socket:t.cfg.socket))
       |> List.filter_map Fun.id
     in
     let holders = connect_n t.cfg.jobs in
@@ -509,36 +432,30 @@ let scenario_flood t specs =
     Unix.sleepf 0.05;
     let sheds = ref 0 in
     for _ = 1 to surplus do
-      match raw_connect t.cfg.socket with
+      match Client.connect ~socket:t.cfg.socket with
       | Error e -> note_hard (Printf.sprintf "flood: connect failed: %s" e)
-      | Ok fd -> (
+      | Ok c -> (
           Fun.protect
-            ~finally:(fun () -> close_quiet fd)
+            ~finally:(fun () -> Client.close c)
             (fun () ->
-              match recv_line ~timeout:5. fd with
-              | None ->
+              match Client.read_response ~timeout:5. c with
+              | Error (Client.Closed | Client.Timed_out) ->
                   note_hard "flood: surplus connection got no frame at all"
-              | Some l -> (
-                  match Protocol.response_of_json (Json.of_string l) with
-                  | Ok
-                      (Protocol.Error_frame
-                         { kind = Protocol.Overloaded; exit_code; _ }) ->
-                      if exit_code <> Protocol.exit_overloaded then
-                        note_hard
-                          (Printf.sprintf
-                             "flood: overloaded frame carries exit %d (want %d)"
-                             exit_code Protocol.exit_overloaded)
-                      else incr sheds
-                  | Ok _ ->
-                      (* a worker freed up mid-round and the probe got a
-                         deadline frame (or was served) — timing miss *)
-                      ()
-                  | Error msg | (exception Json.Parse_error msg) ->
-                      note_hard
-                        (Printf.sprintf "flood: malformed shed frame: %s" msg))))
+              | Ok (Protocol.Error_frame { kind = Protocol.Overloaded; exit_code; _ }) ->
+                  if exit_code <> Protocol.exit_overloaded then
+                    note_hard
+                      (Printf.sprintf "flood: overloaded frame carries exit %d (want %d)"
+                         exit_code Protocol.exit_overloaded)
+                  else incr sheds
+              | Ok _ ->
+                  (* a worker freed up mid-round and the probe got a
+                     deadline frame (or was served) — timing miss *)
+                  ()
+              | Error (Client.Malformed msg) ->
+                  note_hard (Printf.sprintf "flood: malformed shed frame: %s" msg)))
     done;
-    List.iter close_quiet queued;
-    List.iter close_quiet holders;
+    List.iter Client.close queued;
+    List.iter Client.close holders;
     !sheds
   in
   let rec attempt n =
@@ -559,29 +476,27 @@ let scenario_flood t specs =
   (match specs with s :: _ -> healthy t ~tag:"flood" s | [] -> ());
   ignore (ping_alive t ~tag:"flood")
 
+(* After the daemon dies under a client, the client sees silence or a
+   whole well-formed frame — never a line that decodes to garbage. *)
+let silence_or_frame t ~tag c =
+  (match Client.read_response ~timeout:2. c with
+  | Ok _ | Error (Client.Closed | Client.Timed_out) -> ()
+  | Error (Client.Malformed msg) -> violation t "%s: malformed frame: %s" tag msg);
+  Client.close c
+
 let scenario_kill t specs =
   match (t.daemon, specs) with
   | Some pid, spec :: _ ->
       t.checks <- t.checks + 1;
-      (match raw_connect t.cfg.socket with
+      (match Client.connect ~socket:t.cfg.socket with
       | Error e -> violation t "kill: connect failed: %s" e
-      | Ok fd ->
-          (try Protocol.write_line fd (request_line spec)
-           with Unix.Unix_error _ | Sys_error _ -> ());
+      | Ok c ->
+          raw_write c (request_line spec ^ "\n");
           Unix.sleepf 0.02;
           t.daemon <- None;
           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
           ignore (waitpid_retry pid);
-          (* the client must see silence or a complete well-formed frame —
-             never a decodable-looking line that isn't one *)
-          (match recv_line ~timeout:2. fd with
-          | None -> ()
-          | Some l -> (
-              match Protocol.response_of_json (Json.of_string l) with
-              | Ok _ -> ()
-              | Error msg | (exception Json.Parse_error msg) ->
-                  violation t "kill: malformed frame after SIGKILL: %s" msg));
-          close_quiet fd);
+          silence_or_frame t ~tag:"kill" c);
       if not (Sys.file_exists t.cfg.socket) then
         violation t "kill: SIGKILL should leave the socket file stale on disk";
       (* the restart must reclaim the stale socket *)
@@ -599,9 +514,7 @@ let scenario_drain t specs =
   | Some pid -> (
       t.checks <- t.checks + 1;
       (* park one idle connection; the drain must wake it with EOF *)
-      let idle =
-        match raw_connect t.cfg.socket with Ok fd -> Some fd | Error _ -> None
-      in
+      let idle = Result.to_option (Client.connect ~socket:t.cfg.socket) in
       Unix.sleepf 0.1;
       t.daemon <- None;
       (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
@@ -611,17 +524,8 @@ let scenario_drain t specs =
       | Unix.WEXITED n -> violation t "drain: daemon exited %d on SIGTERM (want 130)" n
       | Unix.WSIGNALED s -> violation t "drain: daemon died on signal %d" s
       | Unix.WSTOPPED _ -> violation t "drain: daemon stopped instead of exiting");
-      (match idle with
-      | Some fd ->
-          (match recv_line ~timeout:2. fd with
-          | None -> () (* EOF: the drain hung us up, as documented *)
-          | Some l -> (
-              match Protocol.response_of_json (Json.of_string l) with
-              | Ok _ -> ()
-              | Error msg | (exception Json.Parse_error msg) ->
-                  violation t "drain: malformed frame during drain: %s" msg));
-          close_quiet fd
-      | None -> ());
+      (* EOF is the documented answer: the drain hung us up *)
+      Option.iter (silence_or_frame t ~tag:"drain") idle;
       if Sys.file_exists t.cfg.socket then
         violation t "drain: socket %s not unlinked by the drain" t.cfg.socket;
       (* bring the daemon back for whatever scenario follows *)
@@ -636,17 +540,15 @@ let noise ~socket ~seed ~rounds =
   let rng = Kpt_gen.Rng.make seed in
   let injected = ref 0 in
   for _ = 1 to rounds do
-    match raw_connect socket with
+    match Client.connect ~socket with
     | Error _ -> ()
-    | Ok fd ->
+    | Ok c ->
         incr injected;
-        (try
-           match Kpt_gen.Rng.int rng 3 with
-           | 0 -> Protocol.write_all fd "{\"v\":1,\"cmd\":\"che"
-           | 1 -> Protocol.write_line fd (garbage_line rng)
-           | _ -> () (* connect and slam shut *)
-         with Unix.Unix_error _ | Sys_error _ -> ());
-        close_quiet fd
+        (match Kpt_gen.Rng.int rng 3 with
+        | 0 -> raw_write c "{\"v\":1,\"cmd\":\"che"
+        | 1 -> raw_write c (garbage_line rng ^ "\n")
+        | _ -> () (* connect and slam shut *));
+        Client.close c
   done;
   !injected
 

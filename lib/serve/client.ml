@@ -1,15 +1,10 @@
 open Kpt_analysis
 
-type connection = { fd : Unix.file_descr; ic : in_channel }
+type connection = { fd : Unix.file_descr; reader : Protocol.reader }
 
-let connect ~socket =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_UNIX socket) with
-  | () -> Ok { fd; ic = Unix.in_channel_of_descr fd }
-  | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Unix.error_message e)
-
+let of_fd fd = { fd; reader = Protocol.make_reader fd }
+let fd c = c.fd
+let connect ~socket = Result.map of_fd (Protocol.connect ~socket)
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 (* Frames go out through the protocol's write_all loop — an out_channel
@@ -19,25 +14,32 @@ let send_line c line = Protocol.write_line c.fd line
 
 let send_request c req = Protocol.write_all c.fd (Json.to_line (Protocol.request_to_json req))
 
-type read_error = Closed | Malformed of string
+type read_error = Closed | Malformed of string | Timed_out
 
 let read_error_to_string = function
   | Closed -> "connection closed before a reply arrived"
   | Malformed msg -> msg
+  | Timed_out -> "no reply before the client's deadline"
 
-let read_response ?(on_event = fun _ _ -> ()) c =
+(* A line the daemon began and never ended is decoded as if it had its
+   newline — it can only fail as [Malformed], so a truncated reply is
+   never resent. *)
+let read_response ?(on_event = fun _ _ -> ()) ?timeout c =
+  let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
   let rec loop () =
-    match input_line c.ic with
-    | exception End_of_file -> Error Closed
-    | exception Sys_error _ -> Error Closed
-    | line -> (
-        match Protocol.response_of_json (Json.of_string line) with
-        | exception Json.Parse_error msg -> Error (Malformed ("malformed frame: " ^ msg))
-        | Error msg -> Error (Malformed msg)
-        | Ok (Protocol.Event { name; fields; _ }) ->
-            on_event name fields;
-            loop ()
-        | Ok frame -> Ok frame)
+    match Protocol.read_line c.reader ~deadline with
+    | `Line line -> decode line
+    | `Timeout -> Error Timed_out
+    | `Eof -> (
+        match Protocol.unterminated c.reader with "" -> Error Closed | line -> decode line)
+  and decode line =
+    match Protocol.response_of_json (Json.of_string line) with
+    | exception Json.Parse_error msg -> Error (Malformed ("malformed frame: " ^ msg))
+    | Error msg -> Error (Malformed msg)
+    | Ok (Protocol.Event { name; fields; _ }) ->
+        on_event name fields;
+        loop ()
+    | Ok frame -> Ok frame
   in
   loop ()
 
@@ -48,22 +50,21 @@ let read_response ?(on_event = fun _ _ -> ()) c =
 let ignore_sigpipe () =
   if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let roundtrip ?on_event ~socket req =
+(* Send one request and read its reply; a write that meets a closed
+   connection is [Closed], like a read that does. *)
+let exchange ?on_event ?timeout c req =
+  match send_request c req with
+  | () -> read_response ?on_event ?timeout c
+  | exception Unix.Unix_error _ -> Error Closed
+
+let roundtrip ?on_event ?timeout ~socket req =
   ignore_sigpipe ();
   match connect ~socket with
   | Error msg -> Error msg
   | Ok c ->
       Fun.protect
         ~finally:(fun () -> close c)
-        (fun () ->
-          match
-            send_request c req;
-            read_response ?on_event c
-          with
-          | Ok frame -> Ok frame
-          | Error e -> Error (read_error_to_string e)
-          | exception (Unix.Unix_error _ | Sys_error _) ->
-              Error (read_error_to_string Closed))
+        (fun () -> Result.map_error read_error_to_string (exchange ?on_event ?timeout c req))
 
 (* ---- retry policy ----------------------------------------------------------
 
@@ -118,7 +119,7 @@ let error_hint = function
       Some "the daemon shed this request under load; retry with --retries N --retry-backoff S"
   | Protocol.Generic | Protocol.Timeout | Protocol.Interrupted -> None
 
-let run_cli ~socket ~serve_auto ?(retries = 0) ?(backoff = default_backoff)
+let run_cli ~socket ~serve_auto ?(retries = 0) ?(backoff = default_backoff) ?timeout
     (req : Protocol.request) =
   ignore_sigpipe ();
   let rng = Kpt_gen.Rng.make (retry_seed ()) in
@@ -157,13 +158,7 @@ let run_cli ~socket ~serve_auto ?(retries = 0) ?(backoff = default_backoff)
         let reply =
           Fun.protect
             ~finally:(fun () -> close c)
-            (fun () ->
-              match
-                send_request c req;
-                read_response ~on_event:render_event c
-              with
-              | r -> r
-              | exception (Unix.Unix_error _ | Sys_error _) -> Error Closed)
+            (fun () -> exchange ~on_event:render_event ?timeout c req)
         in
         match reply with
         | Ok (Protocol.Result { exit_code; out; err; daemon; _ }) ->
@@ -185,11 +180,12 @@ let run_cli ~socket ~serve_auto ?(retries = 0) ?(backoff = default_backoff)
                 | None -> ());
                 exit_code)
         | Ok (Protocol.Event _) -> assert false (* read_response consumes events *)
-        | Error (Malformed msg) ->
-            (* a decoded-but-undecipherable frame is not a connection
-               failure: the daemon spoke, we did not understand — do not
-               resend *)
-            Format.eprintf "error: %s@." msg;
+        | Error ((Malformed _ | Timed_out) as e) ->
+            (* an undecipherable frame is not a connection failure: the
+               daemon spoke, we did not understand — and a daemon still
+               silent at our deadline may be running the request; resend
+               neither *)
+            Format.eprintf "error: %s@." (read_error_to_string e);
             2
         | Error Closed -> (
             match retry_after (read_error_to_string Closed) with

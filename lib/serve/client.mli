@@ -20,9 +20,17 @@
     never resent. *)
 
 type connection
+(** A socket and the {!Protocol.reader} its replies are read with. *)
 
 val connect : socket:string -> (connection, string) result
 val close : connection -> unit
+
+val of_fd : Unix.file_descr -> connection
+(** A connection over an already-open stream socket. *)
+
+val fd : connection -> Unix.file_descr
+(** The socket itself, for adversarial raw writes ({!Protocol.write_all})
+    that a well-behaved client never makes. *)
 
 val send_request : connection -> Protocol.request -> unit
 (** Ship one encoded request line through {!Protocol.write_all} — short
@@ -36,20 +44,28 @@ val send_line : connection -> string -> unit
 type read_error =
   | Closed  (** EOF with no frame: the request may never have run *)
   | Malformed of string
-      (** the daemon spoke, we could not decode it — not a transport
-          failure, never retried *)
+      (** the daemon spoke, we could not decode it (a line cut short by
+          EOF included) — not a transport failure, never retried *)
+  | Timed_out
+      (** no final frame before the caller's deadline; the request may
+          be running, so it is never retried *)
 
 val read_error_to_string : read_error -> string
 
 val read_response :
   ?on_event:(string -> (string * int) list -> unit) ->
+  ?timeout:float ->
   connection ->
   (Protocol.response, read_error) result
 (** Read frames until a [result]/[error] frame arrives; [event] frames
-    are fed to [on_event] (dropped by default). *)
+    are fed to [on_event] (dropped by default).  [timeout] (seconds)
+    sets an absolute deadline for the final frame, counted from the
+    call; without it the read blocks until the daemon answers or hangs
+    up. *)
 
 val roundtrip :
   ?on_event:(string -> (string * int) list -> unit) ->
+  ?timeout:float ->
   socket:string ->
   Protocol.request ->
   (Protocol.response, string) result
@@ -79,11 +95,14 @@ val run_cli :
   serve_auto:bool ->
   ?retries:int ->
   ?backoff:float ->
+  ?timeout:float ->
   Protocol.request ->
   int
 (** Send [req] to the daemon at [socket] and print the answer.
     [retries] (default 0) bounds additional attempts; [backoff] (default
-    {!default_backoff}) seeds the jitter schedule.  When no daemon is
+    {!default_backoff}) seeds the jitter schedule; [timeout] bounds each
+    attempt's wait for the reply as in {!read_response} (no deadline by
+    default).  When no daemon is
     reachable after the last attempt: [~serve_auto:true] falls back to
     {!run_local} (same driver, same bytes, same exit code); otherwise
     prints a hint naming [kpt serve] and returns 2. *)

@@ -325,6 +325,111 @@ let write_line fd line = write_all fd (line ^ "\n")
    the newline *)
 let write_frame fd frame = write_all fd (Json.to_line (response_to_json frame))
 
+(* ---- the deadline line reader ----------------------------------------------
+
+   Every end of the wire reads frames here: the daemon its requests, the
+   client (and the chaos harness, and the tests) their replies.
+
+   SO_RCVTIMEO alone cannot catch a slow-loris writer: the kernel timer
+   restarts on every successful read, so a client dribbling one byte per
+   interval is tolerated forever.  The reader instead holds an {e
+   absolute} deadline for completing one line, re-arming SO_RCVTIMEO
+   with the remaining time before each read — a drip-feed peer runs out
+   of deadline no matter how regular the drip.  A read with no deadline
+   first disarms a timer an earlier deadline left behind. *)
+
+(* The bytes of one read land in [rbuf]; [rpos, rlen) of it is not yet
+   consumed.  A line that spans reads collects its earlier pieces in
+   [partial], so every byte is scanned for the newline once and copied
+   at most twice, however many reads a large frame takes. *)
+type reader = {
+  rfd : Unix.file_descr;
+  rbuf : Bytes.t;
+  mutable rpos : int;
+  mutable rlen : int;
+  partial : Buffer.t;
+  mutable armed : bool;
+}
+
+let make_reader rfd =
+  {
+    rfd;
+    rbuf = Bytes.create 65536;
+    rpos = 0;
+    rlen = 0;
+    partial = Buffer.create 1024;
+    armed = false;
+  }
+
+let set_timeout fd opt seconds =
+  try Unix.setsockopt_float fd opt seconds with Unix.Unix_error _ -> ()
+
+let read_line r ~deadline =
+  let rec newline i =
+    if i >= r.rlen then -1 else if Bytes.unsafe_get r.rbuf i = '\n' then i else newline (i + 1)
+  in
+  let rec go () =
+    let i = newline r.rpos in
+    if i >= 0 then begin
+      let line =
+        if Buffer.length r.partial = 0 then Bytes.sub_string r.rbuf r.rpos (i - r.rpos)
+        else begin
+          Buffer.add_subbytes r.partial r.rbuf r.rpos (i - r.rpos);
+          let line = Buffer.contents r.partial in
+          Buffer.clear r.partial;
+          line
+        end
+      in
+      r.rpos <- i + 1;
+      `Line line
+    end
+    else begin
+      Buffer.add_subbytes r.partial r.rbuf r.rpos (r.rlen - r.rpos);
+      r.rpos <- 0;
+      r.rlen <- 0;
+      let remaining =
+        match deadline with
+        | None -> None
+        | Some d -> Some (d -. Unix.gettimeofday ())
+      in
+      match remaining with
+      | Some t when t <= 0. -> `Timeout
+      | _ -> (
+          (match remaining with
+          | Some t ->
+              (* a timeval under 1 µs would read as 0, which disarms *)
+              set_timeout r.rfd Unix.SO_RCVTIMEO (Float.max t 1e-3);
+              r.armed <- true
+          | None when r.armed ->
+              set_timeout r.rfd Unix.SO_RCVTIMEO 0.;
+              r.armed <- false
+          | None -> ());
+          match Unix.read r.rfd r.rbuf 0 (Bytes.length r.rbuf) with
+          | 0 -> `Eof
+          | n ->
+              r.rlen <- n;
+              go ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              `Timeout
+          | exception Unix.Unix_error (_, _, _) -> `Eof)
+    end
+  in
+  go ()
+
+let unterminated r =
+  let s = Buffer.contents r.partial in
+  Buffer.clear r.partial;
+  s
+
+let connect ~socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX socket) with
+  | () -> Ok fd
+  | exception Unix.Unix_error (e, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error (Unix.error_message e)
+
 (* ---- the content address --------------------------------------------------- *)
 
 (* Length-prefixed fields, so no two requests share an encoding: the

@@ -109,6 +109,40 @@ val write_line : Unix.file_descr -> string -> unit
 val write_frame : Unix.file_descr -> response -> unit
 (** Encode one response frame and write it with its newline. *)
 
+(** {2 Reading frames}
+
+    The one frame reader of the wire: the daemon reads requests with it,
+    {!Client} (and through it the chaos harness and the tests) reads
+    replies with it. *)
+
+type reader
+(** A buffered line reader on one socket.  Bytes past the first newline
+    of a read stay buffered for the next {!read_line}. *)
+
+val make_reader : Unix.file_descr -> reader
+
+val read_line :
+  reader -> deadline:float option -> [ `Line of string | `Eof | `Timeout ]
+(** The next newline-terminated line, without its newline.  [deadline]
+    is absolute ([Unix.gettimeofday] time) for completing the whole line:
+    SO_RCVTIMEO is re-armed with the remaining time before every read, so
+    a peer that drips bytes cannot stretch it.  [None] waits forever (and
+    disarms a timer an earlier deadline left on the socket).  [`Eof] on
+    end of stream or a connection error; [`Timeout] when the deadline
+    passes first, with the bytes read so far kept for the next call.
+    EINTR retries. *)
+
+val unterminated : reader -> string
+(** After [`Eof], the bytes of a line the peer began and never ended
+    (empty when it hung up between lines); taking them clears them. *)
+
+val set_timeout : Unix.file_descr -> Unix.socket_float_option -> float -> unit
+(** Set SO_RCVTIMEO/SO_SNDTIMEO, ignoring a socket that refuses it. *)
+
+val connect : socket:string -> (Unix.file_descr, string) result
+(** A stream connection to the Unix socket at [socket]; the error is
+    the errno's message, and no descriptor leaks on failure. *)
+
 val cache_key : request -> string
 (** The content address of a request's answer: the raw 16-byte MD5 of
     length-prefixed fields — protocol version, command, file count, each

@@ -49,17 +49,14 @@ let c_inflight_peak = Kpt_obs.counter "serve.inflight.max"
    (ECONNREFUSED for a dead socket, ENOTSOCK/EPROTOTYPE for a plain
    file) marks the path stale and we reclaim it. *)
 let bind_socket path =
-  let stale_or_live () =
-    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let live =
-      match Unix.connect probe (Unix.ADDR_UNIX path) with
-      | () -> true
-      | exception Unix.Unix_error (_, _, _) -> false
-    in
-    (try Unix.close probe with Unix.Unix_error _ -> ());
-    live
+  let live () =
+    match Protocol.connect ~socket:path with
+    | Ok probe ->
+        (try Unix.close probe with Unix.Unix_error _ -> ());
+        true
+    | Error _ -> false
   in
-  if Sys.file_exists path && stale_or_live () then
+  if Sys.file_exists path && live () then
     Error (Printf.sprintf "a kpt daemon is already listening on %s" path)
   else begin
     if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ());
@@ -131,80 +128,6 @@ let log fmt =
   Format.eprintf ("kpt-serve: " ^^ fmt ^^ "@.")
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* ---- the deadline line reader ----------------------------------------------
-
-   SO_RCVTIMEO alone cannot catch a slow-loris writer: the kernel timer
-   restarts on every successful read, so a client dribbling one byte per
-   interval is tolerated forever.  The reader instead holds an {e
-   absolute} deadline for completing one request line, re-arming
-   SO_RCVTIMEO with the remaining time before each read — a drip-feed
-   client runs out of deadline no matter how regular the drip. *)
-
-(* The bytes of one read land in [rbuf]; [rpos, rlen) of it is not yet
-   consumed.  A line that spans reads collects its earlier pieces in
-   [partial], so every byte is scanned for the newline once and copied
-   at most twice, however many reads a large request takes. *)
-type reader = {
-  rfd : Unix.file_descr;
-  rbuf : Bytes.t;
-  mutable rpos : int;
-  mutable rlen : int;
-  partial : Buffer.t;
-}
-
-let make_reader rfd =
-  { rfd; rbuf = Bytes.create 65536; rpos = 0; rlen = 0; partial = Buffer.create 1024 }
-
-let set_timeout fd opt seconds =
-  try Unix.setsockopt_float fd opt seconds with Unix.Unix_error _ -> ()
-
-let read_line r ~deadline =
-  let rec newline i =
-    if i >= r.rlen then -1 else if Bytes.unsafe_get r.rbuf i = '\n' then i else newline (i + 1)
-  in
-  let rec go () =
-    let i = newline r.rpos in
-    if i >= 0 then begin
-      let line =
-        if Buffer.length r.partial = 0 then Bytes.sub_string r.rbuf r.rpos (i - r.rpos)
-        else begin
-          Buffer.add_subbytes r.partial r.rbuf r.rpos (i - r.rpos);
-          let line = Buffer.contents r.partial in
-          Buffer.clear r.partial;
-          line
-        end
-      in
-      r.rpos <- i + 1;
-      `Line line
-    end
-    else begin
-      Buffer.add_subbytes r.partial r.rbuf r.rpos (r.rlen - r.rpos);
-      r.rpos <- 0;
-      r.rlen <- 0;
-      let remaining =
-        match deadline with
-        | None -> None
-        | Some d -> Some (d -. Unix.gettimeofday ())
-      in
-      match remaining with
-      | Some t when t <= 0. -> `Timeout
-      | _ -> (
-          (match remaining with
-          | Some t -> set_timeout r.rfd Unix.SO_RCVTIMEO t
-          | None -> ());
-          match Unix.read r.rfd r.rbuf 0 (Bytes.length r.rbuf) with
-          | 0 -> `Eof
-          | n ->
-              r.rlen <- n;
-              go ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              `Timeout
-          | exception Unix.Unix_error (_, _, _) -> `Eof)
-    end
-  in
-  go ()
 
 (* ---- request handling ------------------------------------------------------ *)
 
@@ -404,9 +327,9 @@ let set_busy st c v = locked st (fun () -> c.busy <- v)
 let serve_connection st c =
   let fd = c.cfd in
   (match st.cfg.request_timeout with
-  | Some t -> set_timeout fd Unix.SO_SNDTIMEO t
+  | Some t -> Protocol.set_timeout fd Unix.SO_SNDTIMEO t
   | None -> ());
-  let r = make_reader fd in
+  let r = Protocol.make_reader fd in
   let rec loop () =
     set_busy st c false;
     if stopping st then ()
@@ -414,7 +337,7 @@ let serve_connection st c =
       let deadline =
         Option.map (fun t -> Unix.gettimeofday () +. t) st.cfg.request_timeout
       in
-      match read_line r ~deadline with
+      match Protocol.read_line r ~deadline with
       | `Eof -> ()
       | `Timeout ->
           Atomic.incr st.io_timeouts;
@@ -491,7 +414,7 @@ let worker st () =
 let shed st fd =
   Atomic.incr st.sheds;
   Kpt_obs.incr c_sheds;
-  set_timeout fd Unix.SO_SNDTIMEO 1.0;
+  Protocol.set_timeout fd Unix.SO_SNDTIMEO 1.0;
   (try
      send fd
        (Protocol.Error_frame
@@ -564,7 +487,7 @@ let drain st workers =
   in
   List.iter
     (fun fd ->
-      set_timeout fd Unix.SO_SNDTIMEO 1.0;
+      Protocol.set_timeout fd Unix.SO_SNDTIMEO 1.0;
       (try
          send fd
            (Protocol.Error_frame

@@ -19,11 +19,41 @@ let contains ~affix s =
   let rec go i = i + n <= String.length s && (String.sub s i n = affix || go (i + 1)) in
   go 0
 
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let slurp path = In_channel.with_open_bin path In_channel.input_all
+
+let replace_all ~sub ~by s =
+  let n = String.length sub and len = String.length s in
+  let b = Buffer.create len in
+  let rec go i =
+    if i > len - n then Buffer.add_substring b s i (len - i)
+    else if String.sub s i n = sub then begin
+      Buffer.add_string b by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* examples/specs/transmit3.unity with both arrays widened from 3 to 30
+   elements: 64 variables, and an SI of 1 441 151 880 758 558 720
+   states that a BDD of 110 nodes holds.  With [~knowledge] the
+   [deliver] guard also asks K[Receiver](j < 3), which makes the spec a
+   KBP.  Written to a temporary file for [f]. *)
+let with_transmit30 ~knowledge f =
+  let src =
+    slurp "../examples/specs/transmit3.unity"
+    |> replace_all ~sub:"nat(1)[3]" ~by:"nat(1)[30]"
+    |> if knowledge then
+         replace_all ~sub:"if wire_idx = j" ~by:"if K[Receiver](j < 3) /\\ wire_idx = j"
+       else Fun.id
+  in
+  let path = Filename.temp_file "kpt-transmit30" ".unity" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc src);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 (* The built CLI (a declared dependency of the test stanza), run to
    completion from the test directory: [(exit code, stdout, stderr)].

@@ -367,7 +367,24 @@ let test_candidate_cap () =
   match Kbp.solutions kbp with
   | _ -> Alcotest.fail "31 candidate states enumerated past the 2^22 cap"
   | exception Kbp.Too_many_candidates { free; cap } ->
-      Alcotest.(check (pair int int)) "free states, cap" (30, 22) (free, cap)
+      Alcotest.(check (pair string int)) "free states, cap" ("30", 22)
+        (Bigcount.to_string free, cap)
+
+(* 15 123 087 548 710 125 568 free states — more than a native int
+   holds — are counted, never listed, so the cap is reported at once. *)
+let test_cap_counted_symbolically () =
+  Helpers.with_transmit30 ~knowledge:true @@ fun path ->
+  let t0 = Unix.gettimeofday () in
+  let code, _, err =
+    Helpers.run_kpt ~kill_after:20. [ "verify"; path; "--invariant"; "j <= 3" ]
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "verify exits 1" 1 code;
+  Alcotest.(check bool) (Printf.sprintf "under 5 s (%.2fs)" elapsed) true (elapsed < 5.0);
+  Alcotest.(check string) "the cap line"
+    "error: the KBP has 15123087548710125568 free candidate states, past the 2^22 \
+     solver cap\n"
+    err
 
 (* Automatic sifting at a tiny threshold sifts, and sweeps, between the
    Ĝ steps of [solve]: the sweeps recycle ids, and [solve] detects a
@@ -437,4 +454,6 @@ let suite =
     Alcotest.test_case "standard KBP: one solution, no enumeration" `Quick
       test_standard_kbp_skips_enumeration;
     Alcotest.test_case "knowledge KBP past the cap raises" `Quick test_candidate_cap;
+    Alcotest.test_case "the cap is checked on a symbolic count" `Quick
+      test_cap_counted_symbolically;
   ]

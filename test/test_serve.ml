@@ -72,21 +72,6 @@ let result_exn = function
   | Ok (Protocol.Event _) -> Alcotest.fail "event frame leaked past read_response"
   | Error msg -> Alcotest.failf "transport error: %s" msg
 
-(* One request with a client-side deadline: a daemon that has not
-   answered within [seconds] fails the test, naming [what], instead of
-   hanging the suite.  The request asks for no events, so the first frame
-   is the final one. *)
-let roundtrip_within ~seconds ~what ~socket req =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-  Unix.connect fd (Unix.ADDR_UNIX socket);
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds;
-  Protocol.write_all fd (Json.to_line (Protocol.request_to_json req));
-  match input_line (Unix.in_channel_of_descr fd) with
-  | line -> Protocol.response_of_json (Json.of_string line)
-  | exception Sys_blocked_io -> Alcotest.failf "%s: no reply within %.0f s" what seconds
-  | exception (Sys_error _ | End_of_file) -> Alcotest.failf "%s: connection lost" what
-
 let check_outcome name (direct : Driver.outcome) (r : reply) ~cached =
   Alcotest.(check int) (name ^ ": exit code") direct.Driver.code r.exit_code;
   Alcotest.(check string) (name ^ ": stdout bytes") direct.Driver.out r.out;
@@ -373,28 +358,19 @@ let test_concurrent_clients_match_sequential () =
 
 (* ---- overload shedding -------------------------------------------------------- *)
 
-(* raw sockets, for adversarial clients the [Client] module rightly
-   refuses to be *)
-let raw_connect socket =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX socket);
-  fd
+(* Adversarial clients connect with [Client] and write raw bytes through
+   [Client.fd]; every read they make is bounded, because a test that
+   blocks forever on a frame the daemon never owes it wedges the whole
+   suite. *)
+let connect_exn socket =
+  match Client.connect ~socket with
+  | Ok c -> c
+  | Error msg -> Alcotest.failf "connect: %s" msg
 
-(* every read is select-guarded: an adversarial-client test that blocks
-   forever on a frame the daemon never owes it wedges the whole suite *)
-let recv_frame ~timeout fd =
-  match Unix.select [ fd ] [] [] timeout with
-  | [ _ ], _, _ -> (
-      let ic = Unix.in_channel_of_descr fd in
-      match Protocol.response_of_json (Json.of_string (input_line ic)) with
-      | Ok frame -> Some frame
-      | Error msg -> Alcotest.failf "undecodable frame: %s" msg)
-  | _ -> None
-
-let raw_frame_exn fd =
-  match recv_frame ~timeout:10.0 fd with
-  | Some frame -> frame
-  | None -> Alcotest.fail "no frame within 10s"
+let frame_exn c =
+  match Client.read_response ~timeout:10.0 c with
+  | Ok frame -> frame
+  | Error e -> Alcotest.failf "no frame within 10s: %s" (Client.read_error_to_string e)
 
 let test_overload_sheds_with_structured_frame () =
   (* one worker, a queue of one: a silent connection holds the worker
@@ -406,25 +382,21 @@ let test_overload_sheds_with_structured_frame () =
   with_server ~tag:"shed" ~jobs:1 ~queue:1 @@ fun socket ->
   let opened = ref [] in
   let connect () =
-    let fd = raw_connect socket in
-    opened := fd :: !opened;
-    fd
+    let c = connect_exn socket in
+    opened := c :: !opened;
+    c
   in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        !opened)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> List.iter Client.close !opened) @@ fun () ->
   let _holder = connect () in
   Unix.sleepf 0.2 (* let the worker pop the holder off the queue *);
   let rec shed_frame n =
     if n = 0 then Alcotest.fail "no probe connection was ever shed"
     else
-      let fd = connect () in
-      match recv_frame ~timeout:2.0 fd with
-      | Some frame -> frame
-      | None -> shed_frame (n - 1) (* parked in the queue; leave it there *)
+      match Client.read_response ~timeout:2.0 (connect ()) with
+      | Ok frame -> frame
+      | Error Client.Timed_out ->
+          shed_frame (n - 1) (* parked in the queue; leave it there *)
+      | Error e -> Alcotest.failf "probe: %s" (Client.read_error_to_string e)
   in
   match shed_frame 4 with
   | Protocol.Error_frame { exit_code; kind; message; _ } as frame ->
@@ -443,9 +415,8 @@ let test_overload_sheds_with_structured_frame () =
 
 let test_slow_loris_disconnected () =
   with_server ~tag:"loris" ~request_timeout:0.3 @@ fun socket ->
-  let fd = raw_connect socket in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
+  let c = connect_exn socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let t0 = Unix.gettimeofday () in
   (* drip bytes slower than any per-read timer would notice: the
      deadline is absolute, so the drip must still be cut.  A write that
@@ -453,14 +424,14 @@ let test_slow_loris_disconnected () =
      daemon sent before closing is still there to read. *)
   let rec drip k =
     if k > 0 then
-      match Unix.write_substring fd "{" 0 1 with
+      match Unix.write_substring (Client.fd c) "{" 0 1 with
       | _ ->
           Unix.sleepf 0.1;
           drip (k - 1)
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
   in
   drip 4;
-  (match raw_frame_exn fd with
+  (match frame_exn c with
   | Protocol.Error_frame { exit_code; kind; _ } ->
       Alcotest.(check int) "deadline exits 4" Protocol.exit_io_timeout exit_code;
       Alcotest.(check bool) "with the timeout kind" true (kind = Protocol.Timeout)
@@ -472,13 +443,7 @@ let test_slow_loris_disconnected () =
     (elapsed < 3.0);
   (* the cut is a disconnect, not a lingering half-open connection *)
   Alcotest.(check bool) "connection is closed after the frame" true
-    (match Unix.select [ fd ] [] [] 10.0 with
-    | [ _ ], _, _ -> (
-        match Unix.read fd (Bytes.create 1) 0 1 with
-        | 0 -> true (* EOF *)
-        | _ -> false
-        | exception Unix.Unix_error _ -> true)
-    | _ -> false)
+    (Client.read_response ~timeout:10.0 c = Error Client.Closed)
 
 (* ---- protocol version skew ---------------------------------------------------- *)
 
@@ -522,10 +487,9 @@ let test_mid_request_disconnect_recovers () =
   with_server ~tag:"vanish" ~jobs:1 @@ fun socket ->
   (* ship a complete request, then vanish before the reply: the single
      worker meets EPIPE mid-reply and must recycle, not die *)
-  let fd = raw_connect socket in
-  let line = Json.to_string (Protocol.request_to_json (mk_req Protocol.Check sources)) in
-  Protocol.write_line fd line;
-  Unix.close fd;
+  let c = connect_exn socket in
+  Client.send_request c (mk_req Protocol.Check sources);
+  Client.close c;
   (* the only worker is (or was) busy with the orphan; this answer
      proves it came back for the next connection *)
   let r = result_exn (Client.roundtrip ~socket (mk_req Protocol.Ping [])) in
@@ -804,9 +768,9 @@ let test_solve_file_served () =
                ~affix:"\nSolution enumeration: 30 free candidate states exceed the 2^22 cap.\n"
                direct.Driver.out));
       let served =
-        result_exn
-          (roundtrip_within ~seconds:90. ~what:("served solve-file " ^ file) ~socket
-             (mk_req ~id:(i + 1) Protocol.Solve [ spec ]))
+        match Client.roundtrip ~timeout:90. ~socket (mk_req ~id:(i + 1) Protocol.Solve [ spec ]) with
+        | Error msg -> Alcotest.failf "served solve-file %s: %s" file msg
+        | reply -> result_exn reply
       in
       check_outcome file direct served ~cached:false)
     runs
@@ -879,6 +843,128 @@ let test_chaos_mini_sweep () =
   Unix.rmdir dir;
   Alcotest.(check int) "chaos sweep holds every invariant" 0 code
 
+(* ---- the one frame reader ----------------------------------------------------- *)
+
+let result_line ~out =
+  Json.to_line
+    (Protocol.response_to_json
+       (Protocol.Result { id = 1; exit_code = 0; cached = false; out; err = ""; daemon = [] }))
+
+(* The client end of a socketpair, read through [Client]; the other end
+   is the test's, written raw. *)
+let with_pair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Client.of_fd a in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () -> f c b)
+
+(* A stand-in daemon on a fresh socket: for each connection it reads the
+   request line, writes [reply] raw, then hangs up or ([hold]) keeps the
+   connection open.  Returns [f socket] and the number of connections
+   accepted — the probe for what [run_cli] resends. *)
+let with_fake_daemon ~tag ~reply ~hold f =
+  let socket = socket_path tag in
+  if Sys.file_exists socket then Sys.remove socket;
+  let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_UNIX socket);
+  Unix.listen lsock 8;
+  let stop = Atomic.make false in
+  let acceptor =
+    Domain.spawn (fun () ->
+        let rec loop n held =
+          if Atomic.get stop then begin
+            List.iter Unix.close held;
+            n
+          end
+          else
+            match Unix.select [ lsock ] [] [] 0.02 with
+            | [], _, _ -> loop n held
+            | _ ->
+                let fd, _ = Unix.accept lsock in
+                let r = Protocol.make_reader fd in
+                ignore (Protocol.read_line r ~deadline:(Some (Unix.gettimeofday () +. 2.)));
+                (try Protocol.write_all fd reply with Unix.Unix_error _ -> ());
+                if hold then loop (n + 1) (fd :: held)
+                else begin
+                  Unix.close fd;
+                  loop (n + 1) held
+                end
+        in
+        loop 0 [])
+  in
+  let result = try Ok (f socket) with e -> Error e in
+  Atomic.set stop true;
+  let accepted = Domain.join acceptor in
+  Unix.close lsock;
+  Sys.remove socket;
+  match result with Ok v -> (v, accepted) | Error e -> raise e
+
+(* [run_cli] with a retry budget of 3 against a fake daemon: its exit
+   code, and how many times it sent the request. *)
+let run_cli_against ~tag ~reply ~hold =
+  with_fake_daemon ~tag ~reply ~hold (fun socket ->
+      Client.run_cli ~socket ~serve_auto:false ~retries:3 ~backoff:0.01 ~timeout:0.2
+        (mk_req Protocol.Ping []))
+
+(* Frames are read from a buffer, not one per read: an event and the
+   result written at once both arrive, in order. *)
+let test_two_frames_one_write () =
+  with_pair @@ fun c b ->
+  let event =
+    Json.to_line
+      (Protocol.response_to_json
+         (Protocol.Event { id = 1; name = "sst.iter"; fields = [ ("n", 3) ] }))
+  in
+  Protocol.write_all b (event ^ result_line ~out:"done\n");
+  let events = ref [] in
+  let on_event name fields = events := (name, fields) :: !events in
+  let r = result_exn (Result.map_error Client.read_error_to_string (Client.read_response ~on_event ~timeout:10. c)) in
+  Alcotest.(check string) "the result frame arrives" "done\n" r.out;
+  Alcotest.(check (list (pair string (list (pair string int)))))
+    "and the event before it" [ ("sst.iter", [ ("n", 3) ]) ] !events
+
+(* A deadline that passes is [Timed_out] within the deadline's time; a
+   later read with no deadline on the same connection waits as long as
+   it takes; and [run_cli] never resends after a timeout — while a
+   connection closed with no reply is retried, as before. *)
+let test_deadline_times_out_and_disarms () =
+  with_pair (fun c b ->
+      let t0 = Unix.gettimeofday () in
+      Alcotest.(check bool) "a silent peer times out" true
+        (Client.read_response ~timeout:0.2 c = Error Client.Timed_out);
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) (Printf.sprintf "within 2 s (%.2fs)" elapsed) true (elapsed < 2.0);
+      let late =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.5;
+            Protocol.write_all b (result_line ~out:"late\n"))
+      in
+      let r = Client.read_response c in
+      Domain.join late;
+      Alcotest.(check string) "no deadline: the late reply arrives" "late\n"
+        (result_exn (Result.map_error Client.read_error_to_string r)).out);
+  let code, sent = run_cli_against ~tag:"silent" ~reply:"" ~hold:true in
+  Alcotest.(check (pair int int)) "a timeout exits 2 and is sent once" (2, 1) (code, sent);
+  let code, sent = run_cli_against ~tag:"hangup" ~reply:"" ~hold:false in
+  Alcotest.(check (pair int int)) "a closed connection is retried 3 times" (2, 4) (code, sent)
+
+(* A line the daemon began and never ended is malformed, as a buffered
+   channel's line reader made it: never resent. *)
+let test_cut_line_is_malformed () =
+  let cut = String.sub (result_line ~out:"x") 0 20 in
+  with_pair (fun c b ->
+      Protocol.write_all b cut;
+      Unix.close b;
+      Alcotest.(check bool) "a cut line then EOF is Malformed" true
+        (match Client.read_response ~timeout:10. c with
+        | Error (Client.Malformed _) -> true
+        | _ -> false));
+  let code, sent = run_cli_against ~tag:"cut" ~reply:cut ~hold:false in
+  Alcotest.(check (pair int int)) "it exits 2 and is sent once" (2, 1) (code, sent)
+
 let suite =
   [
     Alcotest.test_case "served check is byte-identical (cold/warm/cached)" `Quick
@@ -928,4 +1014,10 @@ let suite =
       test_chaos_mini_sweep;
     Alcotest.test_case "an astral path escaped as surrogate pairs serves kpt check's bytes" `Quick
       test_astral_path_escaped_as_pairs;
+    Alcotest.test_case "one reader: two frames in one write both arrive" `Quick
+      test_two_frames_one_write;
+    Alcotest.test_case "one reader: a deadline times out, disarms, is never resent" `Quick
+      test_deadline_times_out_and_disarms;
+    Alcotest.test_case "one reader: a line cut by EOF is malformed, never resent" `Quick
+      test_cut_line_is_malformed;
   ]

@@ -105,6 +105,26 @@ let test_pp () =
   let s = Format.asprintf "%a" (Space.pp_state sp) st in
   Alcotest.(check string) "pp_state" "⟨b=true n=2 color=red⟩" s
 
+(* Printing a set of 2^60-odd states lists the first 100 and counts the
+   rest, inside the request's deadline. *)
+let test_pp_pred_capped () =
+  Helpers.with_transmit30 ~knowledge:false @@ fun path ->
+  let t0 = Unix.gettimeofday () in
+  let code, out, _ =
+    Helpers.run_kpt ~kill_after:20. [ "solve-file"; "--timeout"; "2"; path ]
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "solve-file exits 0" 0 code;
+  Alcotest.(check bool) (Printf.sprintf "under 5 s (%.2fs)" elapsed) true (elapsed < 5.0);
+  let si =
+    List.find (String.starts_with ~prefix:"  SI = ") (String.split_on_char '\n' out)
+  in
+  (* a state prints with no comma inside it *)
+  Alcotest.(check int) "100 states listed, then the rest" 101
+    (List.length (String.split_on_char ',' si));
+  Alcotest.(check bool) "then the count of the rest" true
+    (String.ends_with ~suffix:", … (1441151880758558620 more)}" si)
+
 let suite =
   [
     Alcotest.test_case "declare" `Quick test_declare;
@@ -116,4 +136,6 @@ let suite =
     Alcotest.test_case "swap_pairs moves a variable" `Quick test_swap_pairs_law;
     Alcotest.test_case "states_of" `Quick test_states_of;
     Alcotest.test_case "pretty printing" `Quick test_pp;
+    Alcotest.test_case "pp_pred lists 100 states, counts the rest" `Quick
+      test_pp_pred_capped;
   ]
