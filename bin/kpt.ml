@@ -308,9 +308,8 @@ let transport_term =
     if socket = None && (not serve_auto) && retries = 0 then None
     else
       Some
-        (fun req ->
-          Kpt_serve.Client.run_cli ~socket:(resolve_socket socket) ~serve_auto ~retries
-            ~backoff req)
+        (Kpt_serve.Client.run_cli ~socket:(resolve_socket socket) ~serve_auto ~retries
+           ~backoff)
   in
   Term.(const make $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg)
 

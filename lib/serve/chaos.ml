@@ -388,7 +388,7 @@ let scenario_slow_loris t specs =
                     cut := true;
                     match Client.read_response ~timeout:1. c with
                     | Ok (Protocol.Error_frame { kind = Protocol.Timeout; _ })
-                    | Error (Client.Closed | Client.Timed_out) ->
+                    | Error (Client.Closed | Client.Cut _ | Client.Timed_out) ->
                         ()
                     | Ok _ -> violation t "slow-loris: expected a timeout error frame"
                     | Error (Client.Malformed msg) ->
@@ -439,7 +439,7 @@ let scenario_flood t specs =
             ~finally:(fun () -> Client.close c)
             (fun () ->
               match Client.read_response ~timeout:5. c with
-              | Error (Client.Closed | Client.Timed_out) ->
+              | Error (Client.Closed | Client.Cut _ | Client.Timed_out) ->
                   note_hard "flood: surplus connection got no frame at all"
               | Ok (Protocol.Error_frame { kind = Protocol.Overloaded; exit_code; _ }) ->
                   if exit_code <> Protocol.exit_overloaded then
@@ -476,11 +476,12 @@ let scenario_flood t specs =
   (match specs with s :: _ -> healthy t ~tag:"flood" s | [] -> ());
   ignore (ping_alive t ~tag:"flood")
 
-(* After the daemon dies under a client, the client sees silence or a
-   whole well-formed frame — never a line that decodes to garbage. *)
+(* After the daemon dies under a client, the client sees silence, a
+   frame the death cut short, or a whole well-formed frame — never a
+   whole line that decodes to garbage. *)
 let silence_or_frame t ~tag c =
   (match Client.read_response ~timeout:2. c with
-  | Ok _ | Error (Client.Closed | Client.Timed_out) -> ()
+  | Ok _ | Error (Client.Closed | Client.Cut _ | Client.Timed_out) -> ()
   | Error (Client.Malformed msg) -> violation t "%s: malformed frame: %s" tag msg);
   Client.close c
 

@@ -14,16 +14,16 @@ let send_line c line = Protocol.write_line c.fd line
 
 let send_request c req = Protocol.write_all c.fd (Json.to_line (Protocol.request_to_json req))
 
-type read_error = Closed | Malformed of string | Timed_out
+type read_error = Closed | Malformed of string | Cut of string | Timed_out
 
 let read_error_to_string = function
   | Closed -> "connection closed before a reply arrived"
-  | Malformed msg -> msg
+  | Malformed msg | Cut msg -> msg
   | Timed_out -> "no reply before the client's deadline"
 
 (* A line the daemon began and never ended is decoded as if it had its
-   newline — it can only fail as [Malformed], so a truncated reply is
-   never resent. *)
+   newline — it can only fail, as [Cut], so a truncated reply is never
+   resent. *)
 let read_response ?(on_event = fun _ _ -> ()) ?timeout c =
   let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
   let rec loop () =
@@ -31,7 +31,10 @@ let read_response ?(on_event = fun _ _ -> ()) ?timeout c =
     | `Line line -> decode line
     | `Timeout -> Error Timed_out
     | `Eof -> (
-        match Protocol.unterminated c.reader with "" -> Error Closed | line -> decode line)
+        match Protocol.unterminated c.reader with
+        | "" -> Error Closed
+        | line -> (
+            match decode line with Error (Malformed msg) -> Error (Cut msg) | r -> r))
   and decode line =
     match Protocol.response_of_json (Json.of_string line) with
     | exception Json.Parse_error msg -> Error (Malformed ("malformed frame: " ^ msg))
@@ -119,7 +122,7 @@ let error_hint = function
       Some "the daemon shed this request under load; retry with --retries N --retry-backoff S"
   | Protocol.Generic | Protocol.Timeout | Protocol.Interrupted -> None
 
-let run_cli ~socket ~serve_auto ?(retries = 0) ?(backoff = default_backoff) ?timeout
+let run_cli ~socket ~serve_auto ?(retries = 0) ?(backoff = default_backoff)
     (req : Protocol.request) =
   ignore_sigpipe ();
   let rng = Kpt_gen.Rng.make (retry_seed ()) in
@@ -158,7 +161,7 @@ let run_cli ~socket ~serve_auto ?(retries = 0) ?(backoff = default_backoff) ?tim
         let reply =
           Fun.protect
             ~finally:(fun () -> close c)
-            (fun () -> exchange ~on_event:render_event ?timeout c req)
+            (fun () -> exchange ~on_event:render_event c req)
         in
         match reply with
         | Ok (Protocol.Result { exit_code; out; err; daemon; _ }) ->
@@ -180,10 +183,9 @@ let run_cli ~socket ~serve_auto ?(retries = 0) ?(backoff = default_backoff) ?tim
                 | None -> ());
                 exit_code)
         | Ok (Protocol.Event _) -> assert false (* read_response consumes events *)
-        | Error ((Malformed _ | Timed_out) as e) ->
-            (* an undecipherable frame is not a connection failure: the
-               daemon spoke, we did not understand — and a daemon still
-               silent at our deadline may be running the request; resend
+        | Error ((Malformed _ | Cut _ | Timed_out) as e) ->
+            (* an undecipherable or cut frame is not a connection
+               failure: the daemon spoke, we did not understand; resend
                neither *)
             Format.eprintf "error: %s@." (read_error_to_string e);
             2

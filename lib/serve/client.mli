@@ -44,8 +44,12 @@ val send_line : connection -> string -> unit
 type read_error =
   | Closed  (** EOF with no frame: the request may never have run *)
   | Malformed of string
-      (** the daemon spoke, we could not decode it (a line cut short by
-          EOF included) — not a transport failure, never retried *)
+      (** the daemon spoke, we could not decode it — not a transport
+          failure, never retried *)
+  | Cut of string
+      (** EOF in the middle of a line that does not decode: the daemon
+          died while writing a frame.  It spoke, so, like [Malformed],
+          never retried *)
   | Timed_out
       (** no final frame before the caller's deadline; the request may
           be running, so it is never retried *)
@@ -95,14 +99,11 @@ val run_cli :
   serve_auto:bool ->
   ?retries:int ->
   ?backoff:float ->
-  ?timeout:float ->
   Protocol.request ->
   int
 (** Send [req] to the daemon at [socket] and print the answer.
     [retries] (default 0) bounds additional attempts; [backoff] (default
-    {!default_backoff}) seeds the jitter schedule; [timeout] bounds each
-    attempt's wait for the reply as in {!read_response} (no deadline by
-    default).  When no daemon is
+    {!default_backoff}) seeds the jitter schedule.  When no daemon is
     reachable after the last attempt: [~serve_auto:true] falls back to
     {!run_local} (same driver, same bytes, same exit code); otherwise
     prints a hint naming [kpt serve] and returns 2. *)

@@ -862,10 +862,10 @@ let with_pair f =
     (fun () -> f c b)
 
 (* A stand-in daemon on a fresh socket: for each connection it reads the
-   request line, writes [reply] raw, then hangs up or ([hold]) keeps the
-   connection open.  Returns [f socket] and the number of connections
-   accepted — the probe for what [run_cli] resends. *)
-let with_fake_daemon ~tag ~reply ~hold f =
+   request line, writes [reply] raw, then hangs up.  Returns [f socket]
+   and the number of connections accepted — the probe for what [run_cli]
+   resends. *)
+let with_fake_daemon ~tag ~reply f =
   let socket = socket_path tag in
   if Sys.file_exists socket then Sys.remove socket;
   let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -874,26 +874,20 @@ let with_fake_daemon ~tag ~reply ~hold f =
   let stop = Atomic.make false in
   let acceptor =
     Domain.spawn (fun () ->
-        let rec loop n held =
-          if Atomic.get stop then begin
-            List.iter Unix.close held;
-            n
-          end
+        let rec loop n =
+          if Atomic.get stop then n
           else
             match Unix.select [ lsock ] [] [] 0.02 with
-            | [], _, _ -> loop n held
+            | [], _, _ -> loop n
             | _ ->
                 let fd, _ = Unix.accept lsock in
                 let r = Protocol.make_reader fd in
                 ignore (Protocol.read_line r ~deadline:(Some (Unix.gettimeofday () +. 2.)));
                 (try Protocol.write_all fd reply with Unix.Unix_error _ -> ());
-                if hold then loop (n + 1) (fd :: held)
-                else begin
-                  Unix.close fd;
-                  loop (n + 1) held
-                end
+                Unix.close fd;
+                loop (n + 1)
         in
-        loop 0 [])
+        loop 0)
   in
   let result = try Ok (f socket) with e -> Error e in
   Atomic.set stop true;
@@ -904,9 +898,9 @@ let with_fake_daemon ~tag ~reply ~hold f =
 
 (* [run_cli] with a retry budget of 3 against a fake daemon: its exit
    code, and how many times it sent the request. *)
-let run_cli_against ~tag ~reply ~hold =
-  with_fake_daemon ~tag ~reply ~hold (fun socket ->
-      Client.run_cli ~socket ~serve_auto:false ~retries:3 ~backoff:0.01 ~timeout:0.2
+let run_cli_against ~tag ~reply =
+  with_fake_daemon ~tag ~reply (fun socket ->
+      Client.run_cli ~socket ~serve_auto:false ~retries:3 ~backoff:0.01
         (mk_req Protocol.Ping []))
 
 (* Frames are read from a buffer, not one per read: an event and the
@@ -928,42 +922,43 @@ let test_two_frames_one_write () =
 
 (* A deadline that passes is [Timed_out] within the deadline's time; a
    later read with no deadline on the same connection waits as long as
-   it takes; and [run_cli] never resends after a timeout — while a
-   connection closed with no reply is retried, as before. *)
+   it takes. *)
 let test_deadline_times_out_and_disarms () =
-  with_pair (fun c b ->
-      let t0 = Unix.gettimeofday () in
-      Alcotest.(check bool) "a silent peer times out" true
-        (Client.read_response ~timeout:0.2 c = Error Client.Timed_out);
-      let elapsed = Unix.gettimeofday () -. t0 in
-      Alcotest.(check bool) (Printf.sprintf "within 2 s (%.2fs)" elapsed) true (elapsed < 2.0);
-      let late =
-        Domain.spawn (fun () ->
-            Unix.sleepf 0.5;
-            Protocol.write_all b (result_line ~out:"late\n"))
-      in
-      let r = Client.read_response c in
-      Domain.join late;
-      Alcotest.(check string) "no deadline: the late reply arrives" "late\n"
-        (result_exn (Result.map_error Client.read_error_to_string r)).out);
-  let code, sent = run_cli_against ~tag:"silent" ~reply:"" ~hold:true in
-  Alcotest.(check (pair int int)) "a timeout exits 2 and is sent once" (2, 1) (code, sent);
-  let code, sent = run_cli_against ~tag:"hangup" ~reply:"" ~hold:false in
-  Alcotest.(check (pair int int)) "a closed connection is retried 3 times" (2, 4) (code, sent)
+  with_pair @@ fun c b ->
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "a silent peer times out" true
+    (Client.read_response ~timeout:0.2 c = Error Client.Timed_out);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "within 2 s (%.2fs)" elapsed) true (elapsed < 2.0);
+  let late =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.5;
+        Protocol.write_all b (result_line ~out:"late\n"))
+  in
+  let r = Client.read_response c in
+  Domain.join late;
+  Alcotest.(check string) "no deadline: the late reply arrives" "late\n"
+    (result_exn (Result.map_error Client.read_error_to_string r)).out
 
-(* A line the daemon began and never ended is malformed, as a buffered
-   channel's line reader made it: never resent. *)
-let test_cut_line_is_malformed () =
+(* A line the daemon began and never ended is [Cut] — a whole line that
+   does not decode stays [Malformed] — and [run_cli] resends neither; a
+   connection closed with no reply is retried, as before. *)
+let test_cut_line_is_never_resent () =
   let cut = String.sub (result_line ~out:"x") 0 20 in
-  with_pair (fun c b ->
-      Protocol.write_all b cut;
-      Unix.close b;
-      Alcotest.(check bool) "a cut line then EOF is Malformed" true
-        (match Client.read_response ~timeout:10. c with
-        | Error (Client.Malformed _) -> true
-        | _ -> false));
-  let code, sent = run_cli_against ~tag:"cut" ~reply:cut ~hold:false in
-  Alcotest.(check (pair int int)) "it exits 2 and is sent once" (2, 1) (code, sent)
+  let read_after bytes =
+    with_pair (fun c b ->
+        Protocol.write_all b bytes;
+        Unix.close b;
+        Client.read_response ~timeout:10. c)
+  in
+  Alcotest.(check bool) "a cut line then EOF is Cut" true
+    (match read_after cut with Error (Client.Cut _) -> true | _ -> false);
+  Alcotest.(check bool) "a whole garbage line is Malformed" true
+    (match read_after (cut ^ "\n") with Error (Client.Malformed _) -> true | _ -> false);
+  let code, sent = run_cli_against ~tag:"cut" ~reply:cut in
+  Alcotest.(check (pair int int)) "a cut reply exits 2 and is sent once" (2, 1) (code, sent);
+  let code, sent = run_cli_against ~tag:"hangup" ~reply:"" in
+  Alcotest.(check (pair int int)) "a closed connection is retried 3 times" (2, 4) (code, sent)
 
 let suite =
   [
@@ -1016,8 +1011,8 @@ let suite =
       test_astral_path_escaped_as_pairs;
     Alcotest.test_case "one reader: two frames in one write both arrive" `Quick
       test_two_frames_one_write;
-    Alcotest.test_case "one reader: a deadline times out, disarms, is never resent" `Quick
+    Alcotest.test_case "one reader: a deadline times out, then disarms" `Quick
       test_deadline_times_out_and_disarms;
-    Alcotest.test_case "one reader: a line cut by EOF is malformed, never resent" `Quick
-      test_cut_line_is_malformed;
+    Alcotest.test_case "one reader: a line cut by EOF is never resent" `Quick
+      test_cut_line_is_never_resent;
   ]
