@@ -2,10 +2,13 @@ open Kpt_predicate
 open Kpt_unity
 
 (* Fair leads-to observability: the gfp of [fair_avoid] proceeds in
-   outer rounds (sweeps) over the statements; the sweep count and the
-   survivors per sweep are what explain a slow liveness check. *)
+   outer rounds (sweeps) over the statements, each running an EU per
+   statement whose target is not [Z] itself; the sweep count, the EU
+   steps (one EX each) and the survivors per sweep are what explain a
+   slow liveness check. *)
 let c_gfp_runs = Kpt_obs.counter "leadsto.gfp.runs"
 let c_gfp_sweeps = Kpt_obs.counter "leadsto.gfp.sweeps"
+let c_eu_steps = Kpt_obs.counter "leadsto.eu.steps"
 
 type t =
   | Invariant of Bdd.t
@@ -67,6 +70,7 @@ let fair_avoid prog q =
     let rec grow reached frontier =
       Engine.checkpoint ();
       incr steps;
+      Kpt_obs.incr c_eu_steps;
       let fresh = Bdd.diff m (Bdd.and_ m z (Program.pre prog frontier)) reached in
       if Bdd.is_false fresh then reached else grow (Bdd.or_ m reached fresh) fresh
     in

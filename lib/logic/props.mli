@@ -43,7 +43,8 @@ val fair_avoid : Program.t -> Bdd.t -> Bdd.t
     is, [Z ⊆ wp.t.Z]) is taken as [E[Z U Z] = Z] without its EU.  Each
     outer round (one pass over the statements) consumes one unit of
     {!Engine.checkpoint} fuel and bumps [leadsto.gfp.sweeps]; every
-    inner step polls the deadline. *)
+    inner step (one EX of an EU) polls the deadline and bumps
+    [leadsto.eu.steps]. *)
 
 val leads_to : Program.t -> Bdd.t -> Bdd.t -> bool
 (** Fair leads-to: [p ↦ q] iff no reachable [p ∧ ¬q] state can fairly

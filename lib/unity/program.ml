@@ -73,14 +73,16 @@ let stable p pred = Pred.holds_implies p.space (sp_pred p pred) pred
    are the next frontier.  A round that adds nothing leaves [x] closed
    under every statement — the same least fixpoint, and by canonicity
    the same BDD, as the full-set Kleene iteration [x' = p ∨ x ∨ SP.x].
-   The states an image adds, [SP.f ∧ ¬x], come from one [diff]: the
-   complement of [x] is never built. *)
+   Only the fire branch is imaged ({!Stmt.post}): the skip branch of
+   [sp.s.f] is [f ∧ ¬g ⊆ f ⊆ x] and never adds a state.  The states an
+   image adds, [post.s.f ∧ ¬x], come from one [diff]: the complement of
+   [x] is never built. *)
 let sst p pred =
   let m = Space.manager p.space in
   let pred = Pred.normalize p.space pred in
   Kpt_obs.incr c_sst_runs;
   let chain (x, f, added) s =
-    let fresh = Bdd.diff m (Stmt.sp p.space s f) x in
+    let fresh = Bdd.diff m (Stmt.post p.space s f) x in
     if Bdd.is_false fresh then (x, f, added)
     else (Bdd.or_ m x fresh, Bdd.or_ m f fresh, Bdd.or_ m added fresh)
   in

@@ -58,9 +58,11 @@ val sst : t -> Bdd.t -> Bdd.t
     [f.x = SP.x ∨ p].  Exact on finite spaces.  Implemented as a chained
     iteration: within a round each statement images the round's frontier
     plus every state the earlier statements of the round added, and the
-    next round's frontier is everything the round added.  It reaches the
-    same least fixpoint (and, BDDs being canonical, the identical
-    predicate) in fewer rounds.  Each round consumes one unit of
+    next round's frontier is everything the round added.  Only the fire
+    branch of each statement is imaged ({!Stmt.post}): its skip branch
+    never leaves the frontier, which is already in the result.  It
+    reaches the same least fixpoint (and, BDDs being canonical, the
+    identical predicate) in fewer rounds.  Each round consumes one unit of
     {!Engine.checkpoint} fuel and bumps [sst.iterations]. *)
 
 val si : t -> Bdd.t

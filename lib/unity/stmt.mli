@@ -58,27 +58,34 @@ val totality_violation : Space.t -> t -> Bdd.t
     statement to be a legal UNITY statement on this space; {!Program.make}
     enforces this. *)
 
+val post : Space.t -> t -> Bdd.t -> Bdd.t
+(** The fire branch of {!sp}: the exact image of [p ∧ g] (within the
+    domain), over current bits.  Computed frame-free — the updates of the
+    assigned variables are conjoined one by one, each assigned current
+    bit is ∃-quantified as soon as no remaining update reads it, and the
+    last relational product also moves the assigned next bits back onto
+    their current bits ({!Bdd.and_exists} over a mixed cube); unassigned
+    variables never leave their current bits. *)
+
 val sp : Space.t -> t -> Bdd.t -> Bdd.t
 (** Strongest postcondition of one statement ([sp.s.p], eq. 26's
-    ingredient): the exact image of [p], over current bits.  Computed
-    frame-free — the fire branch conjoins only the updates of the
-    assigned variables, ∃-quantifies each assigned current bit as soon as
-    no remaining update reads it, and moves the assigned next bits back
-    ({!Bdd.swap_pairs}); unassigned variables never leave their current
-    bits.  Agrees with the image under the monolithic relation
+    ingredient): the exact image of [p], over current bits,
+    [post p ∨ (p ∧ domain ∧ ¬g)].  Agrees with the image under the
+    monolithic relation
     [(g ∧ ⋀_{v∈A} v' = rhs_v ∧ ⋀_{v∉A} v' = v) ∨ (¬g ∧ ⋀_v v' = v)],
     which the library never builds. *)
 
 val wp : Space.t -> t -> Bdd.t -> Bdd.t
 (** Weakest precondition ([= wlp], §5): states whose unique successor
     satisfies the postcondition — [ite(g, p[A := rhs], p)] for the
-    assigned variables [A], through the same update partition as
-    {!sp}.  No complement is built: the fire branch is
-    [(∃A'. p[A := A'] ∧ U) ∨ nofit], where [U] conjoins the updates and
-    [nofit = ¬∃A'. U] (built once per statement) holds exactly where
-    some right-hand side does not fit its target's bits — there the
-    statement has no successor and wp holds vacuously, as in the
-    complement form [¬∃A'. (¬p)[A := A'] ∧ U]. *)
+    assigned variables [A].  No complement is built and [p] is never
+    renamed: the fire branch is [(∃A. p ∧ U')[A' := A] ∨ nofit], where
+    [U'] conjoins the reversed updates [v = rhs_v[A := A']], each
+    followed by the quantification of its target, the last product moves
+    [A'] back onto [A], and [nofit] (built once per statement) holds
+    exactly where some right-hand side does not fit its target's bits —
+    there the statement has no successor and wp holds vacuously, as in
+    the complement form [¬∃A'. (¬p)[A := A'] ∧ U]. *)
 
 val unchanged : Space.t -> t -> Bdd.t
 (** States the statement maps to themselves (used for fixed points):

@@ -23,8 +23,11 @@ let cubes sp =
   ( Bdd.cube m (List.concat_map Space.current_bits vars),
     Bdd.cube m (List.concat_map Space.next_bits vars) )
 
-let to_next sp p = Bdd.swap_pairs (Space.manager sp) (fst (cubes sp)) p
-let to_current sp p = Bdd.swap_pairs (Space.manager sp) (snd (cubes sp)) p
+let to_next sp p =
+  Bdd.swap_pairs (Space.manager sp) (List.concat_map Space.current_bits (Space.vars sp)) p
+
+let to_current sp p =
+  Bdd.swap_pairs (Space.manager sp) (List.concat_map Space.next_bits (Space.vars sp)) p
 
 let keeps sp v = Bitvec.eq (Space.manager sp) (Space.next_vec sp v) (Space.cur_vec sp v)
 let identity sp = Bdd.conj (Space.manager sp) (List.map (keeps sp) (Space.vars sp))

@@ -236,23 +236,50 @@ let test_depends_on_support () =
     done
   done
 
-(* The swap refuses a predicate that reads a moved bit together with its
+(* The move refuses a predicate that reads a moved bit together with its
    partner on one path: a one-pass rebuild would break the order. *)
 let test_swap_partner_in_support () =
   let m = m () in
   let both = Bdd.and_ m (Bdd.var m 0) (Bdd.var m 1) in
   let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
   Alcotest.(check bool) "current and next bit of one pair" true
-    (raises (fun () -> Bdd.swap_pairs m (Bdd.cube m [ 0 ]) both));
+    (raises (fun () -> Bdd.swap_pairs m [ 0 ] both));
   Alcotest.(check bool) "moving the next bit instead" true
-    (raises (fun () -> Bdd.swap_pairs m (Bdd.cube m [ 1 ]) both));
+    (raises (fun () -> Bdd.swap_pairs m [ 1 ] both));
   (* a different pair's partner is harmless *)
   let p = Bdd.and_ m (Bdd.var m 0) (Bdd.var m 3) in
   Alcotest.(check bool) "disjoint pairs move" true
-    (Bdd.equal (Bdd.swap_pairs m (Bdd.cube m [ 0 ]) p) (Bdd.and_ m (Bdd.var m 1) (Bdd.var m 3)));
+    (Bdd.equal (Bdd.swap_pairs m [ 0 ] p) (Bdd.and_ m (Bdd.var m 1) (Bdd.var m 3)));
   Bdd.reorder m;
   Alcotest.(check bool) "still refused after a reorder" true
-    (raises (fun () -> Bdd.swap_pairs m (Bdd.cube m [ 0 ]) both))
+    (raises (fun () -> Bdd.swap_pairs m [ 0 ] both))
+
+(* A mixed cube is one literal per variable: a variable in both the
+   quantified and the moved list has no literal to be, so the
+   constructor refuses it rather than keep either one (before and after
+   a reorder permutes the levels its sort is keyed on).  Duplicates
+   within one list are one literal. *)
+let test_cube_quantify_and_move () =
+  let m = m () in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let p = Bdd.conj m [ Bdd.var m 0; Bdd.var m 3; Bdd.var m 4 ] in
+  let check_refusals when_ =
+    Alcotest.(check bool) ("same variable in both lists " ^ when_) true
+      (raises (fun () -> Bdd.cube m ~move:[ 3; 4 ] [ 0; 4 ]));
+    Alcotest.(check bool) ("a lone variable in both lists " ^ when_) true
+      (raises (fun () -> Bdd.cube m ~move:[ 5 ] [ 5 ]))
+  in
+  check_refusals "before a reorder";
+  Alcotest.(check bool) "duplicates within one list" true
+    (Bdd.equal
+       (Bdd.exists m (Bdd.cube m ~move:[ 3; 3 ] [ 0; 0 ]) p)
+       (Bdd.exists m (Bdd.cube m ~move:[ 3 ] [ 0 ]) p));
+  Alcotest.(check bool) "quantify 0, move 3 to 2" true
+    (Bdd.equal
+       (Bdd.exists m (Bdd.cube m ~move:[ 3 ] [ 0 ]) p)
+       (Bdd.and_ m (Bdd.var m 2) (Bdd.var m 4)));
+  Bdd.reorder m;
+  check_refusals "after a reorder"
 
 (* Cubes may name variables no node mentions yet, and quantifying them
    is a no-op on the operands. *)
@@ -266,7 +293,7 @@ let test_quant_unregistered () =
   Alcotest.(check bool) "and_exists past the registered range" true
     (Bdd.equal (Bdd.and_exists m (Bdd.cube m [ 2; 99 ]) p (Bdd.nvar m 0)) (Bdd.nvar m 0));
   Alcotest.(check bool) "swap over an unregistered pair" true
-    (Bdd.equal (Bdd.swap_pairs m (Bdd.cube m [ 70 ]) p) p);
+    (Bdd.equal (Bdd.swap_pairs m [ 70 ] p) p);
   (* the space-level case: declared variables no BDD has touched yet *)
   let sp = Space.create () in
   let a = Space.bool_var sp "a" in
@@ -363,6 +390,8 @@ let suite =
     Alcotest.test_case "depends_on vs support" `Quick test_depends_on_support;
     Alcotest.test_case "swap refuses a partner in the support" `Quick
       test_swap_partner_in_support;
+    Alcotest.test_case "a cube refuses a variable both quantified and moved" `Quick
+      test_cube_quantify_and_move;
     Alcotest.test_case "quantifying unregistered variables" `Quick test_quant_unregistered;
     Alcotest.test_case "a sift's sweep reclaims garbage, held handles keep their function"
       `Quick test_sweep_reclaims_garbage;

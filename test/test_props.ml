@@ -310,6 +310,27 @@ let test_gfp_sweeps_pinned () =
         (List.assoc name expected))
     (Helpers.section6_programs ())
 
+(* [leadsto.eu.steps] counts every EX step of every EU the gfp runs: on
+   the section-6 protocols it is the sum of the [eu_steps] fields the
+   sweeps stream to the trace sink, and positive wherever an EU ran. *)
+let test_eu_steps_counter () =
+  List.iter
+    (fun (name, { Kpt_protocols.Builtin.prog; j; _ }) ->
+      let sp = Program.space prog in
+      ignore (Program.si prog);
+      let q = bp sp Expr.(var j >>> nat 0) in
+      let ctx = Kpt_obs.Ctx.create () in
+      let streamed = ref 0 in
+      Kpt_obs.Ctx.set_sink ctx
+        (Some
+           (fun ev fields ->
+             if ev = "leadsto.gfp.sweep" then streamed := !streamed + List.assoc "eu_steps" fields));
+      Kpt_obs.Ctx.use ctx (fun () -> ignore (Props.fair_avoid prog q));
+      let counted = List.assoc "leadsto.eu.steps" (Kpt_obs.Ctx.counters ctx) in
+      Alcotest.(check int) (Printf.sprintf "%s: counter = streamed eu_steps" name) !streamed counted;
+      Alcotest.(check bool) (Printf.sprintf "%s: some EU ran" name) true (counted > 0))
+    (Helpers.section6_programs ())
+
 let suite =
   [
     Alcotest.test_case "unless" `Quick test_unless;
@@ -318,6 +339,7 @@ let suite =
     Alcotest.test_case "invariant" `Quick test_invariant;
     Alcotest.test_case "leads-to progress" `Quick test_leads_to_progress;
     Alcotest.test_case "leads-to fair avoidance" `Quick test_leads_to_avoidable;
+    Alcotest.test_case "leadsto.eu.steps = streamed eu_steps" `Quick test_eu_steps_counter;
     Alcotest.test_case "leads-to vacuous" `Quick test_leads_to_unreachable_antecedent;
     Alcotest.test_case "fair_avoid sets" `Quick test_fair_avoid_sets;
     Alcotest.test_case "holds dispatch" `Quick test_holds_dispatch;

@@ -202,9 +202,9 @@ let prop_bdd_swap_pairs =
       let b = to_bdd ~remap:bit m f in
       (* a second predicate over both copies gives sifting something to move *)
       ignore (to_bdd ~remap:(fun i -> (2 * nvars) - 1 - i) m f);
-      let c = Bdd.cube m (List.init nvars bit) in
+      let bits = List.init nvars bit in
       let shift = if on_next then -1 else 1 in
-      let check () = Bdd.equal (Bdd.swap_pairs m c b) (Bdd.rename m (fun v -> v + shift) b) in
+      let check () = Bdd.equal (Bdd.swap_pairs m bits b) (Bdd.rename m (fun v -> v + shift) b) in
       let before = check () in
       Bdd.reorder m;
       before && check ())

@@ -71,13 +71,13 @@ let test_swap_pairs_law () =
   let sp, _, n, _ = make_space () in
   let m = Space.manager sp in
   let p = Bitvec.eq_const m (Space.cur_vec sp n) 3 in
-  let q = Bdd.swap_pairs m (Bdd.cube m (Space.current_bits n)) p in
+  let q = Bdd.swap_pairs m (Space.current_bits n) p in
   Alcotest.(check bool) "swap moves the predicate" false (Bdd.equal p q);
   Alcotest.(check bool) "current-only: rename +1" true
     (Bdd.equal q (Bdd.rename m (fun v -> v + 1) p));
   Alcotest.(check bool) "next_vec agrees" true
     (Bdd.equal q (Bitvec.eq_const m (Space.next_vec sp n) 3));
-  let back = Bdd.swap_pairs m (Bdd.cube m (Space.next_bits n)) q in
+  let back = Bdd.swap_pairs m (Space.next_bits n) q in
   Alcotest.(check bool) "next-only: rename -1" true
     (Bdd.equal back (Bdd.rename m (fun v -> v - 1) q));
   Alcotest.(check bool) "roundtrip" true (Bdd.equal p back)
