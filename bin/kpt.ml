@@ -500,13 +500,13 @@ let parse_cmd =
   let run path =
     with_loaded path @@ fun (sp, kbp) ->
     Format.printf "%a@.@." Kbp.pp kbp;
-    Format.printf "state space : %d states over %d variables@."
-      (Space.state_count sp)
+    Format.printf "state space : %a states over %d variables@." Bigcount.pp
+      (Space.state_count_exact sp)
       (List.length (Space.vars sp));
     if Kbp.is_standard kbp then begin
       let prog = Kbp.to_standard_program kbp in
-      Format.printf "standard program; reachable states: %d@."
-        (Space.count_states_of sp (Program.si prog))
+      Format.printf "standard program; reachable states: %a@." Bigcount.pp
+        (Space.count_states_exact sp (Program.si prog))
     end
     else Format.printf "knowledge-based protocol (use 'kpt solve %s')@." path;
     0
@@ -638,10 +638,11 @@ let knowledge_cmd =
       let k = Knowledge.knows_in prog pname p in
       let show label pred =
         let inside = Bdd.and_ m si pred in
-        let count = Space.count_states_of sp inside in
-        let total = Space.count_states_of sp si in
-        Format.printf "  %-28s %d of %d reachable states@." label count total;
-        if count > 0 && count <= 8 then
+        let count = Space.count_states_exact sp inside in
+        let total = Space.count_states_exact sp si in
+        Format.printf "  %-28s %a of %a reachable states@." label Bigcount.pp count Bigcount.pp
+          total;
+        if match Bigcount.to_int count with Some c -> c > 0 && c <= 8 | None -> false then
           Format.printf "    %a@." (Space.pp_pred sp) inside
       in
       Format.printf "program %s, fact: %s@." (Program.name prog) fact;

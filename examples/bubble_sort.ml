@@ -40,6 +40,6 @@ let () =
   Format.printf "stable sorted               : %b@." (Kpt_logic.Props.stable prog sorted);
 
   (* Count the sorted states among all states. *)
-  Format.printf "%d of %d states are sorted (multisets with repetition).@."
-    (Space.count_states_of sp sorted)
-    (Space.state_count sp)
+  Format.printf "%a of %a states are sorted (multisets with repetition).@." Bigcount.pp
+    (Space.count_states_exact sp sorted)
+    Bigcount.pp (Space.state_count_exact sp)

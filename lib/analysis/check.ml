@@ -61,11 +61,11 @@ let budget_exhausted r =
 let outcome_blurb (t : Stats.t) =
   match t.Stats.outcome with
   | Stats.Standard { reachable; si_nodes = _ } ->
-      Printf.sprintf "standard, %d var(s), %d reachable state(s)" t.Stats.variables
-        reachable
+      Printf.sprintf "standard, %d var(s), %s reachable state(s)" t.Stats.variables
+        (Kpt_predicate.Bigcount.to_string reachable)
   | Stats.Kbp_converged { steps; states } ->
-      Printf.sprintf "kbp, %d var(s), converged in %d step(s) to %d state(s)"
-        t.Stats.variables steps states
+      Printf.sprintf "kbp, %d var(s), converged in %d step(s) to %s state(s)"
+        t.Stats.variables steps (Kpt_predicate.Bigcount.to_string states)
   | Stats.Kbp_cycle { period } ->
       Printf.sprintf "kbp, %d var(s), Ĝ cycles with period %d (not well-posed)"
         t.Stats.variables period

@@ -370,8 +370,8 @@ let check_protocol ?sink opts (b : Kpt_protocols.Builtin.t) ~n ~a ~lossy ~fault 
         else ", fault=" ^ Kpt_fault.Model.to_string model
       in
       Format.fprintf ppf "checking %s (n=%d, |A|=%d%s)@." b.label n a blurb;
-      Format.fprintf ppf "  reachable states : %d@."
-        (Space.count_states_of (Program.space t.prog) (Program.si t.prog));
+      Format.fprintf ppf "  reachable states : %a@." Bigcount.pp
+        (Space.count_states_exact (Program.space t.prog) (Program.si t.prog));
       let safe = Program.invariant t.prog safety in
       Format.fprintf ppf "  safety (34)      : %b@." safe;
       let live = ref true in

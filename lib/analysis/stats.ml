@@ -2,8 +2,8 @@ open Kpt_predicate
 open Kpt_core
 
 type outcome =
-  | Standard of { reachable : int; si_nodes : int }
-  | Kbp_converged of { steps : int; states : int }
+  | Standard of { reachable : Bigcount.t; si_nodes : int }
+  | Kbp_converged of { steps : int; states : Bigcount.t }
   | Kbp_cycle of { period : int }
 
 type t = {
@@ -24,12 +24,12 @@ let collect ~file (sp, kbp) =
     if Kbp.is_standard kbp then begin
       let prog = Kpt_obs.time "to_standard" (fun () -> Kbp.to_standard_program kbp) in
       let si = Kpt_obs.time "si" (fun () -> Kpt_unity.Program.si prog) in
-      Standard { reachable = Space.count_states_of sp si; si_nodes = Bdd.size m si }
+      Standard { reachable = Space.count_states_exact sp si; si_nodes = Bdd.size m si }
     end
     else
       match Kpt_obs.time "iterate" (fun () -> Kbp.solve kbp) with
       | Kbp.Converged { si; steps } ->
-          Kbp_converged { steps; states = Space.count_states_of sp si }
+          Kbp_converged { steps; states = Space.count_states_exact sp si }
       | Kbp.Diverged { orbit; _ } -> Kbp_cycle { period = List.length orbit }
       | Kbp.Budget_exhausted { reason; _ } -> raise (Budget.Exhausted reason)
   in
@@ -65,12 +65,12 @@ let pp fmt t =
   Format.fprintf fmt "  state space    : %a states@." Bigcount.pp t.state_space;
   (match t.outcome with
   | Standard { reachable; si_nodes } ->
-      Format.fprintf fmt "  reachable      : %d states (SI: %d BDD nodes, %d sst iterations)@."
-        reachable si_nodes
+      Format.fprintf fmt "  reachable      : %a states (SI: %d BDD nodes, %d sst iterations)@."
+        Bigcount.pp reachable si_nodes
         (counter_value t "sst.iterations")
   | Kbp_converged { steps; states } ->
-      Format.fprintf fmt "  Ĝ-iteration    : converged in %d step(s) to %d state(s)@." steps
-        states
+      Format.fprintf fmt "  Ĝ-iteration    : converged in %d step(s) to %a state(s)@." steps
+        Bigcount.pp states
   | Kbp_cycle { period } ->
       Format.fprintf fmt "  Ĝ-iteration    : cycles with period %d (no fixpoint reached)@." period);
   Format.fprintf fmt "  op-cache       : %.1f%% hit rate (%d hits / %d misses), %d slots@."
@@ -110,12 +110,12 @@ let to_json ?(timings = true) t =
   pf "  \"state_space\": %s,\n" (Bigcount.to_string t.state_space);
   (match t.outcome with
   | Standard { reachable; si_nodes } ->
-      pf "  \"reachable\": %d,\n" reachable;
+      pf "  \"reachable\": %s,\n" (Bigcount.to_string reachable);
       pf "  \"si_nodes\": %d,\n" si_nodes;
       pf "  \"sst_iterations\": %d,\n" (counter_value t "sst.iterations")
   | Kbp_converged { steps; states } ->
       pf "  \"kbp_fixpoint_steps\": %d,\n" steps;
-      pf "  \"solution_states\": %d,\n" states
+      pf "  \"solution_states\": %s,\n" (Bigcount.to_string states)
   | Kbp_cycle { period } -> pf "  \"kbp_cycle_period\": %d,\n" period);
   pf "  \"op_cache_hit_rate\": %.4f,\n" (hit_rate t);
   pf "  \"peak_nodes\": %d,\n" t.bdd.Bdd.nodes_created;

@@ -13,9 +13,9 @@ open Kpt_predicate
 open Kpt_core
 
 type outcome =
-  | Standard of { reachable : int; si_nodes : int }
+  | Standard of { reachable : Bigcount.t; si_nodes : int }
       (** reachable states and BDD size of the [SI] predicate *)
-  | Kbp_converged of { steps : int; states : int }
+  | Kbp_converged of { steps : int; states : Bigcount.t }
       (** chaotic iteration converged: fixpoint depth and solution size *)
   | Kbp_cycle of { period : int }  (** chaotic iteration entered an orbit *)
 

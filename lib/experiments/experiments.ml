@@ -272,27 +272,32 @@ let e8_crossval fmt =
 
 (* ---- E9 ----------------------------------------------------------------- *)
 
+(* A channel protocol of the section-6 table ([Builtin]), built over the
+   given fault model at [params]. *)
+let builtin name model params =
+  match Builtin.find name with
+  | Some { Builtin.build = Builtin.On_channel build; _ } -> build model params
+  | _ -> invalid_arg ("Experiments.builtin: no channel protocol " ^ name)
+
+let safe (t : Builtin.instance) = Program.invariant t.Builtin.prog (Builtin.safety t)
+let live t ~n = List.for_all (fun k -> Builtin.liveness_holds t ~k) (List.init n Fun.id)
+
 let e9_refinements fmt =
   header fmt "E9 · the protocol family: ABP, Stenning, AUY";
   let params = { Seqtrans.n = 2; a = 2 } in
-  let abp = Abp.make ~lossy:false params in
+  let dup name = builtin name Kpt_fault.Model.duplicating params in
+  let abp = dup "abp" in
   let ok1 =
     row fmt "ABP meets the spec (safety + liveness, dup-only channel)" true
-      (Program.invariant abp.Abp.prog (Abp.safety abp)
-      && Abp.liveness_holds abp ~k:0 && Abp.liveness_holds abp ~k:1)
+      (safe abp && live abp ~n:2)
   in
-  let abl = Abp.make ~lossy:true params in
+  let abl = builtin "abp" Kpt_fault.Model.lossy params in
   let ok2 =
     row fmt "ABP stays SAFE under loss+duplication, liveness fails" true
-      (Program.invariant abl.Abp.prog (Abp.safety abl)
-      && not (Abp.liveness_holds abl ~k:0))
+      (safe abl && not (Builtin.liveness_holds abl ~k:0))
   in
-  let stn = Stenning.make ~lossy:false params in
-  let ok3 =
-    row fmt "Stenning meets the spec" true
-      (Program.invariant stn.Stenning.prog (Stenning.safety stn)
-      && Stenning.liveness_holds stn ~k:0 && Stenning.liveness_holds stn ~k:1)
-  in
+  let stn = dup "stenning" in
+  let ok3 = row fmt "Stenning meets the spec" true (safe stn && live stn ~n:2) in
   let auy = Auy.make { Seqtrans.n = 2; a = 4 } in
   let ok4 =
     row fmt "AUY synchronous model meets the spec" true
@@ -300,12 +305,8 @@ let e9_refinements fmt =
   in
   Format.fprintf fmt "  AUY economy: %d bits per element for |A| = 4 (no acks, no seq numbers)@."
     (Auy.messages_per_element auy);
-  let win = Window.make ~lossy:false ~window:2 params in
-  let ok5 =
-    row fmt "sliding window (w=2) meets the spec" true
-      (Program.invariant win.Window.prog (Window.safety win)
-      && Window.liveness_holds win ~k:0 && Window.liveness_holds win ~k:1)
-  in
+  let win = dup "window" in
+  let ok5 = row fmt "sliding window (w=2) meets the spec" true (safe win && live win ~n:2) in
   let steps w =
     let t = Window.make ~lossy:false ~window:w { Seqtrans.n = 4; a = 2 } in
     let total = ref 0 in

@@ -2,10 +2,7 @@
     each regenerating the corresponding paper artifact (figure /
     counterexample / derivation) and printing a table of
     paper-claim vs. measured outcome.  Each returns [true] iff every
-    checked claim matches the paper.
-
-    Used by both [bench/main.exe] (which runs them all before the
-    performance benchmarks) and the [kpt experiments] CLI command. *)
+    checked claim matches the paper.  [kpt experiments] runs them all. *)
 
 val figure1 : unit -> Kpt_core.Kbp.t
 (** Figure 1's knowledge-based protocol: [s0] sets [shared] when [P0]

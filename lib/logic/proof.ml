@@ -354,20 +354,15 @@ let psp a b =
 let rule t = t.rule
 let premises t = t.premises
 
-let rec pp_judgment_short space fmt = function
+let rec pp_judgment_short space fmt =
+  let count p = Bigcount.to_string (Space.count_states_exact space p) in
+  function
   | Invariant p ->
-      Format.fprintf fmt "invariant ⟨%d states⟩" (Space.count_states_of space p)
-  | Unless (p, q) when Bdd.is_false q ->
-      Format.fprintf fmt "stable ⟨%d⟩" (Space.count_states_of space p)
-  | Unless (p, q) ->
-      Format.fprintf fmt "⟨%d⟩ unless ⟨%d⟩" (Space.count_states_of space p)
-        (Space.count_states_of space q)
-  | Ensures (p, q) ->
-      Format.fprintf fmt "⟨%d⟩ ensures ⟨%d⟩" (Space.count_states_of space p)
-        (Space.count_states_of space q)
-  | Leadsto (p, q) ->
-      Format.fprintf fmt "⟨%d⟩ ↦ ⟨%d⟩" (Space.count_states_of space p)
-        (Space.count_states_of space q)
+      Format.fprintf fmt "invariant ⟨%s states⟩" (count p)
+  | Unless (p, q) when Bdd.is_false q -> Format.fprintf fmt "stable ⟨%s⟩" (count p)
+  | Unless (p, q) -> Format.fprintf fmt "⟨%s⟩ unless ⟨%s⟩" (count p) (count q)
+  | Ensures (p, q) -> Format.fprintf fmt "⟨%s⟩ ensures ⟨%s⟩" (count p) (count q)
+  | Leadsto (p, q) -> Format.fprintf fmt "⟨%s⟩ ↦ ⟨%s⟩" (count p) (count q)
 
 and pp_derivation fmt t =
   let space = sp_of t in

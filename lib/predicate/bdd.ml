@@ -27,7 +27,7 @@
    the node peak — are bumped in plain manager fields on the recursion
    path and flushed into the context when the outermost public operation
    returns or unwinds (see [leave]); the others are rare and go straight
-   to the context.  `kpt stats` and the bench harness snapshot them
+   to the context.  `kpt stats` and perfbench snapshot them
    between operations, so they never see the difference. *)
 let c_hit = Kpt_obs.counter "bdd.op_cache.hits"
 let c_miss = Kpt_obs.counter "bdd.op_cache.misses"

@@ -195,8 +195,6 @@ let complement sp vs =
       Hashtbl.replace sp.compl_tbl key (sp.gen, res);
       res
 
-let state_count sp = List.fold_left (fun acc v -> acc * card v) 1 (vars sp)
-
 let state_count_exact sp =
   List.fold_left (fun acc v -> Bigcount.mul_int acc (card v)) Bigcount.one (vars sp)
 

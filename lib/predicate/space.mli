@@ -97,12 +97,9 @@ val complement : t -> var list -> var list
     declaration order.  Memoised per variable set (and recomputed if new
     variables have been declared since). *)
 
-val state_count : t -> int
-(** Cardinality of the state space (product of variable cardinalities).
-    Overflows native ints on huge spaces; see {!state_count_exact}. *)
-
 val state_count_exact : t -> Bigcount.t
-(** Exact cardinality of the state space, at any size. *)
+(** Exact cardinality of the state space (the product of the variable
+    cardinalities), at any size. *)
 
 val iter_states : t -> (state -> unit) -> unit
 (** Enumerate every type-correct state.  The callback's array is reused;
@@ -132,8 +129,10 @@ val count_states_exact : t -> Bdd.t -> Bigcount.t
     the domain): O(BDD nodes), not O(state space). *)
 
 val count_states_of : t -> Bdd.t -> int
-(** [List.length (states_of sp p)] via {!count_states_exact} (clamped to
-    [max_int] on astronomically large counts). *)
+(** [List.length (states_of sp p)] via {!count_states_exact}, clamped to
+    [max_int] past the native range.  For trace-event fields and small
+    spaces only: a count a user reads is rendered from
+    {!count_states_exact}. *)
 
 val pp_state : t -> Format.formatter -> state -> unit
 (** ["⟨x=1 y=true …⟩"]. *)

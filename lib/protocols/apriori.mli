@@ -51,8 +51,7 @@ val run_optimal : ?seed:int -> Seqtrans.params -> counts
     protocol of §6.4. *)
 
 val pin_x0 : Seqtrans.standard -> int -> Kpt_unity.Program.t
-(** The standard protocol's program with [x₀] pinned in [init] (helper
-    exposed for the benchmarks). *)
+(** The standard protocol's program with [x₀] pinned in [init]. *)
 
 val average_counts : (int -> counts) -> seeds:int -> float * float * float
 (** Mean (steps, data transmissions, ack transmissions) over seeds. *)
@@ -60,4 +59,4 @@ val average_counts : (int -> counts) -> seeds:int -> float * float * float
 val pp_counts : Format.formatter -> counts -> unit
 
 val si_of : Kpt_unity.Program.t -> Bdd.t
-(** Convenience re-export for the benches. *)
+(** The program's strongest invariant ({!Kpt_unity.Program.si}). *)

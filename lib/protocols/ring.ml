@@ -37,7 +37,7 @@ let token_ring ~n =
 (* Token ring plus an audit monitor: each station bumps a shared saturating
    [log] counter while busy.  The monitors read [busy_k] but nothing reads
    [log] back, so the cone of influence of any busy/token property excludes
-   the log — the slicing vehicle for the bench and tests (the plain ring is
+   the log — the slicing vehicle for the tests (the plain ring is
    fully connected: every statement stays in every cone). *)
 let monitored ~n =
   if n < 2 then invalid_arg "Ring.monitored: n must be ≥ 2";

@@ -1,14 +1,14 @@
-(** Parametric ring protocols for the scaling harness.
+(** Parametric ring protocols of any size.
 
     Two families, both generated directly against the library API (no
-    surface syntax) so the bench sweep can instantiate any size:
+    surface syntax) so that any size can be instantiated:
 
     - {!token_ring}: the classic n-station mutual-exclusion ring.  One
       token circulates; a station may only work while it holds the token
       and must release it onward.  The reachable state space is exactly
       [2n] states out of [n·2ⁿ], so the family exercises the [sst]
       frontier loop at growing variable counts while every predicate
-      stays small — the baseline curve of `scaling_standard_protocol`.
+      stays small.
 
     - {!mirror}: an adversarially-declared stress instance for dynamic
       variable reordering.  [n] pairs of [width]-bit counters advance in
@@ -42,12 +42,12 @@ val monitored : n:int -> ring
     bumps a shared saturating [log : nat(2n-1)] counter while busy, and
     nothing reads [log] back.  Any property over [token]/[busy] therefore
     has a cone of influence excluding the monitors and the log bits —
-    the slicing vehicle for the bench and tests (the plain {!token_ring}
+    the slicing vehicle for the tests (the plain {!token_ring}
     is fully connected, so slicing it is the identity). *)
 
 val mutex_ok : ring -> Bdd.t
 (** Safety: no two stations busy simultaneously.  An invariant of the
-    ring (checked by the test suite and timed by the bench sweep). *)
+    ring (checked by the test suite). *)
 
 val holder_busy : ring -> Bdd.t
 (** The token holder is busy — holds on exactly [n] of the [2n]

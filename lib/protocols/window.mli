@@ -47,4 +47,4 @@ val in_flight : t -> Space.state -> int
 val simulate_steps : ?seed:int -> t -> int
 (** Scheduler steps of a random-fair run until everything is delivered
     (1_000_000 = did not finish) — the windowed-pipelining measurement
-    used by the benches. *)
+    of E9. *)

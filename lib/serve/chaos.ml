@@ -535,7 +535,7 @@ let scenario_drain t specs =
       | s :: _ when t.daemon <> None -> healthy t ~tag:"drain-restart" s
       | _ -> ())
 
-(* ---- in-process noise (the bench's chaos leg) ------------------------------ *)
+(* ---- in-process noise (a concurrency test's chaos leg) -------------------- *)
 
 let noise ~socket ~seed ~rounds =
   let rng = Kpt_gen.Rng.make seed in

@@ -48,5 +48,5 @@ val run : Format.formatter -> config -> int
 val noise : socket:string -> seed:int64 -> rounds:int -> int
 (** In-process fault injection against a live socket — truncated frames,
     garbage lines, instant disconnects — for running {e alongside}
-    well-behaved clients (the P12 bench's chaos leg).  Returns the
-    number of connections injected. *)
+    well-behaved clients (the chaos leg of [test_serve]'s concurrent
+    serving test).  Returns the number of connections injected. *)

@@ -32,8 +32,8 @@ let default_socket () =
 
    The ping reply reads the live atomics below (a counter interned in
    one domain's metric context is not visible from another's), but the
-   same movements also land in Kpt_obs so `--trace` consumers and the
-   bench harness see the serving layer like any other. *)
+   same movements also land in Kpt_obs so `--trace` consumers and
+   perfbench see the serving layer like any other. *)
 
 let c_requests = Kpt_obs.counter "serve.requests"
 let c_sheds = Kpt_obs.counter "serve.sheds"

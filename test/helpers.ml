@@ -38,20 +38,21 @@ let replace_all ~sub ~by s =
   go 0;
   Buffer.contents b
 
-(* examples/specs/transmit3.unity with both arrays widened from 3 to 30
-   elements: 64 variables, and an SI of 1 441 151 880 758 558 720
-   states that a BDD of 110 nodes holds.  With [~knowledge] the
-   [deliver] guard also asks K[Receiver](j < 3), which makes the spec a
-   KBP.  Written to a temporary file for [f]. *)
-let with_transmit30 ~knowledge f =
+(* examples/specs/transmit3.unity with both arrays widened from 3 to
+   [width] elements.  At 30: 64 variables, and an SI of
+   1 441 151 880 758 558 720 states that a BDD of 110 nodes holds; at 34
+   the SI count is past [max_int].  With [~knowledge] the [deliver]
+   guard also asks K[Receiver](j < 3), which makes the spec a KBP.
+   Written to a temporary file for [f]. *)
+let with_transmit3 ~width ~knowledge f =
   let src =
     slurp "../examples/specs/transmit3.unity"
-    |> replace_all ~sub:"nat(1)[3]" ~by:"nat(1)[30]"
+    |> replace_all ~sub:"nat(1)[3]" ~by:(Printf.sprintf "nat(1)[%d]" width)
     |> if knowledge then
          replace_all ~sub:"if wire_idx = j" ~by:"if K[Receiver](j < 3) /\\ wire_idx = j"
        else Fun.id
   in
-  let path = Filename.temp_file "kpt-transmit30" ".unity" in
+  let path = Filename.temp_file "kpt-transmit3" ".unity" in
   Out_channel.with_open_bin path (fun oc -> output_string oc src);
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 

@@ -12,6 +12,8 @@
    - each budget axis (fuel, wall clock, node ceiling) surfaces as its
      own structured [Budget.reason], and [Engine.with_budget] restores
      the previous budget on exit;
+   - an armed budget that never trips costs at most 5% on an SI
+     fixpoint: the median ratio of 101 interleaved timing pairs;
    - the matrix headline: transmit survives its own §6.3 channel (loss +
      duplication + ⊥-corruption) in every safety-side property, while
      undetectable value corruption breaks safety and the K_R discharge;
@@ -219,6 +221,55 @@ let test_budget_restore () =
   Alcotest.(check bool) "no budget left armed after with_budget" true
     (Engine.budget (Engine.current ()) = None)
 
+(* ---- the price of an armed budget ------------------------------------------- *)
+
+(* The nondeterministic bubble sort of §5 over n naturals below 4. *)
+let bubble n =
+  let sp = Space.create () in
+  let arr = Array.init n (fun k -> Space.nat_var sp (Printf.sprintf "x%d" k) ~max:3) in
+  Kpt_unity.Program.make sp ~name:"bsort" ~init:Expr.tru
+    (List.init (n - 1) (fun i ->
+         Stmt.make
+           ~name:(Printf.sprintf "swap%d" i)
+           ~guard:Expr.(var arr.(i) >>> var arr.(i + 1))
+           [ (arr.(i), Expr.var arr.(i + 1)); (arr.(i + 1), Expr.var arr.(i)) ]))
+
+(* The same SI workload with and without a generous armed budget: the
+   only difference is the checkpoint polls inside [Program.sst] and
+   [Bdd.fresh_node].  Two timings taken seconds apart drift on a shared
+   host by more than the 5% allowed, so each pair times the two sides
+   back to back, in alternating order, and the median over 101 pairs
+   drops the outliers. *)
+let test_armed_budget_overhead () =
+  let generous =
+    Budget.limits ~timeout_ns:(Budget.timeout_of_seconds 3600.0) ~fuel:max_int
+      ~max_nodes:max_int ()
+  in
+  let plain () = ignore (Kpt_unity.Program.si (bubble 4)) in
+  let armed () = Engine.with_budget generous plain in
+  let batch f =
+    let t0 = Kpt_obs.now_ns () in
+    for _ = 1 to 20 do
+      f ()
+    done;
+    Int64.to_float (Int64.sub (Kpt_obs.now_ns ()) t0)
+  in
+  let pairs = 101 in
+  let ratios =
+    Array.init pairs (fun i ->
+        if i land 1 = 0 then
+          let p = batch plain in
+          batch armed /. p
+        else
+          let a = batch armed in
+          a /. batch plain)
+  in
+  Array.sort Float.compare ratios;
+  let median = ratios.(pairs / 2) in
+  Alcotest.(check bool)
+    (Printf.sprintf "median armed/plain over %d pairs ×%.3f ≤ 1.05" pairs median)
+    true (median <= 1.05)
+
 (* ---- the matrix headline ---------------------------------------------------- *)
 
 let test_matrix_headline () =
@@ -311,4 +362,6 @@ let suite =
     Alcotest.test_case "the pool arms budgets per task" `Quick test_par_task_budget;
     Alcotest.test_case "kpt check degrades budget exhaustion to KPT041" `Quick
       test_check_budget;
+    Alcotest.test_case "an armed budget costs at most 5% on SI" `Quick
+      test_armed_budget_overhead;
   ]

@@ -373,7 +373,7 @@ let test_candidate_cap () =
 (* 15 123 087 548 710 125 568 free states — more than a native int
    holds — are counted, never listed, so the cap is reported at once. *)
 let test_cap_counted_symbolically () =
-  Helpers.with_transmit30 ~knowledge:true @@ fun path ->
+  Helpers.with_transmit3 ~width:30 ~knowledge:true @@ fun path ->
   let t0 = Unix.gettimeofday () in
   let code, _, err =
     Helpers.run_kpt ~kill_after:20. [ "verify"; path; "--invariant"; "j <= 3" ]

@@ -339,7 +339,7 @@ let test_stats_collect_shape () =
   let st = Stats.collect ~file:"transmit" loaded in
   (match st.Stats.outcome with
   | Stats.Standard { reachable; si_nodes } ->
-      Alcotest.(check int) "28 reachable states" 28 reachable;
+      Alcotest.(check string) "28 reachable states" "28" (Bigcount.to_string reachable);
       Alcotest.(check bool) "SI has nodes" true (si_nodes > 0)
   | _ -> Alcotest.fail "transmit.unity is a standard program");
   Alcotest.(check string) "exact state space" "864" (Bigcount.to_string st.Stats.state_space);

@@ -3,7 +3,8 @@
    The load-bearing properties pinned here:
    - a served answer — text and JSON — is byte-identical to the direct
      driver's, cold, warm, and from the cache, over the whole examples
-     corpus;
+     corpus, and on one spec a cache hit is faster than a warm request,
+     which is faster than a cold process;
    - the result cache is content-addressed: an edited source byte or a
      changed output-affecting option misses, while [jobs] (excluded from
      the key by the batch driver's determinism contract) hits;
@@ -17,7 +18,8 @@
      a cache hit streams none;
    - shutdown removes the socket; a stale socket file is reclaimed on
      startup; a live one refuses a second daemon; concurrent clients see
-     the same bytes as sequential ones;
+     the same bytes as sequential ones, also at [--serve-jobs 4] and
+     under a concurrent chaos injector;
    - under overload the daemon sheds with the structured [overloaded]
      frame (exit 75); a slow-loris client is cut at the absolute
      deadline with the [timeout] frame (exit 4); a doctored protocol
@@ -143,7 +145,39 @@ let test_check_byte_identity () =
   check_outcome "cached/2nd (text)" direct_text (round 2) ~cached:true;
   check_outcome "cached/3rd (text)" direct_text (round 3) ~cached:true;
   check_outcome "warm (json)" direct_json (round ~opts:json_opts 4) ~cached:false;
-  check_outcome "cached (json)" direct_json (round ~opts:json_opts 5) ~cached:true
+  check_outcome "cached (json)" direct_json (round ~opts:json_opts 5) ~cached:true;
+  (* what the daemon buys, priced on one `kpt check transmit`: a cold
+     process spawn, a warm handler with the cache off (the request runs
+     end to end in a hot process), and a cache hit.  The best of several
+     runs of each must order cached < warm < cold. *)
+  let path = "examples/specs/transmit.unity" in
+  let req =
+    mk_req
+      ~opts:{ Driver.default_options with Driver.quiet = true }
+      Protocol.Check
+      [ (path, read_file ("../" ^ path)) ]
+  in
+  let best_ns f =
+    List.fold_left min Int64.max_int
+      (List.init 5 (fun _ ->
+           let t0 = Kpt_obs.now_ns () in
+           f ();
+           Int64.sub (Kpt_obs.now_ns ()) t0))
+  in
+  let cold =
+    best_ns (fun () ->
+        let code, _, _ = Helpers.run_kpt [ "check"; "../" ^ path; "-q"; "--reorder=off" ] in
+        Alcotest.(check int) "cold: exit code" 0 code)
+  in
+  let warm_handler = Kpt_serve.Handler.create ~cache_size:0 in
+  let warm = best_ns (fun () -> ignore (Kpt_serve.Handler.handle warm_handler req)) in
+  let cached_handler = Kpt_serve.Handler.create ~cache_size:8 in
+  ignore (Kpt_serve.Handler.handle cached_handler req);
+  let cached = best_ns (fun () -> ignore (Kpt_serve.Handler.handle cached_handler req)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "cached %Ld ns < warm %Ld ns < cold %Ld ns" cached warm cold)
+    true
+    (cached < warm && warm < cold)
 
 (* ---- the cache key ----------------------------------------------------------- *)
 
@@ -556,7 +590,68 @@ let test_jobs4_concurrent_byte_identity () =
       let name = Printf.sprintf "spec %d" i in
       Alcotest.(check int) (name ^ ": exit code") d.Driver.code r.exit_code;
       Alcotest.(check string) (name ^ ": bytes") d.Driver.out r.out)
-    direct
+    direct;
+  (* 40 requests over the corpus, cache off, in three legs: a jobs=1
+     daemon with one client, a jobs=4 daemon with four, and a jobs=4
+     daemon with four while a chaos injector slams the same socket with
+     truncated frames, garbage lines and instant disconnects.  Every id
+     gets the same reply in every leg; on a host with ≥ 4 cores the
+     jobs=4 leg is at least twice as fast as the sequential one. *)
+  let corpus = corpus () in
+  let reqs =
+    List.init 40 (fun i ->
+        mk_req ~id:(i + 1)
+          ~opts:{ Driver.default_options with Driver.quiet = true }
+          Protocol.Check
+          [ List.nth corpus (i mod List.length corpus) ])
+  in
+  let fetch socket req =
+    match Client.roundtrip ~socket req with
+    | Ok (Protocol.Result { exit_code; out; _ }) -> (exit_code, out)
+    | Ok _ -> (-1, "unexpected frame")
+    | Error msg -> (-1, "transport: " ^ msg)
+  in
+  (* request i goes to client (i mod clients); replies come back in id
+     order so the legs compare like for like *)
+  let run_clients socket clients =
+    let t0 = Kpt_obs.now_ns () in
+    let replies =
+      List.init clients (fun c ->
+          let mine = List.filteri (fun i _ -> i mod clients = c) reqs in
+          Domain.spawn (fun () -> List.map (fun r -> (r.Protocol.id, fetch socket r)) mine))
+      |> List.concat_map Domain.join
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    in
+    (replies, Int64.sub (Kpt_obs.now_ns ()) t0)
+  in
+  let seq, seq_ns =
+    with_server ~tag:"legs-seq" ~cache_size:0 @@ fun socket -> run_clients socket 1
+  in
+  let par, par_ns =
+    with_server ~tag:"legs-par" ~cache_size:0 ~jobs:4 @@ fun socket -> run_clients socket 4
+  in
+  let (chaos, _), injections =
+    with_server ~tag:"legs-chaos" ~cache_size:0 ~jobs:4 @@ fun socket ->
+    let injector =
+      Domain.spawn (fun () -> Kpt_serve.Chaos.noise ~socket ~seed:23L ~rounds:30)
+    in
+    let replies = run_clients socket 4 in
+    (replies, Domain.join injector)
+  in
+  List.iter
+    (fun (id, (code, _)) ->
+      Alcotest.(check bool) (Printf.sprintf "request %d is answered" id) true (code >= 0))
+    seq;
+  Alcotest.(check bool) "jobs=4 replies equal jobs=1 replies, id by id" true (seq = par);
+  Alcotest.(check bool) "replies under chaos equal jobs=1 replies, id by id" true (seq = chaos);
+  Alcotest.(check bool) (Printf.sprintf "%d chaos injection(s) delivered" injections) true
+    (injections > 0);
+  if Domain.recommended_domain_count () >= 4 then
+    Alcotest.(check bool)
+      (Printf.sprintf "jobs=4 ×%.2f faster than jobs=1, need ×2"
+         (Int64.to_float seq_ns /. Int64.to_float par_ns))
+      true
+      (Int64.to_float seq_ns >= 2.0 *. Int64.to_float par_ns)
 
 (* ---- the retry schedule ------------------------------------------------------- *)
 

@@ -37,7 +37,8 @@ let test_bits_disjoint () =
 
 let test_state_count_iter () =
   let sp, _, _, _ = make_space () in
-  Alcotest.(check int) "state_count" 30 (Space.state_count sp);
+  Alcotest.(check string) "state_count_exact" "30"
+    (Bigcount.to_string (Space.state_count_exact sp));
   let count = ref 0 in
   Space.iter_states sp (fun _ -> incr count);
   Alcotest.(check int) "iter_states covers all" 30 !count
@@ -60,7 +61,7 @@ let test_domain () =
   let junk2 = Bdd.and_ m d (Bitvec.eq_const m (Space.cur_vec sp e) 3) in
   Alcotest.(check bool) "out-of-range enum excluded" true (Bdd.is_false junk2);
   Alcotest.(check (option int)) "domain has state_count states"
-    (Some (Space.state_count sp))
+    (Bigcount.to_int (Space.state_count_exact sp))
     (Bigcount.to_int
        (Bigcount.shift_right (Bdd.sat_count_exact m ~nvars:(2 * (1 + 3 + 2)) d) (1 + 3 + 2)))
 
@@ -108,7 +109,7 @@ let test_pp () =
 (* Printing a set of 2^60-odd states lists the first 100 and counts the
    rest, inside the request's deadline. *)
 let test_pp_pred_capped () =
-  Helpers.with_transmit30 ~knowledge:false @@ fun path ->
+  Helpers.with_transmit3 ~width:30 ~knowledge:false @@ fun path ->
   let t0 = Unix.gettimeofday () in
   let code, out, _ =
     Helpers.run_kpt ~kill_after:20. [ "solve-file"; "--timeout"; "2"; path ]
@@ -125,6 +126,34 @@ let test_pp_pred_capped () =
   Alcotest.(check bool) "then the count of the rest" true
     (String.ends_with ~suffix:", … (1441151880758558620 more)}" si)
 
+(* At width 34 the counts pass [max_int]: every command that reports one
+   prints it exactly, never clamped to [max_int] or wrapped to 0. *)
+let test_counts_past_max_int () =
+  Helpers.with_transmit3 ~width:34 ~knowledge:false @@ fun path ->
+  let space = "37778931862957161709568" and reachable = "368934881474191032320" in
+  List.iter
+    (fun (args, want) ->
+      let code, out, _ = Helpers.run_kpt ~kill_after:20. (List.hd args :: path :: List.tl args) in
+      let cmd = String.concat " " args in
+      Alcotest.(check int) (cmd ^ ": exit code") 0 code;
+      List.iter
+        (fun affix ->
+          Alcotest.(check bool) (Printf.sprintf "%s prints %S" cmd affix) true
+            (Helpers.contains ~affix out))
+        want)
+    [
+      ([ "stats" ], [ "state space    : " ^ space; "reachable      : " ^ reachable ^ " states" ]);
+      ([ "check" ], [ "72 var(s), " ^ reachable ^ " reachable state(s)" ]);
+      ([ "check"; "--json" ], [ "\"state_space\": " ^ space; "\"reachable\": " ^ reachable ]);
+      ( [ "parse" ],
+        [ "state space : " ^ space ^ " states"; "reachable states: " ^ reachable ] );
+      ( [ "knowledge"; "--process"; "Receiver"; "--fact"; "j = 3" ],
+        [
+          "fact holds at                73786976294838206464 of " ^ reachable;
+          "K_Receiver(fact) holds at    73786976294838206464 of " ^ reachable;
+        ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "declare" `Quick test_declare;
@@ -138,4 +167,5 @@ let suite =
     Alcotest.test_case "pretty printing" `Quick test_pp;
     Alcotest.test_case "pp_pred lists 100 states, counts the rest" `Quick
       test_pp_pred_capped;
+    Alcotest.test_case "counts past max_int print exactly" `Quick test_counts_past_max_int;
   ]
