@@ -687,7 +687,8 @@ let serve_cmd =
       value & opt int 1
       & info [ "serve-jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains serving requests concurrently.  Served bytes are \
+            "Workers serving requests concurrently: N domains in total; the \
+             accept loop is a thread of worker 0's domain.  Served bytes are \
              identical at any width — each request runs under its own engine \
              scope; only throughput changes.")
   in
@@ -724,7 +725,7 @@ let serve_cmd =
           check/lint/stats/solve-file/slice requests (sent with $(b,--socket) or \
           $(b,--serve-auto)) against the \
           warm in-process engine pool, with a content-addressed LRU result cache \
-          shared by $(b,--serve-jobs) worker domains behind a bounded queue.  \
+          shared by $(b,--serve-jobs) workers behind a bounded queue.  \
           Responses are byte-identical to the direct commands.  SIGINT/SIGTERM \
           drain: accepting stops, queued clients get structured exit-130 frames, \
           in-flight requests finish, the socket is removed, and the daemon exits \
@@ -1103,7 +1104,10 @@ let chaos_cmd =
   let jobs_arg =
     Arg.(
       value & opt int 2
-      & info [ "serve-jobs" ] ~docv:"N" ~doc:"Worker domains for the spawned daemon.")
+      & info [ "serve-jobs" ] ~docv:"N"
+          ~doc:
+            "Workers of the spawned daemon: N domains in total; the accept \
+             loop is a thread of worker 0's domain.")
   in
   let queue_arg =
     Arg.(

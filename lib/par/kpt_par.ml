@@ -12,15 +12,21 @@
    Two costs dominated the old spawn-per-batch design, and both scale
    with {e requested} jobs rather than with useful parallelism:
    [Domain.spawn] itself (fresh minor heap and domain state per worker
-   per batch), and — much worse on small machines — every GC of every
-   domain stalling on a stop-the-world rendezvous with [jobs] {e
-   running} domains multiplexed onto fewer cores.  So the pool (a) keeps
-   its worker domains alive across batches, parked in [Condition.wait]
-   (a blocked domain does not delay the rendezvous), and (b) caps the
-   workers actually woken for a batch at the hardware parallelism:
-   [-j4] on a single-core host runs the batch on the calling domain
-   alone — same results, same per-task budgets, none of the rendezvous
-   tax.
+   per batch), and every minor GC of every domain stalling on a
+   stop-the-world rendezvous with all the domains the process holds.
+   A parked domain is not exempt: a domain blocked in [Condition.wait]
+   or [select] still joins each minor collection through its backup
+   thread.  Measured on a 2-core box (OCaml 5.1.1), a loop that
+   allocates 30 M list cells (345 minor GCs) took 0.093–0.116 s as the
+   only domain, 0.108–0.129 s next to one domain blocked in
+   [Condition.wait], and 0.175–0.202 s next to two: once domains
+   outnumber cores, even idle ones tax every collection.  So the pool
+   (a) keeps its worker domains alive across batches, parked in
+   [Condition.wait], which pays [Domain.spawn] once, and (b) caps the
+   domains it spawns and wakes for a batch at the hardware
+   parallelism: [-j4] on a single-core host runs the batch on the
+   calling domain alone — same results, same per-task budgets, no
+   helper domain at all.
 
    Isolation contract: every task runs under a {e fresh} [Engine.t]
    ([Engine.use] installs its private metric context for the duration),
@@ -77,13 +83,21 @@ let shutting_down = ref false
    for) — it degrades to inline execution instead. *)
 let in_worker = Domain.DLS.new_key (fun () -> false)
 
-(* The serve daemon's request workers are domains of their own, and two
-   of them dispatching batches onto the *same* generation machinery
-   concurrently would corrupt [slots]/[active].  They mark themselves
-   like pool workers, so any [try_map] they reach runs inline on their
-   domain — request-level parallelism is the scaling axis there, and the
-   results are pool-size-independent by contract anyway. *)
-let mark_inline_worker () = Domain.DLS.set in_worker true
+(* The serve daemon's request workers run concurrently on domains of
+   their own (worker 0 on the daemon's calling domain), and two of them
+   dispatching batches onto the *same* generation machinery would
+   corrupt [slots]/[active].  Each runs marked like a pool worker, so
+   any [try_map] it reaches runs inline on its domain — request-level
+   parallelism is the scaling axis there, and the results are
+   pool-size-independent by contract anyway.  The mark is scoped: the
+   calling domain outlives the daemon (a test, or the CLI's main
+   domain), and must get its own pool back afterwards. *)
+let inline_worker () = Domain.DLS.get in_worker
+
+let as_inline_worker f =
+  let prev = Domain.DLS.get in_worker in
+  Domain.DLS.set in_worker true;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set in_worker prev) f
 
 let worker_loop () =
   Domain.DLS.set in_worker true;

@@ -9,11 +9,11 @@
     that needs them and then parked on a condition variable between
     batches, so repeated [try_map] calls pay [Domain.spawn] once per
     process, not once per batch.  A batch's effective width is
-    [min jobs (Domain.recommended_domain_count ())]: running more
-    domains than cores adds stop-the-world GC rendezvous stalls without
-    adding throughput, and parked domains are exempt from the
-    rendezvous, so oversubscribed [-j] values cost nothing.  The
-    resident domains are joined via [at_exit].
+    [min jobs (Domain.recommended_domain_count ())]: every minor GC is
+    a stop-the-world rendezvous of all the process's domains, parked
+    ones included, so domains beyond the core count add stalls without
+    adding throughput.  The clamp also bounds how many domains the
+    pool ever spawns.  The resident domains are joined via [at_exit].
 
     {b Determinism.}  Results are ordered by {e input index}, never by
     completion order.  Each task runs under a fresh {!Engine.t} — its
@@ -75,14 +75,20 @@ val pool_size : unit -> int
     actually needs helpers; never decreases while the process runs).
     Exposed so tests can pin the spawn-once-per-process behaviour. *)
 
-val mark_inline_worker : unit -> unit
-(** Mark the calling domain as a worker for the pool's purposes: any
-    {!try_map} it runs executes inline on this domain instead of
-    dispatching to the shared generation machinery (which supports one
-    concurrent dispatcher only).  The serve daemon calls this from each
-    request-worker domain — request-level parallelism replaces
-    batch-level there, and results are pool-size-independent by
-    contract.  Irreversible for the domain's lifetime. *)
+val as_inline_worker : (unit -> 'a) -> 'a
+(** [as_inline_worker f] runs [f] with the calling domain marked as a
+    worker for the pool's purposes: any {!try_map} it runs executes
+    inline on this domain instead of dispatching to the shared
+    generation machinery (which supports one concurrent dispatcher
+    only).  The serve daemon runs each request worker under it —
+    request-level parallelism replaces batch-level there, and results
+    are pool-size-independent by contract.  The previous mark is
+    restored when [f] returns or raises, so a domain that ran a daemon
+    gets its own pool back. *)
+
+val inline_worker : unit -> bool
+(** Whether the calling domain is marked: a pool helper, or inside
+    {!as_inline_worker}. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {!try_map}, re-raising the first failure (by input order) after the

@@ -33,7 +33,7 @@ type config = {
   specs : int;  (** slice size: first N specs, sorted by filename *)
   seed : int64;  (** drives fault shapes and truncation points *)
   socket : string;
-  jobs : int;  (** daemon worker domains *)
+  jobs : int;  (** the daemon's [--serve-jobs]: workers, and domains *)
   queue : int;  (** daemon queue capacity *)
   request_timeout : float;  (** daemon per-request deadline, seconds *)
   faults : fault list;

@@ -28,19 +28,6 @@ let default_socket () =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "kpt-serve-%d.sock" (Unix.getuid ()))
 
-(* ---- observability ---------------------------------------------------------
-
-   The ping reply reads the live atomics below (a counter interned in
-   one domain's metric context is not visible from another's), but the
-   same movements also land in Kpt_obs so `--trace` consumers and
-   perfbench see the serving layer like any other. *)
-
-let c_requests = Kpt_obs.counter "serve.requests"
-let c_sheds = Kpt_obs.counter "serve.sheds"
-let c_io_timeouts = Kpt_obs.counter "serve.io_timeouts"
-let c_queue_peak = Kpt_obs.counter "serve.queue.depth.max"
-let c_inflight_peak = Kpt_obs.counter "serve.inflight.max"
-
 (* ---- binding, with stale-socket recovery ----------------------------------- *)
 
 (* A socket path can outlive its daemon (SIGKILL, power loss).  Probe
@@ -73,12 +60,12 @@ let bind_socket path =
 
 (* ---- shared server state ---------------------------------------------------
 
-   One bounded queue of accepted connections between the accepting main
-   domain and [cfg.jobs] worker domains.  [lock] guards the queue, the
-   connection registry and its [busy] flags; the hot-path counters the
-   ping reply reports are plain atomics.  [stop] is the one field a
-   signal handler touches — everything else drains cooperatively from
-   the main domain once it is set. *)
+   One bounded queue of accepted connections between the accept thread
+   and [cfg.jobs] workers.  [lock] guards the queue, the connection
+   registry and its [busy] flags; the counters the ping reply reports
+   are plain atomics.  [stop] is the one field a signal handler touches
+   — everything else drains cooperatively from the accept thread once
+   it is set. *)
 
 type stop_mode = Wire_shutdown | Signal_drain
 
@@ -261,7 +248,6 @@ let handle_line st fd line =
                             (Protocol.Event { id = req.Protocol.id; name; fields }))
                     else None
                   in
-                  Kpt_obs.incr c_requests;
                   match
                     Kpt_obs.time "serve.request" (fun () ->
                         Handler.handle ?sink st.handler req)
@@ -292,7 +278,7 @@ let handle_line st fd line =
                        with Sys_error _ | Unix.Unix_error _ -> ());
                       `Stop Signal_drain))))
 
-(* ---- worker domains -------------------------------------------------------- *)
+(* ---- workers --------------------------------------------------------------- *)
 
 (* Pop the next accepted connection, or [None] once the server is
    stopping (queued connections left at that point belong to the drain,
@@ -341,7 +327,6 @@ let serve_connection st c =
       | `Eof -> ()
       | `Timeout ->
           Atomic.incr st.io_timeouts;
-          Kpt_obs.incr c_io_timeouts;
           let t = Option.value ~default:0. st.cfg.request_timeout in
           (try
              send fd
@@ -360,7 +345,6 @@ let serve_connection st c =
       | `Line line -> (
           set_busy st c true;
           Atomic.incr st.in_flight;
-          Kpt_obs.record_max c_inflight_peak (Atomic.get st.in_flight);
           let verdict =
             match handle_line st fd line with
             | v -> v
@@ -377,43 +361,45 @@ let serve_connection st c =
           | `Close -> ()
           | `Stop mode ->
               request_stop st mode;
-              (* wake parked siblings promptly; the main domain's poll
-                 loop notices [stop] within its poll interval anyway *)
+              (* wake parked siblings promptly; the accept thread's
+                 poll loop notices [stop] within its poll interval
+                 anyway *)
               locked st (fun () -> Condition.broadcast st.nonempty))
   in
   loop ()
 
+(* Serve workers look like pool workers to Kpt_par: any nested
+   [try_map] a request reaches runs inline on the worker's domain,
+   because the pool's generation machinery supports one concurrent
+   dispatcher only.  Results are pool-size-independent by contract, so
+   the served bytes do not change — request-level parallelism is the
+   axis that scales here.  Both the mark and the engine are scoped:
+   worker 0 runs on the daemon's calling domain, which outlives it. *)
 let worker st () =
-  (* Serve workers look like pool workers to Kpt_par: any nested
-     [try_map] a request reaches runs inline on this domain, because the
-     pool's generation machinery supports one concurrent dispatcher
-     only.  Results are pool-size-independent by contract, so the served
-     bytes do not change — request-level parallelism is the axis that
-     scales here. *)
-  Kpt_par.mark_inline_worker ();
-  let eng = Engine.create () in
-  Engine.use eng (fun () ->
-      let rec next () =
-        match pop st with
-        | None -> ()
-        | Some fd ->
-            let key, c = register st fd in
-            (try serve_connection st c
-             with e ->
-               log "worker recovered from unexpected exception: %s"
-                 (Printexc.to_string e));
-            unregister st key;
-            close_quiet fd;
-            next ()
-      in
-      next ());
-  Atomic.incr st.workers_done
+  Fun.protect
+    ~finally:(fun () -> Atomic.incr st.workers_done)
+    (fun () ->
+      Kpt_par.as_inline_worker (fun () ->
+          Engine.use (Engine.create ()) (fun () ->
+              let rec next () =
+                match pop st with
+                | None -> ()
+                | Some fd ->
+                    let key, c = register st fd in
+                    (try serve_connection st c
+                     with e ->
+                       log "worker recovered from unexpected exception: %s"
+                         (Printexc.to_string e));
+                    unregister st key;
+                    close_quiet fd;
+                    next ()
+              in
+              next ())))
 
 (* ---- accepting, shedding, draining ----------------------------------------- *)
 
 let shed st fd =
   Atomic.incr st.sheds;
-  Kpt_obs.incr c_sheds;
   Protocol.set_timeout fd Unix.SO_SNDTIMEO 1.0;
   (try
      send fd
@@ -438,7 +424,6 @@ let enqueue st fd =
         else begin
           Queue.push fd st.queue;
           st.qdepth <- st.qdepth + 1;
-          Kpt_obs.record_max c_queue_peak st.qdepth;
           Condition.signal st.nonempty;
           true
         end)
@@ -476,7 +461,7 @@ let accept_loop st lsock =
    their armed budgets when --request-timeout is set), blocked reads see
    EOF.  The nudge loop closes the race where a worker picks a
    connection up just as the drain scans the registry. *)
-let drain st workers =
+let drain st =
   locked st (fun () -> Condition.broadcast st.nonempty);
   let queued =
     locked st (fun () ->
@@ -500,8 +485,7 @@ let drain st workers =
        with Sys_error _ | Unix.Unix_error _ -> ());
       close_quiet fd)
     queued;
-  let n = List.length workers in
-  while Atomic.get st.workers_done < n do
+  while Atomic.get st.workers_done < st.cfg.jobs do
     locked st (fun () ->
         Hashtbl.iter
           (fun _ c ->
@@ -511,10 +495,21 @@ let drain st workers =
           st.conns;
         Condition.broadcast st.nonempty);
     Unix.sleepf 0.02
-  done;
-  List.iter Domain.join workers
+  done
 
-(* ---- the daemon ------------------------------------------------------------ *)
+(* ---- the daemon ------------------------------------------------------------
+
+   [cfg.jobs] workers on exactly [cfg.jobs] domains: worker 0 runs on
+   the calling domain and the others on spawned ones.  Every minor GC
+   is a stop-the-world rendezvous of all the process's domains, even
+   blocked ones, so accepting gets no domain of its own: it is a
+   systhread of worker 0's domain, blocked in [select] or [accept]
+   (which release the domain lock) between connections.  That thread
+   shares worker 0's domain-local state, which is inside a request's
+   [Driver.scoped] engine whenever worker 0 computes, so accepting,
+   shedding and draining touch no [Engine], [Kpt_obs] or [Kpt_par]
+   state — otherwise a shed would be counted in that request's
+   [stats --json]. *)
 
 let run ?(announce = true) cfg =
   (* a client hanging up mid-reply must surface as EPIPE on the write,
@@ -527,43 +522,43 @@ let run ?(announce = true) cfg =
   | Ok lsock ->
       let st = make_state cfg in
       (* SIGINT/SIGTERM ask for a drain; the handlers only flip the
-         atomic — every consequence runs cooperatively on the main
-         domain, which notices within one poll interval. *)
+         atomic — every consequence runs cooperatively on the accept
+         thread, which notices within one poll interval. *)
       let on_signal _ = request_stop st Signal_drain in
       let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
       let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_signal) in
-      let restore () =
-        Sys.set_signal Sys.sigint prev_int;
-        Sys.set_signal Sys.sigterm prev_term
-      in
       if announce then
         Format.printf "kpt-serve: listening on %s (cache %d, jobs %d, queue %d%s)@."
           cfg.socket_path cfg.cache_size cfg.jobs cfg.queue_capacity
           (match cfg.request_timeout with
           | Some t -> Printf.sprintf ", deadline %gs" t
           | None -> "");
-      let workers = List.init cfg.jobs (fun _ -> Domain.spawn (worker st)) in
-      let cleanup () =
-        restore ();
-        (try Unix.close lsock with Unix.Unix_error _ -> ());
-        try Sys.remove cfg.socket_path with Sys_error _ -> ()
+      let others = List.init (cfg.jobs - 1) (fun _ -> Domain.spawn (worker st)) in
+      (* an unexpected exception on the accept path stops the workers
+         before it propagates, so the process does not hang on parked
+         domains *)
+      let accept_failure = ref None in
+      let acceptor =
+        Thread.create
+          (fun () ->
+            (try accept_loop st lsock
+             with e ->
+               accept_failure := Some e;
+               request_stop st Signal_drain);
+            drain st)
+          ()
       in
-      (* the daemon's own numbers (sheds, queue peaks) accumulate in a
-         private engine context, not the process root *)
-      let eng = Engine.create () in
-      (match Engine.use eng (fun () -> accept_loop st lsock) with
-      | () ->
-          drain st workers;
-          cleanup ();
+      worker st ();
+      Thread.join acceptor;
+      List.iter Domain.join others;
+      Sys.set_signal Sys.sigint prev_int;
+      Sys.set_signal Sys.sigterm prev_term;
+      (try Unix.close lsock with Unix.Unix_error _ -> ());
+      (try Sys.remove cfg.socket_path with Sys_error _ -> ());
+      match !accept_failure with
+      | Some e -> raise e
+      | None -> (
           if announce then log "drained; socket removed";
-          (match Atomic.get st.stop with
+          match Atomic.get st.stop with
           | Some Signal_drain -> 130
           | Some Wire_shutdown | None -> 0)
-      | exception e ->
-          (* an unexpected exception on the accept path: stop the
-             workers before propagating, so the process does not hang on
-             parked domains *)
-          request_stop st Signal_drain;
-          (try drain st workers with _ -> ());
-          cleanup ();
-          raise e)

@@ -2,11 +2,14 @@
     newline-delimited JSON protocol ({!Protocol}) against one warm,
     thread-safe {!Handler}.
 
-    {b Concurrency.}  The main domain accepts connections into a bounded
-    queue; [jobs] worker domains pop and serve them, each request under
-    the usual per-request {!Kpt_analysis.Driver} scoping (fresh engine,
-    private metrics), so concurrent requests share no engine state and
-    the served bytes stay identical to direct execution.  When the queue
+    {b Concurrency.}  The daemon holds exactly [jobs] domains: worker 0
+    runs on the domain that called {!run}, the other [jobs - 1] workers
+    on spawned ones, and a systhread of worker 0's domain accepts
+    connections into a bounded queue.  The workers pop and serve them,
+    each request under the usual per-request {!Kpt_analysis.Driver}
+    scoping (fresh engine, private metrics), so concurrent requests
+    share no engine state and the served bytes stay identical to direct
+    execution.  When the queue
     is full the daemon sheds immediately: the new connection gets a
     structured [overloaded] error frame (exit {!Protocol.exit_overloaded})
     and is closed — load never piles up invisibly in the listen backlog.
@@ -30,7 +33,9 @@
 type config = {
   socket_path : string;
   cache_size : int;
-  jobs : int;  (** worker domains serving requests concurrently *)
+  jobs : int;
+      (** workers serving requests concurrently, one per domain; the
+          daemon holds exactly this many domains *)
   queue_capacity : int;
       (** accepted connections waiting for a worker before the daemon
           sheds *)

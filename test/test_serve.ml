@@ -367,6 +367,39 @@ let test_second_daemon_refused () =
     (Server.run ~announce:false (Server.config ~socket_path:socket ~cache_size:4 ()));
   Alcotest.(check bool) "and leaves the live socket alone" true (Sys.file_exists socket)
 
+(* Worker 0 runs on the domain that called [Server.run], under its own
+   engine and marked as an inline pool worker.  Both are scoped: once the
+   daemon returns, the domain's current engine and its mark are what
+   they were, even after worker 0 served a request. *)
+let test_daemon_leaves_its_domain_as_found () =
+  let socket = socket_path "restore" in
+  if Sys.file_exists socket then Sys.remove socket;
+  let cfg = Server.config ~socket_path:socket ~cache_size:0 () in
+  let sources =
+    [ ("examples/specs/transmit.unity", read_file "../examples/specs/transmit.unity") ]
+  in
+  let daemon =
+    Domain.spawn (fun () ->
+        let own = Kpt_predicate.Engine.create () in
+        Kpt_predicate.Engine.use own (fun () ->
+            let state () =
+              ( Kpt_predicate.Engine.id (Kpt_predicate.Engine.current ()),
+                Kpt_par.inline_worker () )
+            in
+            let before = state () in
+            let code = Server.run ~announce:false cfg in
+            (code, Kpt_predicate.Engine.id own, before, state ())))
+  in
+  wait_for_socket socket;
+  let r = result_exn (Client.roundtrip ~socket (mk_req Protocol.Check sources)) in
+  Alcotest.(check int) "worker 0 served the request" 0 r.exit_code;
+  ignore (Client.roundtrip ~socket (mk_req Protocol.Shutdown []));
+  let code, own, before, after = Domain.join daemon in
+  Alcotest.(check int) "the daemon exits 0" 0 code;
+  Alcotest.(check (pair int bool)) "before: the caller's engine, unmarked" (own, false)
+    before;
+  Alcotest.(check (pair int bool)) "after: the same engine and mark" before after
+
 let test_concurrent_clients_match_sequential () =
   let sources = corpus () in
   let opts = { Driver.default_options with Driver.jobs = Some 4 } in
@@ -900,6 +933,11 @@ let test_solve_file_padded () =
 
 (* ---- a mini chaos sweep ------------------------------------------------------- *)
 
+(* Two legs against a spawned daemon.  At [--serve-jobs 2] the transport
+   faults; at [--serve-jobs 1] the daemon is one domain, so the flood's
+   shed frames are written by the accept thread while worker 0 holds a
+   connection on the same domain, and the drain must wake a connection
+   parked on worker 0. *)
 let test_chaos_mini_sweep () =
   let dir = Filename.temp_file "kpt-chaos-corpus" "" in
   Sys.remove dir;
@@ -916,27 +954,32 @@ let test_chaos_mini_sweep () =
   let null =
     Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
   in
-  let code =
+  let leg jobs faults =
     Kpt_serve.Chaos.run null
       {
         Kpt_serve.Chaos.exe = "../bin/kpt.exe";
         dir;
         specs = 2;
         seed = 11L;
-        socket = socket_path "chaosmini";
-        jobs = 2;
+        socket = socket_path (Printf.sprintf "chaosmini%d" jobs);
+        jobs;
         queue = 4;
         request_timeout = 0.5;
-        faults =
-          [
-            Kpt_serve.Chaos.Truncate; Kpt_serve.Chaos.Garbage;
-            Kpt_serve.Chaos.Partial_write; Kpt_serve.Chaos.Disconnect;
-          ];
+        faults;
       }
   in
+  let transport =
+    leg 2
+      [
+        Kpt_serve.Chaos.Truncate; Kpt_serve.Chaos.Garbage;
+        Kpt_serve.Chaos.Partial_write; Kpt_serve.Chaos.Disconnect;
+      ]
+  in
+  let one_domain = leg 1 [ Kpt_serve.Chaos.Flood; Kpt_serve.Chaos.Drain ] in
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;
-  Alcotest.(check int) "chaos sweep holds every invariant" 0 code
+  Alcotest.(check int) "--serve-jobs 2: transport faults hold every invariant" 0 transport;
+  Alcotest.(check int) "--serve-jobs 1: flood and drain hold every invariant" 0 one_domain
 
 (* ---- the one frame reader ----------------------------------------------------- *)
 
@@ -1110,4 +1153,6 @@ let suite =
       test_deadline_times_out_and_disarms;
     Alcotest.test_case "one reader: a line cut by EOF is never resent" `Quick
       test_cut_line_is_never_resent;
+    Alcotest.test_case "a daemon leaves its calling domain as it found it" `Quick
+      test_daemon_leaves_its_domain_as_found;
   ]
