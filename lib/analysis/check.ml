@@ -94,12 +94,11 @@ let render_text ppf reports =
   | [], _ -> Format.fprintf ppf "%d file(s): no findings@." (List.length reports)
   | ds, _ -> Format.fprintf ppf "%d file(s): %s@." (List.length reports) (D.summary ds)
 
-(* The JSON shape is [kpt lint --json]'s, from the same writer, plus each
+(* The JSON shape is [kpt lint --json]'s, from the same builder, plus each
    file's stats. *)
-let render_json ppf reports =
-  Lint.render_json
+let to_json reports =
+  Lint.to_json
     ~stats:(List.map (fun r -> r.stats) reports)
-    ppf
     (List.map (fun r -> (r.file, r.diags)) reports)
 
 (* ---- driver ----------------------------------------------------------------- *)
@@ -115,7 +114,9 @@ let reports ?jobs ?budget ?slice sources =
 let run_sources ?jobs ?budget ?slice ?(warn_error = false) ?(quiet = false)
     ?(json = false) ppf sources =
   let rs = reports ?jobs ?budget ?slice sources in
-  if not quiet then if json then render_json ppf rs else render_text ppf rs;
+  if not quiet then
+    if json then Format.pp_print_string ppf (Json.to_pretty (to_json rs))
+    else render_text ppf rs;
   (* budget exhaustion (KPT041) outranks plain findings: exit 3, the
      documented resource code, so scripts can tell "spec is wrong" from
      "budget was too small" *)

@@ -47,8 +47,8 @@ val reports :
 
 val render_text : Format.formatter -> report list -> unit
 
-val render_json : Format.formatter -> report list -> unit
-(** The [kpt check --json] shape: {!Lint.render_json} with each file's
+val to_json : report list -> Json.t
+(** The [kpt check --json] document: {!Lint.to_json} with each file's
     [stats] member. *)
 
 val run_sources :

@@ -157,7 +157,7 @@ let lint ?sink opts sources =
 let stats_one ~file ~src ~json ~timings ppf epf =
   with_loaded ~file ~src epf @@ fun spec ->
   let st = Stats.collect ~file spec in
-  if json then Format.pp_print_string ppf (Stats.to_json ~timings st)
+  if json then Format.pp_print_string ppf (Json.to_pretty (Stats.to_json ~timings st))
   else Format.fprintf ppf "%a@." Stats.pp st;
   0
 
@@ -169,19 +169,20 @@ let stats_many ~jobs ~json ~timings sources ppf epf =
     Kpt_par.map ?jobs (fun (file, src) -> on_loaded ~file ~src (Stats.collect ~file)) sources
   in
   let code = ref 0 in
-  if json then Format.pp_print_string ppf "[\n";
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok st ->
-          if json then begin
-            if i > 0 then Format.pp_print_string ppf ",\n";
-            Format.pp_print_string ppf (Stats.to_json ~timings st)
-          end
-          else Format.fprintf ppf "%a@." Stats.pp st
-      | Error d -> code := max !code (report epf d))
-    collected;
-  if json then Format.pp_print_string ppf "]\n";
+  let profiles =
+    List.filter_map
+      (function
+        | Ok st ->
+            if not json then Format.fprintf ppf "%a@." Stats.pp st;
+            Some st
+        | Error d ->
+            code := max !code (report epf d);
+            None)
+      collected
+  in
+  if json then
+    Format.pp_print_string ppf
+      (Json.to_pretty (Json.List (List.map (Stats.to_json ~timings) profiles)));
   !code
 
 let stats ?sink opts sources =
@@ -393,7 +394,7 @@ let matrix ?sink opts ~faults =
     | ms -> Some (List.map (fun m -> (Kpt_fault.Model.to_string m, m)) ms)
   in
   let m = Resilience.run ~budget:opts.limits ?faults () in
-  if opts.json then Format.pp_print_string ppf (M.to_json m)
+  if opts.json then Format.pp_print_string ppf (Json.to_pretty (M.to_json m))
   else Format.fprintf ppf "%a@." M.pp m;
   let verdicts = List.map (fun (c : M.cell) -> c.M.verdict) m.M.cells in
   if List.exists (function M.Error _ -> true | _ -> false) verdicts then 1

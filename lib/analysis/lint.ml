@@ -441,9 +441,9 @@ let lint_source_semantic ?budget ~file src =
       let ds = lint_loaded ~file loaded in
       List.sort D.compare (ds @ Semantic.analyse ~file ?budget spec)
 
-(* ---- JSON rendering (the [kpt lint --json] and [kpt check --json] shape) --- *)
+(* ---- JSON (the [kpt lint --json] and [kpt check --json] document) -------- *)
 
-(* One writer for both machine formats, so they parse with the same code:
+(* One document for both machine formats, so they parse with the same code:
    [Check] passes the per-file stats it computed and gets the extra
    ["stats"] member; [kpt lint] passes none and the member is absent.
    Timings are excluded, so the output is deterministic. *)
@@ -456,56 +456,29 @@ let severity_counts diags =
       | D.Info -> (e, w, i + 1))
     (0, 0, 0) diags
 
-let json_string s = Json.to_string (Json.String s)
-
-let stats_member (t : Stats.t option) =
-  match t with
-  | None -> "null"
-  | Some t ->
-      String.trim (Stats.to_json ~timings:false t)
-      |> String.split_on_char '\n'
-      |> List.map (fun l -> if l = "" then l else "    " ^ l)
-      |> String.concat "\n" |> String.trim
-
-let render_json ?stats ppf (reports : (string * D.t list) list) =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let stats =
-    match stats with
-    | Some ss -> List.map (fun s -> Some s) ss
-    | None -> List.map (fun _ -> None) reports
+let to_json ?stats (reports : (string * D.t list) list) =
+  let open Json in
+  let counts (e, w, i) = [ ("errors", Int e); ("warnings", Int w); ("infos", Int i) ] in
+  let diagnostic (d : D.t) =
+    Obj [ ("code", String d.D.code); ("severity", String (D.severity_label d.D.severity));
+          ("message", String d.D.message) ]
   in
-  let e, w, i = severity_counts (List.concat_map snd reports) in
-  pf "{\n";
-  pf "  \"files\": %d,\n  \"errors\": %d,\n  \"warnings\": %d,\n  \"infos\": %d,\n"
-    (List.length reports) e w i;
-  pf "  \"reports\": [";
-  List.iteri
-    (fun n ((file, ds), st) ->
-      pf "%s\n" (if n = 0 then "" else ",");
-      let e, w, i = severity_counts ds in
-      pf "  {\n";
-      pf "    \"file\": %s,\n" (json_string file);
-      pf "    \"status\": \"%s\",\n"
-        (if List.exists D.is_error ds then "fail" else "ok");
-      pf "    \"findings\": { \"errors\": %d, \"warnings\": %d, \"infos\": %d },\n" e w i;
-      pf "    \"diagnostics\": [";
-      List.iteri
-        (fun j (d : D.t) ->
-          pf "%s\n      { \"code\": %s, \"severity\": \"%s\", \"message\": %s }"
-            (if j = 0 then "" else ",")
-            (json_string d.D.code)
-            (D.severity_label d.D.severity)
-            (json_string d.D.message))
-        ds;
-      if ds <> [] then pf "\n    ";
-      (match st with
-      | None -> pf "]\n  }"
-      | Some t -> pf "],\n    \"stats\": %s\n  }" (stats_member t)))
-    (List.combine reports stats);
-  if reports <> [] then pf "\n  ";
-  pf "]\n}\n";
-  Format.fprintf ppf "%s" (Buffer.contents b)
+  let report (file, ds) stats =
+    Obj
+      ([ ("file", String file);
+         ("status", String (if List.exists D.is_error ds then "fail" else "ok"));
+         ("findings", Obj (counts (severity_counts ds)));
+         ("diagnostics", List (List.map diagnostic ds)) ]
+      @ stats)
+  in
+  let stats_json = Option.fold ~none:Null ~some:(Stats.to_json ~timings:false) in
+  let docs =
+    match stats with
+    | None -> List.map (fun r -> report r []) reports
+    | Some ss -> List.map2 (fun r st -> report r [ ("stats", stats_json st) ]) reports ss
+  in
+  let totals = counts (severity_counts (List.concat_map snd reports)) in
+  Obj ((("files", Int (List.length reports)) :: totals) @ [ ("reports", List docs) ])
 
 (* The file-set driver behind [kpt lint].  Rendering and exit policy are
    deliberately decoupled: [--quiet] silences every line of output
@@ -525,7 +498,8 @@ let run_sources ?jobs ?(semantic = false) ?budget ?(json = false)
   in
   let per_file = Kpt_par.map ?jobs task sources in
   if json && not quiet then
-    render_json ppf (List.map2 (fun (file, _) ds -> (file, ds)) sources per_file);
+    Format.pp_print_string ppf
+      (Json.to_pretty (to_json (List.map2 (fun (file, _) ds -> (file, ds)) sources per_file)));
   let all =
     List.concat
       (List.map2

@@ -50,18 +50,14 @@ val lint_source_semantic :
     into [KPT103].  Never raises: a spec error the solver finds (a
     non-total assignment, say) is a [KPT003] diagnostic too. *)
 
-val render_json :
-  ?stats:Stats.t option list ->
-  Format.formatter ->
-  (string * Diagnostic.t list) list ->
-  unit
-(** The JSON report writer of both [kpt lint --json] and [kpt check
-    --json]: [files]/[errors]/[warnings]/[infos] totals, then [reports]
-    with [file]/[status]/[findings]/[diagnostics] per file.  With
-    [~stats] (index-aligned with the reports) each report also gets a
-    [stats] member: {!Stats.to_json} without timings, or [null] for a
-    file that did not elaborate.  [kpt lint] passes no stats and the
-    member is absent. *)
+val to_json : ?stats:Stats.t option list -> (string * Diagnostic.t list) list -> Json.t
+(** The document of both [kpt lint --json] and [kpt check --json]:
+    [files]/[errors]/[warnings]/[infos] totals, then [reports] with
+    [file]/[status]/[findings]/[diagnostics] per file.  With [~stats]
+    (index-aligned with the reports) each report also gets a [stats]
+    member: {!Stats.to_json} without timings, or [null] for a file that
+    did not elaborate.  [kpt lint] passes no stats and the member is
+    absent. *)
 
 val run_sources :
   ?jobs:int ->
@@ -80,8 +76,8 @@ val run_sources :
     but rendered in input order, so the output does not depend on the
     pool size.  [~semantic:true] adds the budgeted KPT1xx tier
     ({!lint_source_semantic}; [budget] defaults to
-    {!Kpt_predicate.Budget.analysis_default}); [~json:true] renders
-    {!render_json} instead of text.  [~quiet:true] suppresses {e all}
-    rendering but {e never} alters the exit code, which depends only on
-    the findings: 1 iff any error, or any warning when
-    [~warn_error:true]. *)
+    {!Kpt_predicate.Budget.analysis_default}); [~json:true] prints
+    {!to_json} with {!Json.to_pretty} instead of text.  [~quiet:true]
+    suppresses {e all} rendering but {e never} alters the exit code,
+    which depends only on the findings: 1 iff any error, or any warning
+    when [~warn_error:true]. *)

@@ -79,10 +79,9 @@ let pp fmt t =
     (counter_value t "bdd.op_cache.misses")
     t.bdd.Bdd.cache_slots;
   Format.fprintf fmt
-    "  unique table   : %d nodes created (peak), %d live, %d slots at %.0f%% load, %d spilled@."
+    "  unique table   : %d nodes created (peak), %d live, %d slots at %.0f%% load@."
     t.bdd.Bdd.nodes_created t.bdd.Bdd.live_nodes t.bdd.Bdd.unique_slots
-    (100.0 *. t.bdd.Bdd.unique_load)
-    t.bdd.Bdd.spill_nodes;
+    (100.0 *. t.bdd.Bdd.unique_load);
   Format.fprintf fmt "  counters:@.";
   List.iter
     (fun (name, v) -> if v <> 0 then Format.fprintf fmt "    %-32s %d@." name v)
@@ -97,47 +96,34 @@ let pp fmt t =
     t.spans;
   Format.fprintf fmt "@]"
 
-let json_string s = Json.to_string (Json.String s)
+(* an exact count: a JSON integer at any size *)
+let count_json c =
+  match Bigcount.to_int c with Some i -> Json.Int i | None -> Json.Bigint (Bigcount.to_string c)
+
+let round4 x = Json.Float (Float.round (x *. 1e4) /. 1e4)
 
 let to_json ?(timings = true) t =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\n";
-  pf "  \"file\": %s,\n" (json_string t.file);
-  pf "  \"kind\": \"%s\",\n" (kind t);
-  pf "  \"variables\": %d,\n" t.variables;
-  pf "  \"statements\": %d,\n" t.statements;
-  pf "  \"state_space\": %s,\n" (Bigcount.to_string t.state_space);
-  (match t.outcome with
-  | Standard { reachable; si_nodes } ->
-      pf "  \"reachable\": %s,\n" (Bigcount.to_string reachable);
-      pf "  \"si_nodes\": %d,\n" si_nodes;
-      pf "  \"sst_iterations\": %d,\n" (counter_value t "sst.iterations")
-  | Kbp_converged { steps; states } ->
-      pf "  \"kbp_fixpoint_steps\": %d,\n" steps;
-      pf "  \"solution_states\": %s,\n" (Bigcount.to_string states)
-  | Kbp_cycle { period } -> pf "  \"kbp_cycle_period\": %d,\n" period);
-  pf "  \"op_cache_hit_rate\": %.4f,\n" (hit_rate t);
-  pf "  \"peak_nodes\": %d,\n" t.bdd.Bdd.nodes_created;
-  pf "  \"bdd\": { \"nodes_created\": %d, \"live_nodes\": %d, \"unique_slots\": %d, \
-      \"unique_load\": %.4f, \"spill_nodes\": %d, \"cache_slots\": %d },\n"
-    t.bdd.Bdd.nodes_created t.bdd.Bdd.live_nodes t.bdd.Bdd.unique_slots t.bdd.Bdd.unique_load
-    t.bdd.Bdd.spill_nodes t.bdd.Bdd.cache_slots;
-  pf "  \"counters\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      pf "    %s: %d%s\n" (json_string name) v
-        (if i = List.length t.counters - 1 then "" else ","))
-    t.counters;
-  if timings then begin
-    pf "  },\n  \"timings_ns\": {\n";
-    List.iteri
-      (fun i (name, ns, _) ->
-        pf "    %s: %Ld%s\n" (json_string name) ns
-          (if i = List.length t.spans - 1 then "" else ","))
-      t.spans;
-    pf "  }\n"
-  end
-  else pf "  }\n";
-  pf "}\n";
-  Buffer.contents b
+  let open Json in
+  let outcome =
+    match t.outcome with
+    | Standard { reachable; si_nodes } ->
+        [ ("reachable", count_json reachable); ("si_nodes", Int si_nodes);
+          ("sst_iterations", Int (counter_value t "sst.iterations")) ]
+    | Kbp_converged { steps; states } ->
+        [ ("kbp_fixpoint_steps", Int steps); ("solution_states", count_json states) ]
+    | Kbp_cycle { period } -> [ ("kbp_cycle_period", Int period) ]
+  in
+  let b = t.bdd in
+  let bdd =
+    Obj [ ("nodes_created", Int b.Bdd.nodes_created); ("live_nodes", Int b.Bdd.live_nodes);
+          ("unique_slots", Int b.Bdd.unique_slots); ("unique_load", round4 b.Bdd.unique_load);
+          ("cache_slots", Int b.Bdd.cache_slots) ]
+  in
+  let spans = List.map (fun (name, ns, _) -> (name, Int (Int64.to_int ns))) t.spans in
+  Obj
+    ([ ("file", String t.file); ("kind", String (kind t)); ("variables", Int t.variables);
+       ("statements", Int t.statements); ("state_space", count_json t.state_space) ]
+    @ outcome
+    @ [ ("op_cache_hit_rate", round4 (hit_rate t)); ("peak_nodes", Int b.Bdd.nodes_created);
+        ("bdd", bdd); ("counters", Obj (List.map (fun (name, v) -> (name, Int v)) t.counters)) ]
+    @ if timings then [ ("timings_ns", Obj spans) ] else [])

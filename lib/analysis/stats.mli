@@ -41,7 +41,9 @@ val pp : Format.formatter -> t -> unit
 (** Human-readable profile: headline metrics, the counter table, and the
     span timings. *)
 
-val to_json : ?timings:bool -> t -> string
-(** Machine-readable profile.  [~timings:false] (default [true]) omits
-    the [timings_ns] section — everything else is a deterministic
-    function of the input file, which is what the golden test pins. *)
+val to_json : ?timings:bool -> t -> Json.t
+(** Machine-readable profile, the [kpt stats --json] document.  Counts
+    are exact integers; the two ratios are rounded to 4 decimals.
+    [~timings:false] (default [true]) omits the [timings_ns] member —
+    everything else is a deterministic function of the input file,
+    which is what the golden test pins. *)

@@ -111,20 +111,12 @@ let pp fmt t =
       Format.fprintf fmt "@]@.")
     (subjects t)
 
-let json_string s = Json.to_string (Json.String s)
-
 let to_json t =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\n  \"faults\": [%s],\n"
-    (String.concat ", " (List.map json_string t.faults));
-  pf "  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      pf "    { \"subject\": %s, \"fault\": %s, \"property\": %s, \"verdict\": %s }%s\n"
-        (json_string c.subject) (json_string c.fault) (json_string c.prop)
-        (json_string (verdict_to_string c.verdict))
-        (if i = List.length t.cells - 1 then "" else ","))
-    t.cells;
-  pf "  ]\n}\n";
-  Buffer.contents b
+  let open Json in
+  let cell c =
+    Obj [ ("subject", String c.subject); ("fault", String c.fault); ("property", String c.prop);
+          ("verdict", String (verdict_to_string c.verdict)) ]
+  in
+  Obj
+    [ ("faults", List (List.map (fun f -> String f) t.faults));
+      ("cells", List (List.map cell t.cells)) ]

@@ -55,5 +55,6 @@ val verdict_to_string : verdict -> string
 val pp : Format.formatter -> t -> unit
 (** One table per subject: property rows × fault columns. *)
 
-val to_json : t -> string
-(** Deterministic machine-readable form — what the CI golden pins. *)
+val to_json : t -> Json.t
+(** Deterministic machine-readable form, the [kpt matrix --json]
+    document — what the CI golden pins. *)

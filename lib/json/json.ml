@@ -2,6 +2,7 @@ type t =
   | Null
   | Bool of bool
   | Int of int
+  | Bigint of string
   | Float of float
   | String of string
   | List of t list
@@ -17,6 +18,7 @@ exception Parse_error of string
    reached. *)
 
 let hex_digit d = "0123456789abcdef".[d]
+let is_digit = function '0' .. '9' -> true | _ -> false
 
 let escape_into b s =
   let n = String.length s in
@@ -46,15 +48,31 @@ let add_quoted b s =
   escape_into b s;
   Buffer.add_char b '"'
 
+(* The shortest of [%.15g], [%.16g], [%.17g] that reads back to [f]
+   ([%.17g] always does), with [.0] appended when that leaves only
+   digits, so the token reads back as a float.  Never "nan"/"inf" (not
+   JSON): a non-finite float degrades to null. *)
+let add_float b f =
+  if not (Float.is_finite f) then Buffer.add_string b "null"
+  else begin
+    let s = Printf.sprintf "%.15g" f in
+    let s =
+      if float_of_string s = f then s
+      else
+        let s = Printf.sprintf "%.16g" f in
+        if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    in
+    Buffer.add_string b s;
+    if String.for_all (fun c -> c = '-' || is_digit c) s then Buffer.add_string b ".0"
+  end
+
 let rec to_buffer b = function
   | Null -> Buffer.add_string b "null"
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f ->
-      (* round-trippable, and never "nan"/"inf" (not JSON): degrade to null *)
-      if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-      else Buffer.add_string b "null"
+  | Bigint s -> Buffer.add_string b s
+  | Float f -> add_float b f
   | String s -> add_quoted b s
   | List [] -> Buffer.add_string b "[]"
   | List (v :: rest) ->
@@ -93,6 +111,39 @@ let to_line v =
   Buffer.add_char b '\n';
   Buffer.contents b
 
+(* The pretty layout: a container of at most 8 members, all of them
+   scalars or empty containers, on one line; any other one member per
+   line, two spaces deeper than its parent. *)
+let is_scalar = function List (_ :: _) | Obj (_ :: _) -> false | _ -> true
+
+let rec pretty b indent = function
+  | List (_ :: _ as vs) -> container b indent '[' ']' (List.map (fun v -> (None, v)) vs)
+  | Obj (_ :: _ as kvs) -> container b indent '{' '}' (List.map (fun (k, v) -> (Some k, v)) kvs)
+  | v -> to_buffer b v
+
+and container b indent opening closing members =
+  let flat =
+    List.compare_length_with members 8 <= 0 && List.for_all (fun (_, v) -> is_scalar v) members
+  in
+  let pad = if flat && opening = '{' then " " else "" in
+  Buffer.add_char b opening;
+  Buffer.add_string b pad;
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_string b (if flat then ", " else ",");
+      if not flat then Buffer.add_string b ("\n" ^ String.make (indent + 2) ' ');
+      Option.iter (fun k -> add_quoted b k; Buffer.add_string b ": ") k;
+      pretty b (indent + 2) v)
+    members;
+  Buffer.add_string b (if flat then pad else "\n" ^ String.make indent ' ');
+  Buffer.add_char b closing
+
+let to_pretty v =
+  let b = Buffer.create 4096 in
+  pretty b 0 v;
+  Buffer.add_char b '\n';
+  Buffer.contents b
+
 (* ---- parsing ---------------------------------------------------------------
 
    One cursor over the input; every branch looks at the byte under it
@@ -126,8 +177,6 @@ let hex_value = function
   | 'a' .. 'f' as c -> Char.code c - 87
   | 'A' .. 'F' as c -> Char.code c - 55
   | _ -> -1
-
-let is_digit = function '0' .. '9' -> true | _ -> false
 
 (* The characters a number token is scanned over before it is checked
    against the grammar, so a malformed number is reported whole. *)
@@ -289,9 +338,8 @@ let parse_number c =
       match shape with
       | None -> fail "invalid number %S at offset %d" tok start
       | Some integral -> (
-          match if integral then int_of_string_opt tok else None with
-          | Some i -> Int i
-          | None -> Float (float_of_string tok)))
+          if not integral then Float (float_of_string tok)
+          else match int_of_string_opt tok with Some i -> Int i | None -> Bigint tok))
 
 let rec parse_value c =
   skip_ws c;

@@ -52,20 +52,18 @@ let c_gc_freed = Kpt_obs.counter "bdd.gc.freed"
    The unique table is split into one packed subtable {e per variable}
    (CUDD's layout): an adjacent-level swap then only touches the two
    subtables of the swapped variables, leaving every other node where it
-   is.  Within a subtable the key packs the child ids (low:20 | high:20
-   bits); key 0 would mean (false, false) children, i.e. a node with
+   is.  Within a subtable the key packs the child ids (low:31 | high:31
+   bits), which holds every id: [take_id] fails before an id reaches
+   2^31.  Key 0 would mean (false, false) children, i.e. a node with
    [low = high], which [mk] never stores — so 0 is free as the
-   empty-slot sentinel.  Ids beyond 2^20 take a [Hashtbl] fallback path
-   keyed on the child pair: exactness is preserved at any size, only the
-   packed fast path is bounded.
+   empty-slot sentinel.
 
    The operation cache is CUDD-style direct-mapped: collisions overwrite
    (the cache is lossy — dropping an entry only costs a recomputation). *)
 type subtable = {
-  mutable s_count : int; (* entries in the packed arrays *)
+  mutable s_count : int; (* entries *)
   mutable s_key : int array; (* 0 = empty slot *)
   mutable s_node : int array;
-  s_spill : (int * int, int) Hashtbl.t; (* child ids beyond packing *)
 }
 
 type manager = {
@@ -77,7 +75,7 @@ type manager = {
   mutable perm : int array; (* var → level (length ≥ nvars) *)
   mutable invperm : int array; (* level → var *)
   mutable subs : subtable array; (* indexed by var *)
-  mutable live : int; (* total unique-table entries (packed + spill) *)
+  mutable live : int; (* total unique-table entries *)
   op_cap : int; (* maximum op-cache slot count (power of two) *)
   mutable op_stores : int; (* misses stored since the last grow/clear *)
   mutable op_mask : int;
@@ -113,9 +111,8 @@ type manager = {
 
 and t = { id : int; m : manager }
 
+let sub_key lo hi = (lo lsl 31) lor hi
 let uid_limit = 1 lsl 20
-let sub_key lo hi = (lo lsl 20) lor hi
-let sub_packs lo hi = lo < uid_limit && hi < uid_limit
 
 (* Packed op-cache key: tag:3 | x:20 | y:20 | z:20 bits.  Zero would need
    tag = op_and with x = y = z = 0, i.e. and(false, false) — a terminal
@@ -171,7 +168,6 @@ let fresh_subtable () =
     s_count = 0;
     s_key = Array.make initial_sub_slots 0;
     s_node = Array.make initial_sub_slots 0;
-    s_spill = Hashtbl.create 8;
   }
 
 let create ?(cache_size = 1 lsl 14) ?(reorder = false) () =
@@ -406,18 +402,15 @@ let grow_sub sub =
    swap and the sweep, where the node is known not to be present). *)
 let insert_node m n =
   let sub = m.subs.(var_of m n) in
-  let lo = low_of m n and hi = high_of m n in
-  if sub_packs lo hi then begin
-    if 2 * (sub.s_count + 1) > Array.length sub.s_key then grow_sub sub;
-    sub_place sub.s_key sub.s_node (Array.length sub.s_key - 1) (sub_key lo hi) n;
-    sub.s_count <- sub.s_count + 1
-  end
-  else Hashtbl.replace sub.s_spill (lo, hi) n;
+  if 2 * (sub.s_count + 1) > Array.length sub.s_key then grow_sub sub;
+  let k = sub_key (low_of m n) (high_of m n) in
+  sub_place sub.s_key sub.s_node (Array.length sub.s_key - 1) k n;
+  sub.s_count <- sub.s_count + 1;
   m.live <- m.live + 1
 
-(* Delete a packed entry (linear probing: the canonical backward-shift,
-   so later probe chains stay unbroken — no tombstones). *)
-let sub_delete_packed sub k =
+(* Delete an entry (linear probing: the canonical backward-shift, so
+   later probe chains stay unbroken — no tombstones). *)
+let sub_delete sub k =
   let mask = Array.length sub.s_key - 1 in
   let i = ref (slot_of mask k) in
   while sub.s_key.(!i) <> 0 && sub.s_key.(!i) <> k do
@@ -449,17 +442,13 @@ let sub_delete_packed sub k =
   end
 
 let remove_node m n =
-  let sub = m.subs.(var_of m n) in
-  let lo = low_of m n and hi = high_of m n in
-  if sub_packs lo hi then sub_delete_packed sub (sub_key lo hi)
-  else Hashtbl.remove sub.s_spill (lo, hi);
+  sub_delete m.subs.(var_of m n) (sub_key (low_of m n) (high_of m n));
   m.live <- m.live - 1
 
 let iter_table m f =
   for v = 0 to m.nvars - 1 do
     let sub = m.subs.(v) in
-    Array.iteri (fun i k -> if k <> 0 then f sub.s_node.(i)) sub.s_key;
-    Hashtbl.iter (fun _ n -> f n) sub.s_spill
+    Array.iteri (fun i k -> if k <> 0 then f sub.s_node.(i)) sub.s_key
   done
 
 (* ---- the sweep at reorder boundaries --------------------------------------
@@ -715,35 +704,22 @@ let mk m var low high =
     ensure_var m var;
     assert (pos m low > m.perm.(var) && pos m high > m.perm.(var));
     let sub = m.subs.(var) in
-    if sub_packs low high then begin
-      let k = sub_key low high in
-      let keys = sub.s_key in
-      let mask = Array.length keys - 1 in
-      let i = ref (slot_of mask k) in
-      while Array.unsafe_get keys !i <> 0 && Array.unsafe_get keys !i <> k do
-        i := (!i + 1) land mask
-      done;
-      if Array.unsafe_get keys !i = k then Array.unsafe_get sub.s_node !i
-      else begin
-        let n = fresh_node m var low high in
-        keys.(!i) <- k;
-        sub.s_node.(!i) <- n;
-        sub.s_count <- sub.s_count + 1;
-        m.live <- m.live + 1;
-        if 2 * sub.s_count > mask + 1 then grow_sub sub;
-        n
-      end
-    end
+    let k = sub_key low high in
+    let keys = sub.s_key in
+    let mask = Array.length keys - 1 in
+    let i = ref (slot_of mask k) in
+    while Array.unsafe_get keys !i <> 0 && Array.unsafe_get keys !i <> k do
+      i := (!i + 1) land mask
+    done;
+    if Array.unsafe_get keys !i = k then Array.unsafe_get sub.s_node !i
     else begin
-      (* beyond the packed range: exact spill table, same canonicity *)
-      let key = (low, high) in
-      match Hashtbl.find_opt sub.s_spill key with
-      | Some n -> n
-      | None ->
-          let n = fresh_node m var low high in
-          Hashtbl.add sub.s_spill key n;
-          m.live <- m.live + 1;
-          n
+      let n = fresh_node m var low high in
+      keys.(!i) <- k;
+      sub.s_node.(!i) <- n;
+      sub.s_count <- sub.s_count + 1;
+      m.live <- m.live + 1;
+      if 2 * sub.s_count > mask + 1 then grow_sub sub;
+      n
     end
   end
 
@@ -769,7 +745,7 @@ let swap_levels m l =
   let u = m.invperm.(l) and v = m.invperm.(l + 1) in
   let su = m.subs.(u) in
   (* detach u's nodes, in the order they are then re-registered *)
-  let count = su.s_count + Hashtbl.length su.s_spill in
+  let count = su.s_count in
   let nodes = Array.make count 0 in
   let k = ref count in
   Array.iteri
@@ -779,16 +755,10 @@ let swap_levels m l =
         nodes.(!k) <- su.s_node.(i)
       end)
     su.s_key;
-  Hashtbl.iter
-    (fun _ n ->
-      decr k;
-      nodes.(!k) <- n)
-    su.s_spill;
   let slots = pow2_at_least (max initial_sub_slots (2 * count)) initial_sub_slots in
   su.s_count <- 0;
   su.s_key <- Array.make slots 0;
   su.s_node <- Array.make slots 0;
-  Hashtbl.reset su.s_spill;
   m.live <- m.live - count;
   (* flip the order *)
   m.invperm.(l) <- v;
@@ -863,8 +833,7 @@ let swap_adjacent_groups m st p =
   st.gpos.(gx) <- p + 1
 
 let group_nodes m g =
-  let count v = m.subs.(v).s_count + Hashtbl.length m.subs.(v).s_spill in
-  count (2 * g) + count ((2 * g) + 1)
+  m.subs.(2 * g).s_count + m.subs.((2 * g) + 1).s_count
 
 (* Sift one group: walk it to the nearer edge and then across to the
    other, tracking the total live-node count at each position, then park
@@ -1518,23 +1487,20 @@ type stats = {
   live_nodes : int;
   unique_slots : int;
   unique_load : float;
-  spill_nodes : int;
   cache_slots : int;
 }
 
 let stats m =
-  let slots = ref 0 and spill = ref 0 and packed = ref 0 in
+  let slots = ref 0 and entries = ref 0 in
   for v = 0 to m.nvars - 1 do
     slots := !slots + Array.length m.subs.(v).s_key;
-    spill := !spill + Hashtbl.length m.subs.(v).s_spill;
-    packed := !packed + m.subs.(v).s_count
+    entries := !entries + m.subs.(v).s_count
   done;
   {
     nodes_created = m.created;
     live_nodes = live_count m;
     unique_slots = !slots;
-    unique_load = (if !slots = 0 then 0.0 else float_of_int !packed /. float_of_int !slots);
-    spill_nodes = !spill;
+    unique_load = (if !slots = 0 then 0.0 else float_of_int !entries /. float_of_int !slots);
     cache_slots = m.op_mask + 1;
   }
 

@@ -34,8 +34,8 @@ type manager
     are a single compare and allocate nothing; both start small and grow
     on demand.  The op-cache is lossy — an entry overwritten on collision
     only costs a recomputation, never correctness — while the unique
-    table is exact at any size (keys beyond the packed range spill into
-    an exact hash table).
+    table is exact at any size (its key packs two 31-bit child ids, and
+    no id reaches 2{^31}).
 
     The op-cache holds the results of the boolean operators and of the
     quantifiers and relational product, which also move pair bits (keyed
@@ -196,7 +196,6 @@ type stats = {
   live_nodes : int;  (** nodes currently in the unique table (+ leaves) *)
   unique_slots : int;  (** open-addressing slots of the unique table *)
   unique_load : float;  (** occupancy fraction of the unique table *)
-  spill_nodes : int;  (** nodes beyond the packed-key range *)
   cache_slots : int;  (** current op-cache slot count (grows on demand) *)
 }
 

@@ -248,10 +248,7 @@ let handle_line st fd line =
                             (Protocol.Event { id = req.Protocol.id; name; fields }))
                     else None
                   in
-                  match
-                    Kpt_obs.time "serve.request" (fun () ->
-                        Handler.handle ?sink st.handler req)
-                  with
+                  match Handler.handle ?sink st.handler req with
                   | outcome, cached ->
                       send fd
                         (Protocol.Result

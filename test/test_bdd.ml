@@ -366,6 +366,65 @@ let test_reused_ids_never_alias () =
     (fun h th -> Alcotest.(check (list int)) "held truth table" th (Helpers.truth_table h ~nvars:nv))
     held tables
 
+(* Past 2^20 ids, the range the unique-table key once packed only.
+   Every [ite x a b] below has [x] above [a] and [b], so it makes the
+   one node (x, b, a): four seed functions at var 6, then all distinct
+   pairs of the level below at vars 5, 4 and 3 (65 536 functions), then
+   rows of pairs of those at var 2 and var 1 until ids pass 2^20, and
+   var-0 nodes over every pair of 64 of those.  With the op-cache
+   cleared, rebuilding a node by another formula has only the unique
+   table to find it in. *)
+let test_canonical_past_2_20 () =
+  let m = Bdd.create () in
+  let limit = 1 lsl 20 in
+  let level v fs =
+    let x = Bdd.var m v in
+    fs
+    @ List.concat_map
+        (fun a ->
+          List.filter_map (fun b -> if Bdd.equal a b then None else Some (Bdd.ite m x a b)) fs)
+        fs
+  in
+  let seeds = [ Bdd.fls m; Bdd.tru m; Bdd.var m 6; Bdd.nvar m 6 ] in
+  let s = Array.of_list (level 3 (level 4 (level 5 seeds))) in
+  let n = Array.length s in
+  Alcotest.(check int) "65 536 functions below var 3" 65536 n;
+  (* 9 rows at var 2, 8 at var 1; keep the last 64 nodes of the last row *)
+  let past = ref [] in
+  List.iter
+    (fun (v, rows) ->
+      let x = Bdd.var m v in
+      for i = 0 to rows - 1 do
+        for j = 0 to n - 1 do
+          if i <> j then begin
+            let f = Bdd.ite m x s.(i) s.(j) in
+            if v = 1 && i = rows - 1 && j >= n - 64 then past := f :: !past
+          end
+        done
+      done)
+    [ (2, 9); (1, 8) ];
+  Alcotest.(check bool) "the last 64 var-1 nodes have ids past 2^20" true
+    (List.for_all (fun f -> Bdd.uid f >= limit) !past);
+  let x0 = Bdd.var m 0 in
+  let tops =
+    List.concat_map
+      (fun a ->
+        List.filter_map
+          (fun b -> if Bdd.equal a b then None else Some (a, b, Bdd.ite m x0 a b))
+          !past)
+      !past
+  in
+  Bdd.clear_caches m;
+  List.iter
+    (fun (a, b, f) ->
+      let again = Bdd.or_ m (Bdd.and_ m x0 a) (Bdd.diff m b x0) in
+      Alcotest.(check int) "rebuilt by another formula: the same id" (Bdd.uid f) (Bdd.uid again);
+      Alcotest.(check (pair int int))
+        "its children are the two it was built from"
+        (Bdd.uid a, Bdd.uid b)
+        (Bdd.uid (Bdd.restrict m f 0 true), Bdd.uid (Bdd.restrict m f 0 false)))
+    tops
+
 let suite =
   [
     Alcotest.test_case "constants" `Quick test_constants;
@@ -397,4 +456,5 @@ let suite =
       `Quick test_sweep_reclaims_garbage;
     Alcotest.test_case "ids reused after a sweep never alias a held handle" `Quick
       test_reused_ids_never_alias;
+    Alcotest.test_case "canonical past 2^20 node ids" `Quick test_canonical_past_2_20;
   ]

@@ -1,8 +1,12 @@
 (* The JSON codec behind the serve wire, [--json] output and the corpus
    manifests.
 
-   - a round-trip law: [of_string (to_string v) = v] over nested values
-     whose strings (keys included) range over all 256 byte values
+   - round-trip laws: [of_string (to_string v) = v] and
+     [of_string (to_pretty v) = v], floats compared bit for bit, over
+     nested values whose strings (keys included) range over all 256 byte
+     values, with integers past the [int] range and integral and
+     subnormal floats
+   - the pretty layout and the float format on fixed values
    - the printer's bytes for every single byte, pinned in
      golden/json_bytes.txt (one line per byte: the byte, then the hex of
      the encoded string; a last line for the string of all 256 bytes in
@@ -18,7 +22,13 @@ let parse_error s =
 
 (* ---- the round-trip law ------------------------------------------------------ *)
 
-let gen_bytes = QCheck.Gen.(string_size ~gen:char (int_bound 24))
+let gen_bytes =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, string_size ~gen:char (int_bound 24));
+        (1, oneofl [ "caf\xc3\xa9 \xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\x00\x1f\x7f\n\t"; "\"\\/" ]);
+      ])
 
 let gen_int =
   QCheck.Gen.(
@@ -29,13 +39,27 @@ let gen_int =
         (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1 ]);
       ])
 
-(* integral floats print without a fraction and read back as [Int], and
-   non-finite ones print as [null]: only the others round-trip as floats *)
+(* digits past [max_int] (and below [min_int]): 19 or more, led by 9 *)
+let gen_bigint =
+  QCheck.Gen.(
+    map2
+      (fun neg ds -> (if neg then "-9" else "9") ^ ds)
+      bool
+      (string_size ~gen:(char_range '0' '9') (int_range 18 40)))
+
+(* non-finite floats print as [null], so only finite ones round-trip *)
 let gen_float =
   QCheck.Gen.(
     map
-      (fun f -> if Float.is_finite f && not (Float.is_integer f) then f else 0.5)
-      (oneof [ float; float_range (-1e3) 1e3 ]))
+      (fun f -> if Float.is_finite f then f else 0.5)
+      (frequency
+         [
+           (3, float);
+           (2, float_range (-1e3) 1e3);
+           (1, map float_of_int int);
+           (1, map (fun m -> Float.ldexp (float_of_int m) (-1074)) (int_bound ((1 lsl 52) - 1)));
+           (1, oneofl [ 0.0; -0.0; 1.0; 1e20; 2. ** 62.; Float.min_float; Float.max_float ]);
+         ]))
 
 let gen_json =
   QCheck.Gen.(
@@ -46,6 +70,7 @@ let gen_json =
                return Json.Null;
                map (fun b -> Json.Bool b) bool;
                map (fun i -> Json.Int i) gen_int;
+               map (fun s -> Json.Bigint s) gen_bigint;
                map (fun f -> Json.Float f) gen_float;
                map (fun s -> Json.String s) gen_bytes;
              ]
@@ -62,12 +87,67 @@ let gen_json =
                      (list_size (int_bound 5) (pair gen_bytes (self (depth - 1)))) );
                ]))
 
+(* structural equality, but floats bit for bit ([-0.0] is not [0.0]) *)
+let rec equal (a : Json.t) (b : Json.t) =
+  match (a, b) with
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | List xs, List ys -> List.equal equal xs ys
+  | Obj xs, Obj ys -> List.equal (fun (k, v) (k', v') -> String.equal k k' && equal v v') xs ys
+  | a, b -> a = b
+
 let prop_roundtrip =
   QCheck.Test.make ~count:500 ~name:"json: of_string (to_string v) = v"
     (QCheck.make ~print:Json.to_string gen_json)
     (fun v ->
       let s = Json.to_string v in
-      (not (String.contains s '\n')) && Json.of_string s = v && Json.to_line v = s ^ "\n")
+      (not (String.contains s '\n')) && equal (Json.of_string s) v && Json.to_line v = s ^ "\n")
+
+let prop_pretty_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json: of_string (to_pretty v) = v"
+    (QCheck.make ~print:Json.to_pretty gen_json)
+    (fun v ->
+      let s = Json.to_pretty v in
+      String.ends_with ~suffix:"\n" s && equal (Json.of_string s) v)
+
+(* ---- the pretty layout and the float format ---------------------------------- *)
+
+let test_pretty_layout () =
+  let ints n = List.init n (fun i -> Json.Int i) in
+  let keyed n = Json.Obj (List.init n (fun i -> (string_of_int i, Json.Int i))) in
+  List.iter
+    (fun (v, want) -> Alcotest.(check string) want want (Json.to_pretty v))
+    [
+      (Json.Int 1, "1\n");
+      (Json.List [], "[]\n");
+      (Json.Obj [], "{}\n");
+      (Json.List (ints 8), "[0, 1, 2, 3, 4, 5, 6, 7]\n");
+      (Json.List (ints 9), "[\n  0,\n  1,\n  2,\n  3,\n  4,\n  5,\n  6,\n  7,\n  8\n]\n");
+      (keyed 2, "{ \"0\": 0, \"1\": 1 }\n");
+      ( Json.Obj [ ("a", Json.List []); ("b", Json.Obj []); ("c", Json.String "x\ny") ],
+        "{ \"a\": [], \"b\": {}, \"c\": \"x\\ny\" }\n" );
+      ( Json.Obj [ ("k", keyed 1); ("l", Json.List [ Json.List [ Json.Null ] ]) ],
+        "{\n  \"k\": { \"0\": 0 },\n  \"l\": [\n    [null]\n  ]\n}\n" );
+      ( Json.List [ keyed 9 ],
+        "[\n  {\n    \"0\": 0,\n    \"1\": 1,\n    \"2\": 2,\n    \"3\": 3,\n    \"4\": 4,\n\
+        \    \"5\": 5,\n    \"6\": 6,\n    \"7\": 7,\n    \"8\": 8\n  }\n]\n" );
+    ]
+
+let test_float_format () =
+  List.iter
+    (fun (f, want) -> Alcotest.(check string) want want (Json.to_string (Json.Float f)))
+    [
+      (0.1, "0.1");
+      (0.225, "0.225");
+      (1.0, "1.0");
+      (-0.0, "-0.0");
+      (-3.0, "-3.0");
+      (1e20, "1e+20");
+      (2. ** 62., "4.611686018427388e+18");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (5e-324, "4.94065645841247e-324");
+      (Float.nan, "null");
+      (Float.infinity, "null");
+    ]
 
 (* ---- the printer's bytes ----------------------------------------------------- *)
 
@@ -162,7 +242,10 @@ let test_accepted () =
       ("4611686018427387903", Json.Int max_int);
       ("-4611686018427387904", Json.Int min_int);
       ("123456789012345678", Json.Int 123456789012345678);
-      ("4611686018427387904", Json.Float 4611686018427387904.);
+      ("4611686018427387904", Json.Bigint "4611686018427387904");
+      ("-4611686018427387905", Json.Bigint "-4611686018427387905");
+      ("4.611686018427388e+18", Json.Float 4611686018427387904.);
+      ("1.0", Json.Float 1.);
       ("1.5e+2", Json.Float 150.);
       ("2E-1", Json.Float 0.2);
       ("\t[ true , false , null ]\r\n", Json.List [ Json.Bool true; Json.Bool false; Json.Null ]);
@@ -187,8 +270,13 @@ let test_member_first_key () =
   Alcotest.(check bool) "not an object" true (Json.member "k" (Json.List []) = None)
 
 let suite =
-  List.map (QCheck_alcotest.to_alcotest ~rand:(Helpers.rng ())) [ prop_roundtrip ]
+  List.map
+    (QCheck_alcotest.to_alcotest ~rand:(Helpers.rng ()))
+    [ prop_roundtrip; prop_pretty_roundtrip ]
   @ [
+      Alcotest.test_case "pretty layout" `Quick test_pretty_layout;
+      Alcotest.test_case "float format: shortest round-trip, .0 on integral" `Quick
+        test_float_format;
       Alcotest.test_case "printer bytes for every byte match the golden" `Quick test_printer_golden;
       Alcotest.test_case "malformed input: messages" `Quick test_malformed;
       Alcotest.test_case "accepted input" `Quick test_accepted;

@@ -317,22 +317,9 @@ let load_spec path =
 let test_stats_json_golden () =
   let loaded = load_spec "../examples/specs/transmit.unity" in
   let st = Stats.collect ~file:"examples/specs/transmit.unity" loaded in
-  (* the counter registry is process-global, so the [test.obs.*] cells
-     registered by the suites above leak into the snapshot here; drop
-     those lines before comparing (they sort before "wcyl.*", so the
-     trailing-comma structure is unaffected) *)
-  let strip s =
-    let keeps line =
-      let rec has i =
-        i + 7 <= String.length line && (String.sub line i 7 = "\"test.o" || has (i + 1))
-      in
-      not (has 0)
-    in
-    String.concat "\n" (List.filter keeps (String.split_on_char '\n' s))
-  in
   Alcotest.(check string) "kpt stats --json matches the golden"
     (Helpers.slurp "golden/stats_transmit.json")
-    (strip (Stats.to_json ~timings:false st))
+    (Json.to_pretty (Helpers.strip_test_counters (Stats.to_json ~timings:false st)))
 
 let test_stats_collect_shape () =
   let loaded = load_spec "../examples/specs/transmit.unity" in
@@ -350,12 +337,12 @@ let test_stats_collect_shape () =
   Alcotest.(check bool) "sst iterations recorded" true
     (List.assoc "sst.iterations" st.Stats.counters > 0);
   (* the human renderer and the JSON agree on the headline number *)
-  let json = Stats.to_json ~timings:true st in
+  let timings t = Json.member "timings_ns" (Stats.to_json ~timings:t st) in
   Alcotest.(check bool) "timings included on request" true
-    (let rec contains i =
-       i + 10 <= String.length json && (String.sub json i 10 = "timings_ns" || contains (i + 1))
-     in
-     contains 0)
+    (match timings true with
+    | Some (Json.Obj spans) -> List.length spans = List.length st.Stats.spans && spans <> []
+    | _ -> false);
+  Alcotest.(check bool) "and absent otherwise" true (timings false = None)
 
 let suite =
   [

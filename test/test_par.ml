@@ -139,8 +139,10 @@ let test_check_differential () =
     (to_string Check.render_text r1)
     (to_string Check.render_text r4);
   Alcotest.(check string) "JSON output is byte-identical at -j 1 and -j 4"
-    (to_string Check.render_json r1)
-    (to_string Check.render_json r4)
+    (Json.to_pretty (Check.to_json r1))
+    (Json.to_pretty (Check.to_json r4))
+
+let stats_json st = Json.to_pretty (Stats.to_json ~timings:false st)
 
 let test_stats_pool_independent () =
   let sources = corpus () in
@@ -148,7 +150,7 @@ let test_stats_pool_independent () =
     Check.reports ~jobs sources
     |> List.map (fun (r : Check.report) ->
            ( r.Check.file,
-             Option.map (Stats.to_json ~timings:false) r.Check.stats ))
+             Option.map stats_json r.Check.stats ))
   in
   let s1 = snapshot 1 and s4 = snapshot 4 in
   List.iter2
@@ -177,8 +179,8 @@ let test_duplicate_paths () =
       Alcotest.(check string) "both reports carry the path" a.Check.file b.Check.file;
       Alcotest.(check (option string))
         "and identical stats"
-        (Option.map (Stats.to_json ~timings:false) a.Check.stats)
-        (Option.map (Stats.to_json ~timings:false) b.Check.stats)
+        (Option.map stats_json a.Check.stats)
+        (Option.map stats_json b.Check.stats)
   | rs -> Alcotest.failf "expected 2 reports, got %d" (List.length rs)
 
 let test_bad_file_does_not_poison_siblings () =
@@ -230,19 +232,6 @@ let test_pool_grows_on_wider_request () =
 
 (* ---- golden ------------------------------------------------------------------ *)
 
-(* Counters prefixed "test." exist only in this test binary (interned by
-   other suites); the golden is produced by the kpt executable, which
-   has none.  Dropping those lines is structurally safe: "test.*" sorts
-   before every counter the library itself bumps, so the final counter
-   line (and its missing trailing comma) is never the one removed. *)
-let strip_test_counters s =
-  String.split_on_char '\n' s
-  |> List.filter (fun l ->
-         not (String.length l > 0 && String.trim l <> "" &&
-              (let t = String.trim l in
-               String.length t > 6 && String.sub t 0 6 = "\"test.")))
-  |> String.concat "\n"
-
 (* Regenerate with:
      dune exec bin/kpt.exe -- check examples/specs/*.unity --json --reorder=off \
        > test/golden/check_specs.json
@@ -250,11 +239,10 @@ let strip_test_counters s =
    in-process under the library default, which is off — the CLI default
    is auto). *)
 let test_check_json_golden () =
-  let expected = strip_test_counters (Helpers.slurp "golden/check_specs.json") in
-  let got =
-    strip_test_counters (to_string Check.render_json (Check.reports ~jobs:2 (corpus ())))
-  in
-  Alcotest.(check string) "kpt check --json batch summary" expected got
+  let got = Check.to_json (Check.reports ~jobs:2 (corpus ())) in
+  Alcotest.(check string) "kpt check --json batch summary"
+    (Helpers.slurp "golden/check_specs.json")
+    (Json.to_pretty (Helpers.strip_test_counters got))
 
 let suite =
   [

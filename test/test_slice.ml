@@ -54,8 +54,8 @@ let test_check_slice_identical () =
     (to_string Check.render_text plain)
     (to_string Check.render_text sliced);
   Alcotest.(check string) "check --slice JSON is byte-identical"
-    (to_string Check.render_json plain)
-    (to_string Check.render_json sliced)
+    (Json.to_pretty (Check.to_json plain))
+    (Json.to_pretty (Check.to_json sliced))
 
 let test_token_ring_8_fully_connected () =
   (* the done-counter guards [done < 8] make every rest statement read
